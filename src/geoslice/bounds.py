@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import slice1d, targets
-from .manifolds import Euclidean, Point, Sphere, TangentVector
+from .manifolds import Euclidean, Sphere
 from .slice1d import ApplicabilityError
 from .targets import Target
 
@@ -255,23 +255,18 @@ def estimate_epsilon(
 ):
     """Statistical lower envelope of the covering probability over random probes.
 
-    Each probe draws a support point, direction and level, scans the geodesic
-    section on a grid to locate its supremum before the cut time, and counts
-    stepping-out draws whose interval clears it.  Returns (min over probes of
-    the per-probe estimate, standard error at the argmin).  An infimum over an
-    uncountable family cannot be certified this way: treat the result as
-    optimistic.
+    Each probe scans a random geodesic section on a grid
+    (``targets.scan_section``), draws a level, locates the supremum of the
+    superlevel section before the cut time, and counts stepping-out draws
+    whose interval clears it.  Returns (min over probes of the per-probe
+    estimate, standard error at the argmin).  An infimum over an uncountable
+    family cannot be certified this way: treat the result as optimistic.
     """
     man = target.manifold
     params = slice1d.StepOutParams(w, m)
     best = (math.inf, 0.0)
     for _ in range(n_probes):
-        xa = targets._support_draw(target, rng)
-        va = man.sample_tangent_array(xa, rng)
-        cut = man.cut_time(Point(xa), TangentVector(Point(xa), va)).value
-        horizon = min(cut, target.diam_w * (1.0 + 1e-9))
-        thetas = np.linspace(0.0, horizon, grid, endpoint=False)
-        dens = target.density_batch(targets._geodesic_batch(man, xa, va, thetas))
+        xa, va, thetas, dens = targets.scan_section(target, rng, grid)
         level = rng.random() * float(target.density(xa))
         hits = np.nonzero(dens > level)[0]
         if len(hits) == 0:

@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import integrate, stats
 from scipy.spatial.distance import cdist
-from scipy.special import erf
 
 from . import bounds, kernel, slice1d, targets
 from .manifolds import Euclidean, Point, Sphere, Torus
@@ -67,8 +66,9 @@ def make_binning(target: Target, bins: Optional[int] = None) -> Binning:
     Circle: equal angles (default 64).  Sphere S^2: equal-area latitude bands
     times longitude sectors aligned with the target's symmetry axis (default
     16 x 32).  Euclidean (d <= 2) and torus: uniform box grid (default 32 per
-    axis).  Requires a preset whose bin masses are computable in closed form
-    or by deterministic quadrature.
+    axis).  Masses and the flat grid's extent are read from the target's
+    ``bin_masses`` and ``grid_half``; on the circle, a target without
+    ``bin_masses`` is integrated by deterministic quadrature of its density.
     """
     man = target.manifold
     if isinstance(man, Sphere) and man.dim == 1:
@@ -91,8 +91,8 @@ def _binning_circle(target: Target, n_bins: int) -> Binning:
     def angle_density(phi: float) -> float:
         return dens(np.array([math.cos(phi), math.sin(phi)]))
 
-    if target.is_uniform and target.name == "uniform":
-        masses = np.full(n_bins, 1.0 / n_bins)
+    if target.bin_masses is not None:
+        masses = target.bin_masses([edges])
     else:
         raw = np.empty(n_bins)
         for i in range(n_bins):
@@ -114,6 +114,8 @@ def _binning_circle(target: Target, n_bins: int) -> Binning:
 
 
 def _binning_sphere2(target: Target, bins: int) -> Binning:
+    if target.bin_masses is None:
+        raise ValueError(f"no analytic sphere bin masses for target {target.name!r}")
     n_bands = max(int(round(math.sqrt(bins / 2.0))), 2)
     n_sectors = 2 * n_bands
     z_edges = np.linspace(-1.0, 1.0, n_bands + 1)
@@ -123,19 +125,7 @@ def _binning_sphere2(target: Target, bins: int) -> Binning:
         pole = np.array([0.0, 0.0, 1.0])
     frame = _orthonormal_frame(pole)
 
-    if target.name == "uniform":
-        band_mass = np.full(n_bands, 1.0 / n_bands)  # equal z-slices have equal area
-    elif target.name == "cap":
-        c = math.cos(target.params["colatitude"])
-        over = np.clip(z_edges[1:], c, 1.0) - np.clip(z_edges[:-1], c, 1.0)
-        band_mass = over / (1.0 - c)
-    elif target.name == "vmf":
-        k = target.params["concentration"]
-        e = np.exp(k * z_edges)
-        band_mass = (e[1:] - e[:-1]) / (e[-1] - e[0])
-    else:
-        raise ValueError(f"no analytic sphere bin masses for target {target.name!r}")
-    masses = np.repeat(band_mass / n_sectors, n_sectors)
+    masses = np.repeat(target.bin_masses([z_edges]) / n_sectors, n_sectors)
     keep = masses > 0
     lookup = -np.ones(n_bands * n_sectors, dtype=int)
     lookup[keep] = np.arange(int(np.sum(keep)))
@@ -152,111 +142,15 @@ def _binning_sphere2(target: Target, bins: int) -> Binning:
     )
 
 
-def _disk_cell_area(r: float, x0: float, x1: float, y0: float, y1: float) -> float:
-    """Area of [x0,x1] x [y0,y1] intersected with the open disk of radius r."""
-
-    def height(x: float) -> float:
-        q = r * r - x * x
-        return math.sqrt(q) if q > 0 else 0.0
-
-    def integrand(x: float) -> float:
-        h = height(x)
-        return max(0.0, min(y1, h) - max(y0, -h))
-
-    cuts = {x0, x1}
-    for y in (y0, y1):
-        if abs(y) < r:
-            xc = math.sqrt(r * r - y * y)
-            for s in (xc, -xc):
-                if x0 < s < x1:
-                    cuts.add(s)
-    for s in (-r, r):
-        if x0 < s < x1:
-            cuts.add(s)
-    xs = sorted(cuts)
-    total = 0.0
-    for a, b in zip(xs, xs[1:]):
-        val, _ = integrate.quad(integrand, a, b, limit=100)
-        total += val
-    return total
-
-
-def _gauss_disk_cell_mass(r, s2, x0, x1, y0, y1) -> float:
-    """Unnormalised Gaussian mass of a cell clipped to the disk (2-D)."""
-    c = math.sqrt(2.0 * s2)
-
-    def inner(x: float) -> float:
-        q = r * r - x * x
-        if q <= 0:
-            return 0.0
-        h = math.sqrt(q)
-        lo, hi = max(y0, -h), min(y1, h)
-        if hi <= lo:
-            return 0.0
-        g = math.sqrt(math.pi * s2 / 2.0)
-        return math.exp(-x * x / (2.0 * s2)) * g * (math.erf(hi / c) - math.erf(lo / c))
-
-    cuts = {x0, x1}
-    for y in (y0, y1):
-        if abs(y) < r:
-            xc = math.sqrt(r * r - y * y)
-            for s in (xc, -xc):
-                if x0 < s < x1:
-                    cuts.add(s)
-    for s in (-r, r):
-        if x0 < s < x1:
-            cuts.add(s)
-    xs = sorted(cuts)
-    total = 0.0
-    for a, b in zip(xs, xs[1:]):
-        val, _ = integrate.quad(inner, a, b, limit=100)
-        total += val
-    return total
-
-
 def _binning_box_grid(target: Target, bins: Optional[int]) -> Binning:
+    if target.bin_masses is None or target.grid_half is None:
+        raise ValueError(f"no analytic box-grid masses for target {target.name!r}")
     dim = target.manifold.dim
     per_axis = 32 if bins is None else max(2, int(round(bins ** (1.0 / dim))))
-    if target.name == "convex-uniform-ball":
-        half = np.full(dim, target.params["radius"])
-    elif target.name == "convex-uniform-box":
-        half = np.asarray(target.params["extents"]) / 2.0
-    elif target.name == "ball-gauss":
-        half = np.full(dim, target.params["radius"])
-    else:
-        raise ValueError(f"no analytic box-grid masses for target {target.name!r}")
+    half = target.grid_half
     edges = [np.linspace(-h, h, per_axis + 1) for h in half]
-
     n_cells = per_axis**dim
-    raw = np.zeros(n_cells)
-    if dim == 1:
-        e = edges[0]
-        if target.name in ("convex-uniform-ball", "convex-uniform-box"):
-            raw = np.diff(e)
-        else:
-            s2 = target.params["sigma"] ** 2
-            c = math.sqrt(2.0 * s2)
-            vals = erf(e / c)
-            raw = vals[1:] - vals[:-1]
-    else:
-        ex, ey = edges
-        for i in range(per_axis):
-            for j in range(per_axis):
-                cell = i * per_axis + j
-                if target.name == "convex-uniform-ball":
-                    raw[cell] = _disk_cell_area(
-                        target.params["radius"], ex[i], ex[i + 1], ey[j], ey[j + 1]
-                    )
-                elif target.name == "convex-uniform-box":
-                    raw[cell] = (ex[i + 1] - ex[i]) * (ey[j + 1] - ey[j])
-                else:
-                    raw[cell] = _gauss_disk_cell_mass(
-                        target.params["radius"],
-                        target.params["sigma"] ** 2,
-                        ex[i], ex[i + 1], ey[j], ey[j + 1],
-                    )
-    total = float(np.sum(raw))
-    masses = raw / total
+    masses = target.bin_masses(edges)
     keep = masses > 1e-15
     lookup = -np.ones(n_cells, dtype=int)
     lookup[keep] = np.arange(int(np.sum(keep)))
@@ -277,13 +171,13 @@ def _binning_box_grid(target: Target, bins: Optional[int]) -> Binning:
 
 
 def _binning_torus(target: Target, bins: Optional[int]) -> Binning:
-    if target.name != "uniform":
-        raise ValueError("torus binning implemented for the uniform target")
+    if target.bin_masses is None:
+        raise ValueError(f"no analytic torus bin masses for target {target.name!r}")
     man = target.manifold
     dim, period = man.dim, man.period
     per_axis = 32 if bins is None else max(2, int(round(bins ** (1.0 / dim))))
     n_cells = per_axis**dim
-    masses = np.full(n_cells, 1.0 / n_cells)
+    masses = target.bin_masses([np.linspace(0.0, period, per_axis + 1)] * dim)
 
     def assign(coords: np.ndarray) -> np.ndarray:
         cell = np.minimum((coords / period * per_axis).astype(int), per_axis - 1)
@@ -517,28 +411,13 @@ def verify_uniform_ergodicity(
 def worst_start(target: Target) -> Point:
     """Adversarial start candidate: near the support boundary or density minimum.
 
-    The certificate's sup over starts cannot be probed exhaustively; these
-    are the analytic worst candidates for the presets.
+    The certificate's sup over starts cannot be probed exhaustively; each
+    preset records its analytic worst candidate as ``target.worst_start``,
+    which this reads.
     """
-    man = target.manifold
-    if target.name == "cap":
-        pole = target.params["pole"]
-        psi = target.params["colatitude"] * (1.0 - 1e-6)
-        perp = _orthonormal_frame(pole)[0]
-        return man.point(math.cos(psi) * pole + math.sin(psi) * perp)
-    if target.name == "vmf":
-        return man.point(-target.params["mean"])
-    if target.name == "convex-uniform-ball" or target.name == "ball-gauss":
-        x = np.zeros(man.dim)
-        x[0] = target.params["radius"] * (1.0 - 1e-6)
-        return man.point(x)
-    if target.name == "convex-uniform-box":
-        return man.point(np.asarray(target.params["extents"]) / 2.0 * (1.0 - 1e-6))
-    if isinstance(man, Sphere):
-        return man.point(np.eye(man.embedding_dim)[0])
-    if isinstance(man, Torus):
-        return man.point(np.zeros(man.dim))
-    raise ValueError(f"no worst-start heuristic for target {target.name!r}")
+    if target.worst_start is None:
+        raise ValueError(f"no worst-start candidate for target {target.name!r}")
+    return target.manifold.point(target.worst_start)
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +520,6 @@ class BatteryReport:
                 f"{status} {c.name} [{c.config}] observed={c.observed:.6g} "
                 f"ref={c.reference:.6g} ({c.criterion}; seed={c.seed})"
             )
-
-
-def _shifted_intervals(ivs, shift):
-    return [(a + shift, b + shift) for a, b in ivs]
 
 
 def _reflected_intervals(ivs, alpha):
@@ -751,7 +626,7 @@ def _shrinkage_checks(seed: int, quick: bool) -> list:
             cand = [(lo, hi)]
         a0, b0 = cand[int(rng_cfg.integers(0, len(cand)))]
         mid = 0.5 * (a0 + b0)
-        width = min((b0 - a0) * 0.8, float(rng_cfg.uniform(0.05, b0 - a0)))
+        width = min((b0 - a0) * 0.8, float(rng_cfg.uniform(min(0.05, b0 - a0), b0 - a0)))
         a_set = (mid - width / 2.0, mid + width / 2.0)
         configs.append((f"random#{k}", ivs, (lo, hi), a_set))
     for i, (label, ivs, (lo, hi), a_set) in enumerate(configs):

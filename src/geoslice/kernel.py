@@ -124,11 +124,6 @@ def step(x: Point, config: GssConfig, rng: np.random.Generator) -> Point:
     return Point(ya)
 
 
-def step_detailed(x: Point, config: GssConfig, rng: np.random.Generator):
-    ya, diag = _step_array(x.coords, config, rng)
-    return Point(ya), diag
-
-
 def run_chain(
     x0: Point,
     n: int,

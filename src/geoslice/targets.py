@@ -18,6 +18,13 @@ Presets (all with exact metadata and exact reference samplers):
 * ``convex-uniform`` - uniform on an open ball or box in Euclidean space
 * ``ball-gauss``     - isotropic Gaussian truncated to an open ball
 
+Spec aliases: ``uniform-manifold``, ``spherical-cap-uniform``,
+``von-mises-fisher``, ``ball-truncated-gaussian`` (see :func:`from_spec`).
+
+Presets also carry the harness's facts, which rescaled copies keep:
+``worst_start`` (an adversarial start), ``bin_masses`` (exact masses of the
+harness's bin grid) and, on Euclidean space, ``grid_half`` (its half-extent).
+
 Connectedness of the support is assumed, not checked; custom densities must
 come with correct metadata.
 """
@@ -26,10 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
+from scipy import integrate, special
 
 from . import manifolds
 from .manifolds import Manifold, Point, Sphere, Euclidean, Torus
@@ -96,6 +104,62 @@ def _bisect_monotone(fn, targets: np.ndarray, lo: float, hi: float, iters: int =
         lo_v = np.where(below, mid, lo_v)
         hi_v = np.where(below, hi_v, mid)
     return 0.5 * (lo_v + hi_v)
+
+
+# ---------------------------------------------------------------------------
+# exact bin masses
+# ---------------------------------------------------------------------------
+
+def _equal_masses(edges) -> np.ndarray:
+    """Masses of a grid whose cells all have the same volume."""
+    n = int(np.prod([len(e) - 1 for e in edges]))
+    return np.full(n, 1.0 / n)
+
+
+def _normalised(raw: np.ndarray) -> np.ndarray:
+    return raw / float(np.sum(raw))
+
+
+def _disk_cell_masses(r: float, edges, strip) -> np.ndarray:
+    """Unnormalised mass in each cell of a 2-D grid (row-major) inside the open disk.
+
+    ``strip(x, lo, hi)`` is the mass of the vertical segment {x} x (lo, hi)
+    with lo < hi; per cell it is integrated over x piecewise between the
+    points where the cell edges meet the circle, so every piece is smooth.
+    """
+
+    def cell(x0, x1, y0, y1) -> float:
+        def integrand(x: float) -> float:
+            q = r * r - x * x
+            if q <= 0:
+                return 0.0
+            h = math.sqrt(q)
+            lo, hi = max(y0, -h), min(y1, h)
+            return strip(x, lo, hi) if hi > lo else 0.0
+
+        cuts = {x0, x1}
+        for y in (y0, y1):
+            if abs(y) < r:
+                xc = math.sqrt(r * r - y * y)
+                for s in (xc, -xc):
+                    if x0 < s < x1:
+                        cuts.add(s)
+        for s in (-r, r):
+            if x0 < s < x1:
+                cuts.add(s)
+        xs = sorted(cuts)
+        total = 0.0
+        for a, b in zip(xs, xs[1:]):
+            val, _ = integrate.quad(integrand, a, b, limit=100)
+            total += val
+        return total
+
+    ex, ey = edges
+    return np.array([
+        cell(ex[i], ex[i + 1], ey[j], ey[j + 1])
+        for i in range(len(ex) - 1)
+        for j in range(len(ey) - 1)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +237,12 @@ class Target:
     convex_level_sets: bool = False
     is_uniform: bool = False
     params: dict = field(default_factory=dict)
+    # Harness facts (see the module docstring).  bin_masses maps one edge
+    # array per grid axis (S^1: angles, S^2: heights on the symmetry axis,
+    # flat: coordinates) to normalised masses.
+    worst_start: Optional[np.ndarray] = None
+    bin_masses: Optional[Callable[[list], np.ndarray]] = None
+    grid_half: Optional[np.ndarray] = None
 
     @property
     def has_reference_sampler(self) -> bool:
@@ -238,6 +308,8 @@ def uniform_target(manifold: Manifold) -> Target:
         level_set=level,
         sampler=lambda n, rng: manifold.uniform_points(n, rng),
         is_uniform=True,
+        worst_start=np.zeros(manifold.dim) if isinstance(manifold, Torus) else np.eye(dim)[0],
+        bin_masses=_equal_masses,
     )
 
 
@@ -276,6 +348,12 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
         perp = _unit_orthogonal(pole_arr, n, rng)
         return cos_t[:, None] * pole_arr + sin_t[:, None] * perp
 
+    def band_masses(edges):
+        over = np.clip(edges[0][1:], cos_psi, 1.0) - np.clip(edges[0][:-1], cos_psi, 1.0)
+        return over / (1.0 - cos_psi)
+
+    start_psi = colatitude * (1.0 - 1e-6)
+    perp = _orthonormal_frame(pole_arr)[0]
     level = _analytic_level_fn(lambda t: area if t < 1.0 else 0.0)
     # Hemispheres and smaller intersect great circles in single arcs inside the
     # cut window -> no gaps.  Larger caps admit a gap of length 2(pi - psi)
@@ -298,6 +376,8 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
         sampler=sampler,
         is_uniform=True,
         params={"colatitude": colatitude, "pole": pole_arr},
+        worst_start=math.cos(start_psi) * pole_arr + math.sin(start_psi) * perp,
+        bin_masses=band_masses if d == 2 else None,
     )
 
 
@@ -341,6 +421,10 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
         perp = _unit_orthogonal(mu, n, rng)
         return w[:, None] * mu + sin_t[:, None] * perp
 
+    def band_masses(edges):
+        e = np.exp(kap * edges[0])
+        return (e[1:] - e[:-1]) / (e[-1] - e[0])
+
     mu_str = ",".join(repr(float(c)) for c in mu)
     return Target(
         manifold=manifold,
@@ -359,6 +443,8 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
         level_set=_analytic_level_fn(level_measure),
         sampler=sampler,
         params={"concentration": kap, "mean": mu},
+        worst_start=-mu,
+        bin_masses=band_masses if d == 2 else None,
     )
 
 
@@ -407,6 +493,11 @@ def ball_target(dim: int, radius: float) -> Target:
             filled += take
         return out
 
+    def cell_masses(edges):
+        if dim == 1:
+            return _normalised(np.diff(edges[0]))
+        return _normalised(_disk_cell_masses(r, edges, lambda x, lo, hi: hi - lo))
+
     return Target(
         manifold=man,
         name="convex-uniform-ball",
@@ -425,6 +516,9 @@ def ball_target(dim: int, radius: float) -> Target:
         convex_level_sets=True,
         is_uniform=True,
         params={"radius": r},
+        worst_start=np.eye(dim)[0] * (r * (1.0 - 1e-6)),
+        bin_masses=cell_masses,
+        grid_half=np.full(dim, r),
     )
 
 
@@ -467,6 +561,9 @@ def box_target(extents) -> Target:
         convex_level_sets=True,
         is_uniform=True,
         params={"extents": ext},
+        worst_start=half * (1.0 - 1e-6),
+        bin_masses=lambda edges: _normalised(reduce(np.multiply.outer, map(np.diff, edges)).ravel()),
+        grid_half=half,
     )
 
 
@@ -516,6 +613,19 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
             filled += take
         return out
 
+    c = math.sqrt(2.0 * s2)
+    g = math.sqrt(math.pi * s2 / 2.0)
+
+    def cell_masses(edges):
+        if dim == 1:
+            vals = special.erf(edges[0] / c)
+            return _normalised(vals[1:] - vals[:-1])
+
+        def strip(x, lo, hi):
+            return math.exp(-x * x / (2.0 * s2)) * g * (math.erf(hi / c) - math.erf(lo / c))
+
+        return _normalised(_disk_cell_masses(r, edges, strip))
+
     return Target(
         manifold=man,
         name="ball-gauss",
@@ -533,6 +643,9 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
         sampler=sampler,
         convex_level_sets=True,
         params={"sigma": float(sigma), "radius": r},
+        worst_start=np.eye(dim)[0] * (r * (1.0 - 1e-6)),
+        bin_masses=cell_masses,
+        grid_half=np.full(dim, r),
     )
 
 
@@ -583,43 +696,28 @@ def custom_target(
 # preset dispatch and parsing
 # ---------------------------------------------------------------------------
 
-_PRESET_ALIASES = {
-    "uniform": "uniform",
-    "uniform-manifold": "uniform",
-    "cap": "cap",
-    "spherical-cap-uniform": "cap",
-    "vmf": "vmf",
-    "von-mises-fisher": "vmf",
-    "convex-uniform": "convex-uniform",
-    "ball-gauss": "ball-gauss",
-    "ball-truncated-gaussian": "ball-gauss",
+def _floats(text: Optional[str]) -> Optional[np.ndarray]:
+    return None if text is None else np.array([float(c) for c in text.split(",")])
+
+
+# name -> (positional fields after the name or None for all; allowed keys; builder)
+_PRESETS = {
+    "uniform": (None, (), lambda pos, kv: uniform_target(manifolds.from_spec(":".join(pos)))),
+    "cap": (2, ("psi", "pole"), lambda pos, kv: cap_target(
+        manifolds.from_spec(":".join(pos)), float(kv["psi"]), _floats(kv.get("pole")))),
+    "vmf": (2, ("kappa", "mu"), lambda pos, kv: vmf_target(
+        manifolds.from_spec(":".join(pos)), float(kv["kappa"]), _floats(kv.get("mu")))),
+    "convex-uniform:ball": (1, ("r",), lambda pos, kv: ball_target(int(pos[0]), float(kv["r"]))),
+    "convex-uniform:box": (1, ("extents",), lambda pos, kv: box_target(_floats(kv["extents"]))),
+    "ball-gauss": (1, ("sigma", "r"), lambda pos, kv: ball_gaussian_target(
+        int(pos[0]), float(kv["sigma"]), float(kv["r"]))),
 }
-
-
-def make_preset(name: str, **params) -> Target:
-    """Build a preset target by canonical or short name."""
-    key = _PRESET_ALIASES.get(name)
-    if key is None:
-        raise ValueError(f"unknown preset {name!r}; known: {sorted(set(_PRESET_ALIASES))}")
-    man = params.pop("manifold", None)
-    if isinstance(man, str):
-        man = manifolds.from_spec(man)
-    if key == "uniform":
-        return uniform_target(man)
-    if key == "cap":
-        return cap_target(man, params.pop("colatitude"), params.pop("pole", None))
-    if key == "vmf":
-        return vmf_target(man, params.pop("concentration"), params.pop("mean", None))
-    if key == "convex-uniform":
-        shape = params.pop("shape")
-        if shape == "ball":
-            return ball_target(params.pop("dim"), params.pop("radius"))
-        if shape == "box":
-            return box_target(params.pop("extents"))
-        raise ValueError(f"unknown convex-uniform shape {shape!r}")
-    if key == "ball-gauss":
-        return ball_gaussian_target(params.pop("dim"), params.pop("sigma"), params.pop("radius"))
-    raise AssertionError(key)
+_PRESETS.update({
+    "uniform-manifold": _PRESETS["uniform"],
+    "spherical-cap-uniform": _PRESETS["cap"],
+    "von-mises-fisher": _PRESETS["vmf"],
+    "ball-truncated-gaussian": _PRESETS["ball-gauss"],
+})
 
 
 def _parse_kv(tokens) -> dict:
@@ -635,7 +733,7 @@ def _parse_kv(tokens) -> dict:
 def from_spec(spec: str) -> Target:
     """Build a target from a specification string.
 
-    Formats::
+    Formats (aliases as in the module docstring; unknown fields raise)::
 
         uniform:<manifold-spec>                e.g. uniform:sphere:2
         cap:sphere:<d>:psi=<colatitude>[:pole=c0,c1,...]
@@ -645,39 +743,24 @@ def from_spec(spec: str) -> Target:
         ball-gauss:<d>:sigma=<s>:r=<radius>
     """
     parts = spec.strip().split(":")
-    head = parts[0].lower()
-    key = _PRESET_ALIASES.get(head)
-    if key is None:
-        raise ValueError(f"unknown target preset {head!r} in {spec!r}")
+    name = parts[0].lower()
+    if name not in _PRESETS:
+        name = ":".join(parts[:2]).lower()
+    if name not in _PRESETS:
+        raise ValueError(
+            f"unknown target preset {parts[0]!r} in {spec!r}; known: {', '.join(sorted(_PRESETS))}"
+        )
+    n_pos, keys, build = _PRESETS[name]
+    rest = parts[name.count(":") + 1 :]
+    n_pos = len(rest) if n_pos is None else n_pos
+    kv = _parse_kv(rest[n_pos:])
+    unknown = sorted(set(kv) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown field(s) {unknown} for target preset {name!r} in {spec!r}")
     try:
-        if key == "uniform":
-            return uniform_target(manifolds.from_spec(":".join(parts[1:])))
-        if key == "cap":
-            kv = _parse_kv(parts[3:])
-            man = manifolds.from_spec(":".join(parts[1:3]))
-            pole = np.array([float(c) for c in kv["pole"].split(",")]) if "pole" in kv else None
-            return cap_target(man, float(kv["psi"]), pole)
-        if key == "vmf":
-            kv = _parse_kv(parts[3:])
-            man = manifolds.from_spec(":".join(parts[1:3]))
-            mu = np.array([float(c) for c in kv["mu"].split(",")]) if "mu" in kv else None
-            return vmf_target(man, float(kv["kappa"]), mu)
-        if key == "convex-uniform":
-            shape = parts[1].lower()
-            dim = int(parts[2])
-            kv = _parse_kv(parts[3:])
-            if shape == "ball":
-                return ball_target(dim, float(kv["r"]))
-            if shape == "box":
-                return box_target([float(c) for c in kv["extents"].split(",")])
-            raise ValueError(f"unknown convex-uniform shape {shape!r}")
-        if key == "ball-gauss":
-            dim = int(parts[1])
-            kv = _parse_kv(parts[2:])
-            return ball_gaussian_target(dim, float(kv["sigma"]), float(kv["r"]))
+        return build(rest[:n_pos], kv)
     except (KeyError, IndexError) as e:
         raise ValueError(f"bad target spec {spec!r}: missing field {e}") from None
-    raise AssertionError(key)
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +840,21 @@ def _geodesic_batch(man: Manifold, x: np.ndarray, v: np.ndarray, thetas: np.ndar
     return x + np.outer(thetas, v)
 
 
+def scan_section(target: Target, rng: np.random.Generator, grid: int):
+    """Density on a random geodesic section of the support (gap and epsilon probes).
+
+    Draws a support point x and a unit direction v; returns (x, v, thetas,
+    densities) at ``grid`` equal steps over [0, min(cut time, diam W)).
+    """
+    man = target.manifold
+    x = _support_draw(target, rng)
+    v = man.sample_tangent_array(x, rng)
+    cut = man.cut_time(Point(x), manifolds.TangentVector(Point(x), v)).value
+    horizon = min(cut, target.diam_w * (1.0 + 1e-9))
+    thetas = np.linspace(0.0, horizon, grid, endpoint=False)
+    return x, v, thetas, target.density_batch(_geodesic_batch(man, x, v, thetas))
+
+
 def estimate_max_gap(
     target: Target,
     n_geodesics: int,
@@ -772,26 +870,17 @@ def estimate_max_gap(
     supremum over an uncountable family cannot be certified by sampling, so
     this is a statistical lower bound of the true constant.
     """
-    man = target.manifold
     best = 0.0
     for _ in range(n_geodesics):
-        x = _support_draw(target, rng)
-        v = man.sample_tangent_array(x, rng)
-        cut = man.cut_time(Point(x), manifolds.TangentVector(Point(x), v)).value
-        horizon = min(cut, target.diam_w * (1.0 + 1e-9))
-        if not math.isfinite(horizon):
-            horizon = target.diam_w * (1.0 + 1e-9)
-        thetas = np.linspace(0.0, horizon, grid, endpoint=False)
-        dens = target.density_batch(_geodesic_batch(man, x, v, thetas))
+        x, _, thetas, dens = scan_section(target, rng, grid)
         px = float(target.density(x))
-        step = horizon / grid
         for _ in range(n_levels):
             t = rng.random() * px
             hits = dens > t
             if not hits[0]:
                 continue  # grid artefact at the start point; skip probe
             last = int(np.max(np.nonzero(hits)[0]))
-            gap = float(np.sum(~hits[: last + 1])) * step
+            gap = float(np.sum(~hits[: last + 1])) * float(thetas[1])
             if gap > best:
                 best = gap
     return best

@@ -194,6 +194,10 @@ def test_bad_target_spec_is_usage_error(capsys):
     code, _, err = run_cli(["bounds", "--target", "wat:sphere:2", "--seed", "1"], capsys)
     assert code == 2
     assert "preset" in err
+    spec = "vmf:sphere:2:kappa=2.0:kapa=3"
+    code, _, err = run_cli(["bounds", "--target", spec, "--seed", "1"], capsys)
+    assert code == 2
+    assert "kapa" in err
 
 
 def test_threads_default_from_environment(monkeypatch):

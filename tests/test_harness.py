@@ -188,6 +188,10 @@ def test_worst_start_lies_in_support():
     ]:
         t = targets.from_spec(spec)
         assert t.pdf(worst_start(t)) > 0.0
+        # a rescaled target is the same distribution: same start, same bin masses
+        scaled = t.rescaled(3.0)
+        assert scaled.pdf(worst_start(scaled)) > 0.0, spec
+        assert np.array_equal(make_binning(scaled).masses, make_binning(t).masses), spec
 
 
 def test_invariance_uniform_sphere_quick():
@@ -240,3 +244,10 @@ def test_battery_quick_all_pass():
     # 8 covering + 6 shrinkage + 6 reflection + 6 interchange + 2 limit
     assert len(report.checks) == 28
     assert all(c.seed != 0 for c in report.checks)
+
+
+def test_shrinkage_checks_build_narrow_target_pieces():
+    # Seed 16 draws a candidate piece narrower than 0.05, which used to make the
+    # configuration generator call uniform(low, high) with high < low.
+    checks = harness._shrinkage_checks(16, quick=True)
+    assert len(checks) == 6

@@ -307,6 +307,10 @@ def test_spec_strings_round_trip():
         targets.from_spec("nonsense:sphere:2")
     with pytest.raises(ValueError):
         targets.from_spec("vmf:sphere:2")  # missing kappa
+    with pytest.raises(ValueError):
+        targets.from_spec("cap:sphere:2:psi=1.0:pol=1,0,0")  # misspelt pole
+    with pytest.raises(ValueError):
+        targets.from_spec("vmf:sphere:2:kappa=2.0:kapa=3")  # unknown field
 
 
 def test_box_target_metadata():
@@ -316,10 +320,13 @@ def test_box_target_metadata():
     assert t.lambda_value == pytest.approx(math.sqrt(5.0))
 
 
-def test_make_preset_aliases():
-    t = targets.make_preset("von-mises-fisher", manifold="sphere:2", concentration=2.0)
-    assert t.name == "vmf"
-    t2 = targets.make_preset("spherical-cap-uniform", manifold=Sphere(2), colatitude=1.0)
-    assert t2.name == "cap"
-    t3 = targets.make_preset("convex-uniform", shape="ball", dim=2, radius=1.0)
-    assert t3.name == "convex-uniform-ball"
+def test_preset_aliases():
+    for alias, canonical in [
+        ("uniform-manifold:sphere:2", "uniform:sphere:2"),
+        ("spherical-cap-uniform:sphere:2:psi=1.0", "cap:sphere:2:psi=1.0"),
+        ("von-mises-fisher:sphere:2:kappa=2.0", "vmf:sphere:2:kappa=2.0"),
+        ("ball-truncated-gaussian:2:sigma=0.5:r=1.0", "ball-gauss:2:sigma=0.5:r=1.0"),
+    ]:
+        t, ref = targets.from_spec(alias), targets.from_spec(canonical)
+        assert t.name == ref.name
+        assert t.spec_string == ref.spec_string
