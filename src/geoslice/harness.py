@@ -53,11 +53,21 @@ class Binning:
     embedding_dim: int
 
 
-def _check_masses(masses: np.ndarray) -> np.ndarray:
-    s = float(np.sum(masses))
+def _binning(scheme: str, masses: np.ndarray, cell_of, dim: int, floor: float = 0.0) -> Binning:
+    """Binning over the grid cells that ``cell_of`` maps coordinates to.
+
+    ``cell_of`` returns flat cell indices into ``masses``, or -1 outside the
+    grid.  Cells of mass <= floor are dropped; they and the outside land in
+    the overflow bin -1.  The kept masses must sum to one.
+    """
+    keep = masses > floor
+    lookup = np.full(len(masses) + 1, -1)  # the last slot serves cell index -1
+    lookup[:-1][keep] = np.arange(int(np.sum(keep)))
+    kept = masses[keep]
+    s = float(np.sum(kept))
     if abs(s - 1.0) > 1e-8:
         raise AssertionError(f"bin masses sum to {s}, not 1; mass computation wrong")
-    return masses / s
+    return Binning(scheme, len(kept), kept / s, lambda coords: lookup[cell_of(coords)], dim)
 
 
 def make_binning(target: Target, bins: Optional[int] = None) -> Binning:
@@ -101,16 +111,12 @@ def _binning_circle(target: Target, n_bins: int) -> Binning:
         if total <= 0:
             raise ValueError("target mass vanished on the circle grid")
         masses = raw / total
-    keep = masses > 0
-    lookup = -np.ones(n_bins, dtype=int)
-    lookup[keep] = np.arange(int(np.sum(keep)))
 
-    def assign(coords: np.ndarray) -> np.ndarray:
+    def cell_of(coords: np.ndarray) -> np.ndarray:
         ang = np.mod(np.arctan2(coords[:, 1], coords[:, 0]), TWO_PI)
-        idx = np.minimum((ang / TWO_PI * n_bins).astype(int), n_bins - 1)
-        return lookup[idx]
+        return np.minimum((ang / TWO_PI * n_bins).astype(int), n_bins - 1)
 
-    return Binning("circle-equal-angle", int(np.sum(keep)), _check_masses(masses[keep]), assign, 2)
+    return _binning("circle-equal-angle", masses, cell_of, 2)
 
 
 def _binning_sphere2(target: Target, bins: int) -> Binning:
@@ -125,49 +131,44 @@ def _binning_sphere2(target: Target, bins: int) -> Binning:
         pole = np.array([0.0, 0.0, 1.0])
     frame = _orthonormal_frame(pole)
 
-    masses = np.repeat(target.bin_masses([z_edges]) / n_sectors, n_sectors)
-    keep = masses > 0
-    lookup = -np.ones(n_bands * n_sectors, dtype=int)
-    lookup[keep] = np.arange(int(np.sum(keep)))
-
-    def assign(coords: np.ndarray) -> np.ndarray:
+    def cell_of(coords: np.ndarray) -> np.ndarray:
         z = np.clip(coords @ pole, -1.0, 1.0)
         band = np.minimum(((z + 1.0) / 2.0 * n_bands).astype(int), n_bands - 1)
         az = np.mod(np.arctan2(coords @ frame[1], coords @ frame[0]), TWO_PI)
         sector = np.minimum((az / TWO_PI * n_sectors).astype(int), n_sectors - 1)
-        return lookup[band * n_sectors + sector]
+        return band * n_sectors + sector
 
-    return Binning(
-        "sphere2-band-sector", int(np.sum(keep)), _check_masses(masses[keep]), assign, 3
-    )
+    masses = np.repeat(target.bin_masses([z_edges]) / n_sectors, n_sectors)
+    return _binning("sphere2-band-sector", masses, cell_of, 3)
+
+
+def _grid_per_axis(dim: int, bins: Optional[int]) -> int:
+    return 32 if bins is None else max(2, int(round(bins ** (1.0 / dim))))
+
+
+def _flat_index(cell: np.ndarray, per_axis: int) -> np.ndarray:
+    """Row-major flat index of per-axis cell indices (one row per point)."""
+    flat = np.zeros(len(cell), dtype=int)
+    for d in range(cell.shape[1]):
+        flat = flat * per_axis + cell[:, d]
+    return flat
 
 
 def _binning_box_grid(target: Target, bins: Optional[int]) -> Binning:
     if target.bin_masses is None or target.grid_half is None:
         raise ValueError(f"no analytic box-grid masses for target {target.name!r}")
     dim = target.manifold.dim
-    per_axis = 32 if bins is None else max(2, int(round(bins ** (1.0 / dim))))
+    per_axis = _grid_per_axis(dim, bins)
     half = target.grid_half
-    edges = [np.linspace(-h, h, per_axis + 1) for h in half]
-    n_cells = per_axis**dim
-    masses = target.bin_masses(edges)
-    keep = masses > 1e-15
-    lookup = -np.ones(n_cells, dtype=int)
-    lookup[keep] = np.arange(int(np.sum(keep)))
-    lo = -half
+    masses = target.bin_masses([np.linspace(-h, h, per_axis + 1) for h in half])
     widths = 2.0 * half / per_axis
 
-    def assign(coords: np.ndarray) -> np.ndarray:
-        rel = (coords - lo) / widths
-        cell = np.floor(rel).astype(int)
+    def cell_of(coords: np.ndarray) -> np.ndarray:
+        cell = np.floor((coords + half) / widths).astype(int)
         inside = np.all((cell >= 0) & (cell < per_axis), axis=1)
-        flat = np.zeros(len(coords), dtype=int)
-        for d in range(dim):
-            flat = flat * per_axis + np.clip(cell[:, d], 0, per_axis - 1)
-        out = np.where(inside, lookup[flat], -1)
-        return out
+        return np.where(inside, _flat_index(np.clip(cell, 0, per_axis - 1), per_axis), -1)
 
-    return Binning("box-grid", int(np.sum(keep)), _check_masses(masses[keep]), assign, dim)
+    return _binning("box-grid", masses, cell_of, dim, floor=1e-15)
 
 
 def _binning_torus(target: Target, bins: Optional[int]) -> Binning:
@@ -175,18 +176,14 @@ def _binning_torus(target: Target, bins: Optional[int]) -> Binning:
         raise ValueError(f"no analytic torus bin masses for target {target.name!r}")
     man = target.manifold
     dim, period = man.dim, man.period
-    per_axis = 32 if bins is None else max(2, int(round(bins ** (1.0 / dim))))
-    n_cells = per_axis**dim
+    per_axis = _grid_per_axis(dim, bins)
     masses = target.bin_masses([np.linspace(0.0, period, per_axis + 1)] * dim)
 
-    def assign(coords: np.ndarray) -> np.ndarray:
+    def cell_of(coords: np.ndarray) -> np.ndarray:
         cell = np.minimum((coords / period * per_axis).astype(int), per_axis - 1)
-        flat = np.zeros(len(coords), dtype=int)
-        for d in range(dim):
-            flat = flat * per_axis + cell[:, d]
-        return flat
+        return _flat_index(cell, per_axis)
 
-    return Binning("torus-grid", n_cells, masses, assign, dim)
+    return _binning("torus-grid", masses, cell_of, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -208,20 +205,13 @@ class TvEstimate:
     n: int
 
 
-def _as_coords(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        return points
-    return np.stack([p.coords for p in points])
-
-
 def estimate_tv(
-    points,
+    coords: np.ndarray,
     binning: Binning,
     rng: Optional[np.random.Generator] = None,
     n_bootstrap: int = 200,
 ) -> TvEstimate:
-    """Estimate the TV distance of a sample to the analytic target masses."""
-    coords = _as_coords(points)
+    """Estimate the TV distance of a sample (one coordinate row per point) to the target masses."""
     n = len(coords)
     if n < 1000:
         raise ValueError(f"need at least 1000 points for a TV estimate, got {n}")
@@ -436,17 +426,10 @@ class InvarianceReport:
 
 def _broken_step_array(xa, config, rng):
     """Sabotaged transition: shrinkage acceptance check skipped (mutation oracle)."""
-    target, man = config.target, config.target.manifold
-    px = float(target.density(xa))
-    level = rng.random() * px
-    va = man.sample_tangent_array(xa, rng)
-
-    def oracle(theta: float) -> bool:
-        return float(target.density(man.exp_array(xa, va, theta))) > level
-
+    _, va, oracle = kernel._slice(xa, config, rng)
     itv = slice1d.stepping_out(oracle, config.step_out_params, rng)
     theta = slice1d.unwrap_angle(rng.uniform(0.0, TWO_PI), itv.lo, itv.hi)
-    return man.exp_array(xa, va, theta)
+    return config.target.manifold.exp_array(xa, va, theta)
 
 
 def invariance_test(

@@ -87,8 +87,12 @@ class ChainRecord:
     diagnostics: list = field(default_factory=list)  # list[StepDiagnostics]
 
 
-def _step_array(xa: np.ndarray, config: GssConfig, rng: np.random.Generator):
-    """One transition on raw coordinates; returns (new coords, diagnostics)."""
+def _slice(xa: np.ndarray, config: GssConfig, rng: np.random.Generator):
+    """Level below the density at xa, uniform unit direction, and the superlevel oracle.
+
+    Returns (level, direction, oracle) where oracle(theta) tells whether the
+    geodesic point at time theta along the direction lies above the level.
+    """
     target, man = config.target, config.target.manifold
     px = float(target.density(xa))
     if not px > 0.0:
@@ -99,6 +103,12 @@ def _step_array(xa: np.ndarray, config: GssConfig, rng: np.random.Generator):
     def oracle(theta: float) -> bool:
         return float(target.density(man.exp_array(xa, va, theta))) > level
 
+    return level, va, oracle
+
+
+def _step_array(xa: np.ndarray, config: GssConfig, rng: np.random.Generator):
+    """One transition on raw coordinates; returns (new coords, diagnostics)."""
+    level, va, oracle = _slice(xa, config, rng)
     try:
         itv = slice1d.stepping_out(oracle, config.step_out_params, rng)
         res = slice1d.reeled_shrinkage(oracle, itv.lo, itv.hi, rng, config.max_shrink_iters)
@@ -107,7 +117,7 @@ def _step_array(xa: np.ndarray, config: GssConfig, rng: np.random.Generator):
             f"{e} [state={np.array2string(xa, precision=6)}, "
             f"direction={np.array2string(va, precision=6)}, level={level}]"
         ) from e
-    ya = man.exp_array(xa, va, res.theta)
+    ya = config.target.manifold.exp_array(xa, va, res.theta)
     diag = StepDiagnostics(
         level=level,
         direction=va,
@@ -187,11 +197,12 @@ def endpoint_ensemble(
     config: GssConfig,
     seed: Optional[int] = None,
     threads: int = 1,
-) -> list:
+) -> np.ndarray:
     """Final states of independent replicate chains started at x0.
 
-    Replicate i consumes the derived stream (base seed, i), so the result is
-    a deterministic function of (x0, n_steps, replicates, seed) no matter how
+    Returns a (replicates, embedding_dim) coordinate array.  Replicate i
+    consumes the derived stream (base seed, i), so the result is a
+    deterministic function of (x0, n_steps, replicates, seed) no matter how
     many worker threads are used.
     """
     base = config.seed if seed is None else seed
@@ -209,4 +220,4 @@ def endpoint_ensemble(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             finals = list(pool.map(one, range(replicates)))
-    return [Point(a) for a in finals]
+    return np.array(finals).reshape(replicates, len(x0a))

@@ -5,9 +5,11 @@ tangent directions, geodesic distance, cut times, and the metadata consumed
 by the convergence-bound calculator (dimension, diameter, Ricci lower bound,
 injectivity radius, unit-sphere area of the tangent spaces, total measure).
 
-Points are stored in embedded coordinates: length d+1 unit vectors for the
-sphere S^d, plain length-d vectors for Euclidean space and the torus (torus
-coordinates live in [0, P) per axis, period P).
+All operations work on coordinate arrays in the embedding: length d+1 unit
+vectors for the sphere S^d, plain length-d vectors for Euclidean space and
+the torus (torus coordinates live in [0, P) per axis, period P).  Tangent
+directions are arrays of the same length.  :class:`Point` is the validated
+state that the chain API hands out.
 
 A user manifold can be plugged in by subclassing :class:`Manifold`; it must
 supply the same operations plus a correct :class:`ManifoldInfo` (there is no
@@ -40,14 +42,6 @@ class Point:
 
     def __repr__(self) -> str:  # keep chain dumps readable
         return f"Point({np.array2string(self.coords, precision=6)})"
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Unit direction attached to a base point."""
-
-    base: Point
-    dir: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,42 +80,15 @@ class Manifold:
         """Validate raw coordinates and return a Point (normalised / wrapped)."""
         raise NotImplementedError
 
-    def tangent(self, x: Point, direction) -> TangentVector:
-        """Project ``direction`` onto the tangent space at x and normalise it."""
-        d = self.project_tangent(x.coords, np.asarray(direction, dtype=float))
-        n = float(np.linalg.norm(d))
-        if n < _NORM_TOL:
-            raise ValueError("direction has no tangential component at this point")
-        return TangentVector(x, d / n)
+    def _coords(self, coords) -> np.ndarray:
+        c = np.asarray(coords, dtype=float)
+        if c.shape != (self.embedding_dim,):
+            raise ValueError(f"point has shape {c.shape}, not ({self.embedding_dim},), on {self.spec}")
+        return c
 
-    def _check_dim(self, arr: np.ndarray, what: str) -> None:
-        if arr.shape != (self.embedding_dim,):
-            raise ValueError(
-                f"{what} has shape {arr.shape}, expected ({self.embedding_dim},) on {self.spec}"
-            )
-
-    # -- core operations -----------------------------------------------------------
-    def exp_map(self, x: Point, v: TangentVector, theta: float) -> Point:
-        """Point reached from x after unit-speed geodesic time theta along v."""
-        self._check_dim(x.coords, "point")
-        self._check_dim(v.dir, "tangent")
-        return Point(self.exp_array(x.coords, v.dir, float(theta)))
-
-    def sample_unit_tangent(self, x: Point, rng: np.random.Generator) -> TangentVector:
-        """Uniform unit tangent direction at x.
-
-        A standard Gaussian vector in the embedding is projected onto the
-        tangent space and normalised; a vanishing projection is resampled
-        (probability zero, guarded against a broken generator).
-        """
-        return TangentVector(x, self.sample_tangent_array(x.coords, rng))
-
-    def distance(self, x: Point, y: Point) -> float:
-        self._check_dim(x.coords, "point")
-        self._check_dim(y.coords, "point")
-        return self.distance_array(x.coords, y.coords)
-
-    def cut_time(self, x: Point, v: TangentVector) -> CutTime:
+    # -- core operations on coordinate arrays ---------------------------------------
+    def cut_time(self, x: np.ndarray, v: np.ndarray) -> CutTime:
+        """Cut time of the geodesic from x along the unit direction v."""
         raise NotImplementedError
 
     @property
@@ -132,9 +99,13 @@ class Manifold:
     def spec(self) -> str:
         raise NotImplementedError
 
-    # -- array-level fast paths (same math, no wrapper objects) ---------------------
     def exp_array(self, x: np.ndarray, v: np.ndarray, theta: float) -> np.ndarray:
+        """Point reached from x after unit-speed geodesic time theta along v."""
         raise NotImplementedError
+
+    def exp_batch(self, x: np.ndarray, v: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """``exp_array`` at each of ``thetas``, one row per time."""
+        return np.array([self.exp_array(x, v, float(t)) for t in thetas])
 
     def project_tangent(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -143,6 +114,12 @@ class Manifold:
         raise NotImplementedError
 
     def sample_tangent_array(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Uniform unit tangent direction at x.
+
+        A standard Gaussian vector in the embedding is projected onto the
+        tangent space and normalised; a vanishing projection is resampled
+        (probability zero, guarded against a broken generator).
+        """
         for _ in range(64):
             g = rng.standard_normal(self.embedding_dim)
             t = self.project_tangent(x, g)
@@ -170,12 +147,13 @@ class Euclidean(Manifold):
         return f"euclidean:{self.dim}"
 
     def point(self, coords) -> Point:
-        c = np.asarray(coords, dtype=float)
-        self._check_dim(c, "point")
-        return Point(c.copy())
+        return Point(self._coords(coords).copy())
 
     def exp_array(self, x, v, theta):
         return x + theta * v
+
+    def exp_batch(self, x, v, thetas):
+        return x + np.outer(thetas, v)
 
     def project_tangent(self, x, g):
         return g
@@ -183,7 +161,7 @@ class Euclidean(Manifold):
     def distance_array(self, x, y):
         return float(np.linalg.norm(x - y))
 
-    def cut_time(self, x: Point, v: TangentVector) -> CutTime:
+    def cut_time(self, x, v) -> CutTime:
         return CutTime(math.inf)
 
     @property
@@ -216,8 +194,7 @@ class Sphere(Manifold):
         return f"sphere:{self.dim}"
 
     def point(self, coords) -> Point:
-        c = np.asarray(coords, dtype=float)
-        self._check_dim(c, "point")
+        c = self._coords(coords)
         n = float(np.linalg.norm(c))
         if abs(n - 1.0) > _INPUT_TOL:
             raise ValueError(f"coordinates have norm {n}, not on {self.spec}")
@@ -227,13 +204,17 @@ class Sphere(Manifold):
         p = math.cos(theta) * x + math.sin(theta) * v
         return p / math.sqrt(p @ p)
 
+    def exp_batch(self, x, v, thetas):
+        p = np.outer(np.cos(thetas), x) + np.outer(np.sin(thetas), v)
+        return p / np.linalg.norm(p, axis=1, keepdims=True)
+
     def project_tangent(self, x, g):
         return g - float(g @ x) * x
 
     def distance_array(self, x, y):
         return math.acos(min(1.0, max(-1.0, float(x @ y))))
 
-    def cut_time(self, x: Point, v: TangentVector) -> CutTime:
+    def cut_time(self, x, v) -> CutTime:
         return CutTime(math.pi)
 
     @property
@@ -269,12 +250,13 @@ class Torus(Manifold):
         return f"torus:{self.dim}:{self.period!r}"
 
     def point(self, coords) -> Point:
-        c = np.asarray(coords, dtype=float)
-        self._check_dim(c, "point")
-        return Point(np.mod(c, self.period))
+        return Point(np.mod(self._coords(coords), self.period))
 
     def exp_array(self, x, v, theta):
         return np.mod(x + theta * v, self.period)
+
+    def exp_batch(self, x, v, thetas):
+        return np.mod(x + np.outer(thetas, v), self.period)
 
     def project_tangent(self, x, g):
         return g
@@ -284,15 +266,15 @@ class Torus(Manifold):
         d = np.minimum(d, self.period - d)
         return float(np.linalg.norm(d))
 
-    def cut_time(self, x: Point, v: TangentVector) -> CutTime:
+    def cut_time(self, x, v) -> CutTime:
         """Half the shortest closed geodesic length along v.
 
         Exact (P/2) when v is an axis direction; for generic directions the
         true cut time needs lattice reduction, so the injectivity radius is
         returned flagged as a lower bound (bound consumers stay conservative).
         """
-        axis_aligned = np.sum(np.abs(np.abs(v.dir) - 1.0) < _NORM_TOL) == 1 and (
-            np.sum(np.abs(v.dir) > _NORM_TOL) == 1
+        axis_aligned = np.sum(np.abs(np.abs(v) - 1.0) < _NORM_TOL) == 1 and (
+            np.sum(np.abs(v) > _NORM_TOL) == 1
         )
         return CutTime(self.period / 2.0, is_lower_bound=not axis_aligned)
 

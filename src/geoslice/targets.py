@@ -87,6 +87,17 @@ def _orthonormal_frame(pole: np.ndarray) -> np.ndarray:
     return np.array(vecs)
 
 
+def _unit_axis(manifold: Sphere, vec) -> np.ndarray:
+    """``vec`` normalised, checked against the sphere's embedding (default: last axis)."""
+    if vec is None:
+        return np.eye(manifold.embedding_dim)[-1]
+    a = np.asarray(vec, dtype=float)
+    if a.shape != (manifold.embedding_dim,) or not np.linalg.norm(a) > 0:
+        raise ValueError(f"axis {a.tolist()} is not a nonzero vector of length "
+                         f"{manifold.embedding_dim} for {manifold.spec}")
+    return a / np.linalg.norm(a)
+
+
 def _unit_orthogonal(pole: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """n uniform unit vectors orthogonal to pole."""
     g = rng.standard_normal((n, pole.shape[0]))
@@ -248,9 +259,6 @@ class Target:
     def has_reference_sampler(self) -> bool:
         return self.sampler is not None
 
-    def pdf(self, x: Point) -> float:
-        return float(self.density(x.coords))
-
     def rescaled(self, c: float) -> "Target":
         """Same distribution with density multiplied by c > 0."""
         if not c > 0:
@@ -320,12 +328,7 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
     if not 0.0 < colatitude <= math.pi:
         raise ValueError(f"cap colatitude must lie in (0, pi], got {colatitude}")
     d = manifold.dim
-    pole_arr = (
-        np.asarray(pole, dtype=float)
-        if pole is not None
-        else np.eye(manifold.embedding_dim)[-1]
-    )
-    pole_arr = pole_arr / np.linalg.norm(pole_arr)
+    pole_arr = _unit_axis(manifold, pole)
     cos_psi = math.cos(colatitude)
     area = sphere_cap_area(d, colatitude)
 
@@ -359,10 +362,13 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
     # cut window -> no gaps.  Larger caps admit a gap of length 2(pi - psi)
     # from sections tangent to the boundary circle.
     gap = 0.0 if colatitude <= math.pi / 2.0 else 2.0 * (math.pi - colatitude)
+    spec = f"cap:{manifold.spec}:psi={colatitude!r}"
+    if pole is not None:
+        spec += ":pole=" + ",".join(repr(float(c)) for c in pole_arr)
     return Target(
         manifold=manifold,
         name="cap",
-        spec_string=f"cap:{manifold.spec}:psi={colatitude!r}",
+        spec_string=spec,
         density=density,
         density_batch=density_batch,
         p_max=1.0,
@@ -388,12 +394,7 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
     if not concentration > 0:
         raise ValueError("concentration must be positive")
     d = manifold.dim
-    mu = (
-        np.asarray(mean, dtype=float)
-        if mean is not None
-        else np.eye(manifold.embedding_dim)[-1]
-    )
-    mu = mu / np.linalg.norm(mu)
+    mu = _unit_axis(manifold, mean)
     kap = float(concentration)
     total = manifold.info.total_measure
 
@@ -696,8 +697,11 @@ def custom_target(
 # preset dispatch and parsing
 # ---------------------------------------------------------------------------
 
-def _floats(text: Optional[str]) -> Optional[np.ndarray]:
-    return None if text is None else np.array([float(c) for c in text.split(",")])
+def _floats(text: Optional[str], n: Optional[int] = None) -> Optional[np.ndarray]:
+    out = None if text is None else np.array([float(c) for c in text.split(",")])
+    if n is not None and len(out) != n:
+        raise ValueError(f"{text!r} gives {len(out)} values for dimension {n}")
+    return out
 
 
 # name -> (positional fields after the name or None for all; allowed keys; builder)
@@ -708,7 +712,8 @@ _PRESETS = {
     "vmf": (2, ("kappa", "mu"), lambda pos, kv: vmf_target(
         manifolds.from_spec(":".join(pos)), float(kv["kappa"]), _floats(kv.get("mu")))),
     "convex-uniform:ball": (1, ("r",), lambda pos, kv: ball_target(int(pos[0]), float(kv["r"]))),
-    "convex-uniform:box": (1, ("extents",), lambda pos, kv: box_target(_floats(kv["extents"]))),
+    "convex-uniform:box": (1, ("extents",), lambda pos, kv: box_target(
+        _floats(kv["extents"], int(pos[0])))),
     "ball-gauss": (1, ("sigma", "r"), lambda pos, kv: ball_gaussian_target(
         int(pos[0]), float(kv["sigma"]), float(kv["r"]))),
 }
@@ -831,15 +836,6 @@ def reference_sample(target: Target, rng: np.random.Generator) -> Point:
 # support-gap estimation
 # ---------------------------------------------------------------------------
 
-def _geodesic_batch(man: Manifold, x: np.ndarray, v: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    if isinstance(man, Sphere):
-        p = np.outer(np.cos(thetas), x) + np.outer(np.sin(thetas), v)
-        return p / np.linalg.norm(p, axis=1, keepdims=True)
-    if isinstance(man, Torus):
-        return np.mod(x + np.outer(thetas, v), man.period)
-    return x + np.outer(thetas, v)
-
-
 def scan_section(target: Target, rng: np.random.Generator, grid: int):
     """Density on a random geodesic section of the support (gap and epsilon probes).
 
@@ -849,10 +845,9 @@ def scan_section(target: Target, rng: np.random.Generator, grid: int):
     man = target.manifold
     x = _support_draw(target, rng)
     v = man.sample_tangent_array(x, rng)
-    cut = man.cut_time(Point(x), manifolds.TangentVector(Point(x), v)).value
-    horizon = min(cut, target.diam_w * (1.0 + 1e-9))
+    horizon = min(man.cut_time(x, v).value, target.diam_w * (1.0 + 1e-9))
     thetas = np.linspace(0.0, horizon, grid, endpoint=False)
-    return x, v, thetas, target.density_batch(_geodesic_batch(man, x, v, thetas))
+    return x, v, thetas, target.density_batch(man.exp_batch(x, v, thetas))
 
 
 def estimate_max_gap(

@@ -198,6 +198,10 @@ def test_bad_target_spec_is_usage_error(capsys):
     code, _, err = run_cli(["bounds", "--target", spec, "--seed", "1"], capsys)
     assert code == 2
     assert "kapa" in err
+    # vector fields must match the declared dimension
+    for spec in ["convex-uniform:box:3:extents=1,2", "cap:sphere:2:psi=1.0:pole=1,0"]:
+        code, _, err = run_cli(["bounds", "--target", spec, "--seed", "1"], capsys)
+        assert code == 2, spec
 
 
 def test_threads_default_from_environment(monkeypatch):

@@ -187,10 +187,10 @@ def test_worst_start_lies_in_support():
         "uniform:sphere:2",
     ]:
         t = targets.from_spec(spec)
-        assert t.pdf(worst_start(t)) > 0.0
+        assert t.density(worst_start(t).coords) > 0.0
         # a rescaled target is the same distribution: same start, same bin masses
         scaled = t.rescaled(3.0)
-        assert scaled.pdf(worst_start(scaled)) > 0.0, spec
+        assert scaled.density(worst_start(scaled).coords) > 0.0, spec
         assert np.array_equal(make_binning(scaled).masses, make_binning(t).masses), spec
 
 
@@ -207,6 +207,22 @@ def test_invariance_broken_kernel_detected_quick():
     rep = invariance_test(t, cfg, 6000, seed=24, broken=True)
     assert not rep.passed
     assert rep.p_value < 1e-4
+
+
+@pytest.mark.parametrize(
+    "spec", ["uniform:sphere:1", "uniform:sphere:2", f"uniform:torus:2:{TWO_PI!r}"]
+)
+def test_broken_kernel_is_the_kernel_where_every_draw_is_accepted(spec):
+    # On a uniform target with one full-winding window the acceptance check
+    # never rejects, so skipping it must change nothing: same states, same stream.
+    t = targets.from_spec(spec)
+    cfg = kernel.GssConfig(target=t, w=TWO_PI, m=1, seed=25)
+    starts = reference_samples(t, 2000, make_stream(25, 1))
+    rng_broken, rng_kernel = make_stream(25, 2), make_stream(25, 2)
+    for x in starts:
+        broken = harness._broken_step_array(x, cfg, rng_broken)
+        assert np.array_equal(broken, kernel._step_array(x, cfg, rng_kernel)[0])
+    assert rng_broken.bit_generator.state == rng_kernel.bit_generator.state
 
 
 def test_invariance_needs_reference_sampler():

@@ -7,9 +7,23 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from geoslice import manifolds
+from geoslice import manifolds, targets
 from geoslice.manifolds import Euclidean, Sphere, Torus, from_spec, unit_sphere_area
 from geoslice.rng import make_stream
+
+BUILT_IN = ["euclidean:3", "sphere:1", "sphere:2", "sphere:3", "torus:2:6.283185307179586"]
+
+
+def _tangent(man, x, direction):
+    """``direction`` projected onto the tangent space at x and normalised."""
+    v = man.project_tangent(x, np.asarray(direction, dtype=float))
+    return v / np.linalg.norm(v)
+
+
+def _random_point(man, rng):
+    if isinstance(man, Euclidean):
+        return rng.standard_normal(man.dim)
+    return man.uniform_points(1, rng)[0]
 
 
 def test_exp_map_identity_at_zero():
@@ -18,40 +32,83 @@ def test_exp_map_identity_at_zero():
         (Euclidean(2), [1.0, 2.0], [0.0, 1.0]),
         (Torus(2, 2 * math.pi), [0.5, 1.0], [1.0, 0.0]),
     ]:
-        x = man.point(coords)
-        v = man.tangent(x, direction)
-        y = man.exp_map(x, v, 0.0)
-        assert np.allclose(y.coords, x.coords, atol=1e-15)
+        x = man.point(coords).coords
+        y = man.exp_array(x, _tangent(man, x, direction), 0.0)
+        assert np.allclose(y, x, atol=1e-15)
 
 
 def test_sphere_quarter_circle_matches_ode_oracle():
     man = Sphere(2)
-    x = man.point([0.0, 0.0, 1.0])
-    v = man.tangent(x, [1.0, 0.0, 0.0])
-    y = man.exp_map(x, v, math.pi / 2)
-    assert np.allclose(y.coords, [1.0, 0.0, 0.0], atol=1e-12)
+    x = man.point([0.0, 0.0, 1.0]).coords
+    y = man.exp_array(x, _tangent(man, x, [1.0, 0.0, 0.0]), math.pi / 2)
+    assert np.allclose(y, [1.0, 0.0, 0.0], atol=1e-12)
     ode = oracles.sphere_geodesic_ode([0, 0, 1], [1, 0, 0], math.pi / 2)
-    assert np.allclose(y.coords, ode, atol=1e-9)
+    assert np.allclose(y, ode, atol=1e-9)
 
 
 def test_sphere_generic_exp_matches_ode_oracle():
     man = Sphere(2)
     rng = make_stream(123, 0)
     for _ in range(5):
-        xa = man.uniform_points(1, rng)[0]
-        x = man.point(xa)
-        v = man.sample_unit_tangent(x, rng)
+        x = man.uniform_points(1, rng)[0]
+        v = man.sample_tangent_array(x, rng)
         theta = float(rng.uniform(0.1, 3.0))
-        y = man.exp_map(x, v, theta)
-        ode = oracles.sphere_geodesic_ode(xa, v.dir, theta)
-        assert np.allclose(y.coords, ode, atol=1e-8)
+        ode = oracles.sphere_geodesic_ode(x, v, theta)
+        assert np.allclose(man.exp_array(x, v, theta), ode, atol=1e-8)
 
 
 def test_euclidean_straight_line():
     man = Euclidean(2)
-    x = man.point([1.0, 2.0])
-    v = man.tangent(x, [0.0, 1.0])
-    assert np.allclose(man.exp_map(x, v, 3.0).coords, [1.0, 5.0])
+    x = man.point([1.0, 2.0]).coords
+    assert np.allclose(man.exp_array(x, _tangent(man, x, [0.0, 1.0]), 3.0), [1.0, 5.0])
+
+
+@pytest.mark.parametrize("spec", BUILT_IN)
+def test_exp_batch_rows_match_exp_array(spec):
+    man = from_spec(spec)
+    rng = make_stream(5, 2)
+    for _ in range(10):
+        x = _random_point(man, rng)
+        v = man.sample_tangent_array(x, rng)
+        thetas = rng.uniform(-7.0, 7.0, size=33)
+        batch = man.exp_batch(x, v, thetas)
+        assert batch.shape == (33, man.embedding_dim)
+        for row, theta in zip(batch, thetas):
+            assert np.allclose(row, man.exp_array(x, v, float(theta)), rtol=0.0, atol=1e-12)
+
+
+class _Ring(manifolds.Manifold):
+    """The unit circle in R^2, written out without the built-in classes."""
+
+    dim, embedding_dim, spec = 1, 2, "ring"
+    info = manifolds.ManifoldInfo(1, math.pi, 0.0, math.pi, 2.0, 2 * math.pi)
+
+    def exp_array(self, x, v, theta):
+        return math.cos(theta) * x + math.sin(theta) * v
+
+    def project_tangent(self, x, g):
+        return g - (g @ x) * x
+
+    def cut_time(self, x, v):
+        return manifolds.CutTime(math.pi)
+
+    def uniform_points(self, n, rng):
+        a = rng.uniform(0.0, 2 * math.pi, n)
+        return np.column_stack([np.cos(a), np.sin(a)])
+
+
+def test_scan_section_follows_user_manifold_geodesics():
+    ring = _Ring()
+    on_ring = lambda pts: (np.abs(np.linalg.norm(pts, axis=1) - 1.0) < 1e-9).astype(float)
+    t = targets.custom_target(
+        ring, lambda x: float(on_ring(x[None])[0]), 1.0, math.pi, density_batch=on_ring,
+        sampler=ring.uniform_points, level_samples=1000,
+    )
+    rng = make_stream(3, 0)
+    for _ in range(5):
+        x, v, thetas, dens = targets.scan_section(t, rng, 64)
+        assert thetas[-1] > 3.0  # the scan reaches the cut time
+        assert np.all(dens == 1.0)  # every scanned point lies on the ring
 
 
 @pytest.mark.parametrize("spec", ["sphere:2", "sphere:3", "euclidean:3", "torus:2:6.283185307179586"])
@@ -59,37 +116,31 @@ def test_unit_speed_up_to_cut_time(spec):
     man = from_spec(spec)
     rng = make_stream(7, 1)
     for _ in range(50):
-        if isinstance(man, Sphere):
-            xa = man.uniform_points(1, rng)[0]
-        elif isinstance(man, Torus):
-            xa = man.uniform_points(1, rng)[0]
-        else:
-            xa = rng.standard_normal(man.dim)
-        x = man.point(xa)
-        v = man.sample_unit_tangent(x, rng)
+        x = man.point(_random_point(man, rng)).coords
+        v = man.sample_tangent_array(x, rng)
         cut = man.cut_time(x, v).value
         theta = float(rng.uniform(0.0, min(cut, 10.0) * 0.999))
-        y = man.exp_map(x, v, theta)
-        assert abs(man.distance(x, y) - theta) < 1e-9
+        y = man.exp_array(x, v, theta)
+        assert abs(man.distance_array(x, y) - theta) < 1e-9
 
 
 def test_sphere_periodicity():
     man = Sphere(2)
     rng = make_stream(9, 0)
-    x = man.point(man.uniform_points(1, rng)[0])
-    v = man.sample_unit_tangent(x, rng)
+    x = man.uniform_points(1, rng)[0]
+    v = man.sample_tangent_array(x, rng)
     for theta in [0.3, 1.7, 2.9]:
-        a = man.exp_map(x, v, theta)
-        b = man.exp_map(x, v, theta + 2 * math.pi)
-        assert np.allclose(a.coords, b.coords, atol=1e-10)
+        a = man.exp_array(x, v, theta)
+        b = man.exp_array(x, v, theta + 2 * math.pi)
+        assert np.allclose(a, b, atol=1e-10)
 
 
 def test_distance_basics_and_antipodes():
     man = Sphere(2)
-    x = man.point([0, 0, 1.0])
-    y = man.point([0, 0, -1.0])
-    assert man.distance(x, x) == 0.0
-    assert man.distance(x, y) == pytest.approx(math.pi)
+    x = man.point([0, 0, 1.0]).coords
+    y = man.point([0, 0, -1.0]).coords
+    assert man.distance_array(x, x) == 0.0
+    assert man.distance_array(x, y) == pytest.approx(math.pi)
 
 
 def test_distance_symmetry_and_triangle():
@@ -100,16 +151,17 @@ def test_distance_symmetry_and_triangle():
             if not isinstance(man, Euclidean)
             else rng.standard_normal((3, 3))
         )
-        a, b, c = (man.point(p) for p in pts)
-        assert man.distance(a, b) == pytest.approx(man.distance(b, a), abs=1e-14)
-        assert man.distance(a, c) <= man.distance(a, b) + man.distance(b, c) + 1e-12
+        a, b, c = (man.point(p).coords for p in pts)
+        dist = man.distance_array
+        assert dist(a, b) == pytest.approx(dist(b, a), abs=1e-14)
+        assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-12
 
 
 def test_torus_wraparound_distance_matches_lattice_oracle():
     man = Torus(2, 2 * math.pi)
-    x = man.point([0.1, 0.0])
-    y = man.point([6.2, 0.0])
-    d = man.distance(x, y)
+    x = man.point([0.1, 0.0]).coords
+    y = man.point([6.2, 0.0]).coords
+    d = man.distance_array(x, y)
     assert d == pytest.approx(2 * math.pi - 6.1, abs=1e-12)
     assert d == pytest.approx(0.1832, abs=1e-4)
     assert d == pytest.approx(oracles.torus_lattice_distance([0.1, 0], [6.2, 0], 2 * math.pi), abs=1e-12)
@@ -117,40 +169,40 @@ def test_torus_wraparound_distance_matches_lattice_oracle():
 
 def test_cut_times():
     eu = Euclidean(2)
-    x = eu.point([0.0, 0.0])
-    assert math.isinf(eu.cut_time(x, eu.tangent(x, [1, 0])).value)
+    x = eu.point([0.0, 0.0]).coords
+    assert math.isinf(eu.cut_time(x, _tangent(eu, x, [1, 0])).value)
 
     sp = Sphere(3)
-    xs = sp.point([1.0, 0, 0, 0])
-    ct = sp.cut_time(xs, sp.tangent(xs, [0, 1.0, 0, 0]))
+    xs = sp.point([1.0, 0, 0, 0]).coords
+    ct = sp.cut_time(xs, _tangent(sp, xs, [0, 1.0, 0, 0]))
     assert ct.value == pytest.approx(math.pi) and not ct.is_lower_bound
 
     to = Torus(2, 2 * math.pi)
-    xt = to.point([0.3, 0.4])
-    axis = to.cut_time(xt, to.tangent(xt, [1.0, 0.0]))
+    xt = to.point([0.3, 0.4]).coords
+    axis = to.cut_time(xt, _tangent(to, xt, [1.0, 0.0]))
     assert axis.value == pytest.approx(math.pi) and not axis.is_lower_bound
-    generic = to.cut_time(xt, to.tangent(xt, [1.0, 1.0]))
+    generic = to.cut_time(xt, _tangent(to, xt, [1.0, 1.0]))
     assert generic.value == pytest.approx(math.pi) and generic.is_lower_bound
 
 
 def test_tangent_sampling_orthogonality_and_norm():
     rng = make_stream(31, 0)
     man = Sphere(2)
-    x = man.point([0.0, 0.0, 1.0])
+    x = man.point([0.0, 0.0, 1.0]).coords
     for _ in range(200):
-        v = man.sample_unit_tangent(x, rng)
-        assert abs(np.linalg.norm(v.dir) - 1.0) < 1e-12
-        assert abs(v.dir @ x.coords) < 1e-12
-    assert abs(man.sample_unit_tangent(x, rng).dir[2]) < 1e-12
+        v = man.sample_tangent_array(x, rng)
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        assert abs(v @ x) < 1e-12
+    assert abs(man.sample_tangent_array(x, rng)[2]) < 1e-12
 
 
 def test_tangent_direction_uniform_in_plane():
     man = Euclidean(2)
-    x = man.point([0.0, 0.0])
+    x = man.point([0.0, 0.0]).coords
     rng = make_stream(32, 0)
     angles = []
     for _ in range(100_000):
-        v = man.sample_tangent_array(x.coords, rng)
+        v = man.sample_tangent_array(x, rng)
         angles.append(math.atan2(v[1], v[0]) % (2 * math.pi))
     counts, _ = np.histogram(angles, bins=36, range=(0.0, 2 * math.pi))
     res = stats.chisquare(counts)
@@ -159,13 +211,13 @@ def test_tangent_direction_uniform_in_plane():
 
 def test_tangent_circle_two_directions():
     man = Sphere(1)
-    x = man.point([1.0, 0.0])
+    x = man.point([1.0, 0.0]).coords
     rng = make_stream(33, 0)
     ups = 0
     for _ in range(10_000):
-        v = man.sample_unit_tangent(x, rng)
-        assert abs(abs(v.dir[1]) - 1.0) < 1e-12
-        ups += v.dir[1] > 0
+        v = man.sample_tangent_array(x, rng)
+        assert abs(abs(v[1]) - 1.0) < 1e-12
+        ups += v[1] > 0
     assert abs(ups / 10_000 - 0.5) < 0.01
 
 
@@ -211,17 +263,17 @@ def test_point_validation():
 
 
 def test_dimension_mismatch_raises():
-    man = Sphere(2)
-    x = man.point([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        man.distance(x, manifolds.Point(np.array([1.0, 0.0])))
+    for man, coords in [
+        (Sphere(2), [1.0, 0.0]), (Euclidean(2), [0.0, 0.0, 1.0]), (Torus(2, 1.0), [0.5])
+    ]:
+        with pytest.raises(ValueError):
+            man.point(coords)
 
 
 @settings(max_examples=60, deadline=None)
 @given(theta=st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
 def test_sphere_exp_stays_normalised(theta):
     man = Sphere(2)
-    x = man.point([0.6, 0.0, 0.8])
-    v = man.tangent(x, [0.0, 1.0, 0.0])
-    y = man.exp_map(x, v, theta)
-    assert abs(np.linalg.norm(y.coords) - 1.0) < 1e-12
+    x = man.point([0.6, 0.0, 0.8]).coords
+    y = man.exp_array(x, _tangent(man, x, [0.0, 1.0, 0.0]), theta)
+    assert abs(np.linalg.norm(y) - 1.0) < 1e-12

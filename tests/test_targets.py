@@ -294,6 +294,7 @@ def test_spec_strings_round_trip():
         "uniform:sphere:2",
         "uniform:torus:2:6.0",
         "cap:sphere:2:psi=1.0471975511965976",
+        "cap:sphere:2:psi=1.0:pole=1,0,0",
         "vmf:sphere:2:kappa=2.0",
         "convex-uniform:ball:2:r=1.0",
         "convex-uniform:box:2:extents=1.0,2.0",
@@ -303,6 +304,7 @@ def test_spec_strings_round_trip():
         t2 = targets.from_spec(t.spec_string)
         assert t2.name == t.name
         assert t2.diam_w == pytest.approx(t.diam_w)
+        assert np.allclose(t2.worst_start, t.worst_start, rtol=0.0, atol=1e-12), spec
     with pytest.raises(ValueError):
         targets.from_spec("nonsense:sphere:2")
     with pytest.raises(ValueError):
