@@ -25,9 +25,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Optional
-
-import numpy as np
 
 from . import __version__, bounds, harness, kernel, targets
 from .rng import fresh_seed, make_stream

@@ -428,7 +428,7 @@ def _broken_step_array(xa, config, rng):
     """Sabotaged transition: shrinkage acceptance check skipped (mutation oracle)."""
     _, va, oracle = kernel._slice(xa, config, rng)
     itv = slice1d.stepping_out(oracle, config.step_out_params, rng)
-    theta = slice1d.unwrap_angle(rng.uniform(0.0, TWO_PI), itv.lo, itv.hi)
+    theta = slice1d.unwrap_angle(TWO_PI * rng.random(), itv.lo, itv.hi)
     return config.target.manifold.exp_array(xa, va, theta)
 
 

@@ -16,7 +16,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import IO, NamedTuple, Optional
 
 import numpy as np
 
@@ -66,13 +66,13 @@ class GssConfig:
         }
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
+class StepDiagnostics(NamedTuple):
     level: float
     direction: np.ndarray
     interval_width: float
     shrink_iterations: int
     expansions: int
+    density: float  # at the new state; pass it on as the next step's px
 
 
 @dataclass
@@ -87,28 +87,41 @@ class ChainRecord:
     diagnostics: list = field(default_factory=list)  # list[StepDiagnostics]
 
 
-def _slice(xa: np.ndarray, config: GssConfig, rng: np.random.Generator):
+def _slice(xa: np.ndarray, config: GssConfig, rng: np.random.Generator, px: Optional[float] = None):
     """Level below the density at xa, uniform unit direction, and the superlevel oracle.
 
     Returns (level, direction, oracle) where oracle(theta) tells whether the
-    geodesic point at time theta along the direction lies above the level.
+    geodesic point at time theta along the direction lies above the level;
+    ``oracle.last[0]`` is the (theta, point, density) of its latest query.
     """
     target, man = config.target, config.target.manifold
-    px = float(target.density(xa))
+    if px is None:
+        px = float(target.density(xa))
     if not px > 0.0:
         raise ValueError("current state has zero density")
     level = open_uniform(rng, 0.0, 1.0) * px
     va = man.sample_tangent_array(xa, rng)
 
-    def oracle(theta: float) -> bool:
-        return float(target.density(man.exp_array(xa, va, theta))) > level
+    last = [None]  # a list, not an attribute set inside oracle: no reference cycle
 
+    def oracle(theta: float) -> bool:
+        ya = man.exp_array(xa, va, theta)
+        py = float(target.density(ya))
+        last[0] = (theta, ya, py)
+        return py > level
+
+    oracle.last = last
     return level, va, oracle
 
 
-def _step_array(xa: np.ndarray, config: GssConfig, rng: np.random.Generator):
-    """One transition on raw coordinates; returns (new coords, diagnostics)."""
-    level, va, oracle = _slice(xa, config, rng)
+def _step_array(
+    xa: np.ndarray, config: GssConfig, rng: np.random.Generator, px: Optional[float] = None
+):
+    """One transition on raw coordinates with density px at xa (None: evaluate it).
+
+    Returns (new coords, diagnostics); ``diag.density`` is the next step's px.
+    """
+    level, va, oracle = _slice(xa, config, rng, px)
     try:
         itv = slice1d.stepping_out(oracle, config.step_out_params, rng)
         res = slice1d.reeled_shrinkage(oracle, itv.lo, itv.hi, rng, config.max_shrink_iters)
@@ -117,21 +130,15 @@ def _step_array(xa: np.ndarray, config: GssConfig, rng: np.random.Generator):
             f"{e} [state={np.array2string(xa, precision=6)}, "
             f"direction={np.array2string(va, precision=6)}, level={level}]"
         ) from e
-    ya = config.target.manifold.exp_array(xa, va, res.theta)
+    # shrinkage accepts right after querying the oracle, so this is the accepted point
+    theta, ya, py = oracle.last[0]
+    if theta != res.theta:
+        ya = config.target.manifold.exp_array(xa, va, res.theta)
+        py = float(config.target.density(ya))
     diag = StepDiagnostics(
-        level=level,
-        direction=va,
-        interval_width=itv.width,
-        shrink_iterations=res.iterations,
-        expansions=itv.expansions_left + itv.expansions_right,
+        level, va, itv.width, res.iterations, itv.expansions_left + itv.expansions_right, py
     )
     return ya, diag
-
-
-def step(x: Point, config: GssConfig, rng: np.random.Generator) -> Point:
-    """One transition of the geodesic slice sampler from x."""
-    ya, _ = _step_array(x.coords, config, rng)
-    return Point(ya)
 
 
 def run_chain(
@@ -157,7 +164,8 @@ def run_chain(
         raise ValueError("n must be >= 0")
     if thin < 1:
         raise ValueError("thin must be >= 1")
-    if not config.target.density(x0.coords) > 0:
+    px = float(config.target.density(x0.coords))
+    if not px > 0:
         raise ValueError("initial state has zero density")
     rng = make_stream(config.seed, 0)
     record = ChainRecord(config=config.describe(), seed=config.seed, burn_in=burn_in, thin=thin)
@@ -167,26 +175,18 @@ def run_chain(
             header.update(header_extra)
         sink.write(json.dumps(header) + "\n")
     xa = np.array(x0.coords, dtype=float)
-    for _ in range(burn_in):
-        xa, _ = _step_array(xa, config, rng)
-    for k in range(n):
-        for _ in range(thin):
-            xa, diag = _step_array(xa, config, rng)
+    for i in range(1, burn_in + n * thin + 1):
+        xa, diag = _step_array(xa, config, rng, px)
+        px = diag.density
+        if i <= burn_in or (i - burn_in) % thin:
+            continue
         record.states.append(Point(xa))
         record.diagnostics.append(diag)
         if sink is not None:
-            sink.write(
-                json.dumps(
-                    {
-                        "i": burn_in + (k + 1) * thin,
-                        "x": [float(c) for c in xa],
-                        "t": diag.level,
-                        "w_int": diag.interval_width,
-                        "k_shrink": diag.shrink_iterations,
-                    }
-                )
-                + "\n"
-            )
+            sink.write(json.dumps({
+                "i": i, "x": [float(c) for c in xa], "t": diag.level,
+                "w_int": diag.interval_width, "k_shrink": diag.shrink_iterations,
+            }) + "\n")
     return record
 
 
@@ -207,12 +207,14 @@ def endpoint_ensemble(
     """
     base = config.seed if seed is None else seed
     x0a = np.array(x0.coords, dtype=float)
+    p0 = float(config.target.density(x0a))
 
     def one(i: int) -> np.ndarray:
         rng = make_stream(base, i)
-        xa = x0a
+        xa, px = x0a, p0
         for _ in range(n_steps):
-            xa, _ = _step_array(xa, config, rng)
+            xa, diag = _step_array(xa, config, rng, px)
+            px = diag.density
         return xa
 
     if threads <= 1:

@@ -67,8 +67,7 @@ class StepOutParams:
         return not math.isinf(self.m)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """Stepping-out output (lo, hi) with the per-side expansion counts."""
 
     lo: float
@@ -113,7 +112,8 @@ def stepping_out(oracle: Oracle, params: StepOutParams, rng: np.random.Generator
     w, m = params.w, params.m
     ups = open_uniform(rng, 0.0, w)
     if params.m_finite:
-        j = int(rng.integers(1, int(m) + 1))
+        # integers(1, 2) consumes no state, so m = 1 skips the call
+        j = 1 if m == 1 else int(rng.integers(1, int(m) + 1))
         left_limit, right_limit = j, int(m) + 1 - j
     else:
         left_limit = right_limit = None
@@ -300,7 +300,7 @@ def reeled_shrinkage(
     if not (lo < 0.0 < hi):
         raise ValueError(f"current point 0 must lie inside ({lo}, {hi})")
     target = wrap_angle(0.0, lo, hi)
-    gamma = rng.uniform(0.0, TWO_PI)
+    gamma = TWO_PI * rng.random()  # rng.uniform(0.0, TWO_PI), bit for bit
     arc_min = arc_max = gamma
     for it in range(1, max_iters + 1):
         cand = unwrap_angle(gamma, lo, hi)

@@ -13,7 +13,6 @@ import pytest
 
 import oracles
 from geoslice import bounds, cli, harness, kernel, targets
-from geoslice.rng import make_stream
 
 TWO_PI = 2 * math.pi
 SEED = 20260810

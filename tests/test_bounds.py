@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from geoslice import bounds, targets
+from geoslice import targets
 from geoslice.bounds import (
     ApplicabilityError,
     convergence_rate,

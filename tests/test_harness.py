@@ -5,7 +5,6 @@ import pytest
 
 from geoslice import harness, kernel, targets
 from geoslice.harness import (
-    Binning,
     energy_distance,
     energy_permutation_test,
     estimate_tv,

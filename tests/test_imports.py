@@ -1,0 +1,34 @@
+"""No module under src/ or tests/ imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
+)
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_check_flags_an_unused_import():
+    tree = ast.parse("import os.path\nimport sys\nfrom math import pi as p, tau\nsys.exit(tau)\n")
+    assert _unused_imports(tree) == [(1, "os"), (3, "p")]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from geoslice import harness, kernel, targets
-from geoslice.kernel import ChainRecord, ConfigError, GssConfig, endpoint_ensemble, run_chain, step
+from geoslice import harness, targets
+from geoslice.kernel import (
+    ChainRecord, ConfigError, GssConfig, _step_array, endpoint_ensemble, run_chain,
+)
 from geoslice.rng import make_stream
 
 TWO_PI = 2 * math.pi
@@ -31,12 +34,12 @@ def test_config_rejects_unbounded_budget_on_compact_support():
 def test_one_step_circle_uniform_mixes_exactly():
     # one full winding plus symmetric direction: a single step is an exact draw
     t, cfg = _circle_uniform_config()
-    x0 = t.manifold.point([1.0, 0.0])
+    x0 = np.array([1.0, 0.0])
     rng = make_stream(100, 0)
     angles = []
     for _ in range(30_000):
-        y = step(x0, cfg, rng)
-        angles.append(math.atan2(y.coords[1], y.coords[0]) % TWO_PI)
+        y, _ = _step_array(x0, cfg, rng)
+        angles.append(math.atan2(y[1], y[0]) % TWO_PI)
     counts, _ = np.histogram(angles, bins=64, range=(0.0, TWO_PI))
     assert stats.chisquare(counts).pvalue > 0.001
 
@@ -50,20 +53,20 @@ def test_step_output_always_in_support():
         t = targets.from_spec(spec)
         cfg = GssConfig(target=t, w=w, m=m, seed=5)
         rng = make_stream(5, 0)
-        x = harness.worst_start(t)
+        x = harness.worst_start(t).coords
         for _ in range(300):
-            x = step(x, cfg, rng)
-            assert t.density(x.coords) > 0.0
+            x, _ = _step_array(x, cfg, rng)
+            assert t.density(x) > 0.0
 
 
 def test_ball_chain_stays_inside():
     t = targets.from_spec("convex-uniform:ball:2:r=1.0")
     cfg = GssConfig(target=t, w=0.5, m=math.inf, seed=6)
     rng = make_stream(6, 0)
-    x = t.manifold.point([0.3, 0.3])
+    x = np.array([0.3, 0.3])
     for _ in range(500):
-        x = step(x, cfg, rng)
-        assert float(x.coords @ x.coords) < 1.0
+        x, _ = _step_array(x, cfg, rng)
+        assert float(x @ x) < 1.0
 
 
 def test_step_failure_carries_diagnostic_context():
@@ -71,11 +74,11 @@ def test_step_failure_carries_diagnostic_context():
 
     t = targets.from_spec("cap:sphere:2:psi=0.3")
     cfg = GssConfig(target=t, w=TWO_PI, m=1, seed=16, max_shrink_iters=1)
-    x0 = harness.worst_start(t)
+    x0 = harness.worst_start(t).coords
     rng = make_stream(16, 0)
     with pytest.raises(ShrinkageCapError) as exc:
         for _ in range(200):  # a single allowed draw fails quickly on a slim cap
-            step(x0, cfg, rng)
+            _step_array(x0, cfg, rng)
     msg = str(exc.value)
     assert "state=" in msg and "direction=" in msg and "level=" in msg
 
@@ -83,8 +86,11 @@ def test_step_failure_carries_diagnostic_context():
 def test_step_rejects_zero_density_start():
     t = targets.from_spec("cap:sphere:2:psi=1.0")
     cfg = GssConfig(target=t, w=TWO_PI, m=1, seed=7)
+    x = np.array([0.0, 0.0, -1.0])
     with pytest.raises(ValueError):
-        step(t.manifold.point([0.0, 0.0, -1.0]), cfg, make_stream(7, 0))
+        _step_array(x, cfg, make_stream(7, 0))
+    with pytest.raises(ValueError):  # a carried density gets the same check
+        _step_array(harness.worst_start(t).coords, cfg, make_stream(7, 0), px=0.0)
 
 
 def test_run_chain_zero_length_is_valid():
@@ -200,3 +206,104 @@ def test_tv_decreases_along_the_chain():
     early = harness.estimate_tv(endpoint_ensemble(x0, 1, 20_000, cfg, seed=1), binning)
     late = harness.estimate_tv(endpoint_ensemble(x0, 6, 20_000, cfg, seed=2), binning)
     assert late.tv <= early.tv + 3 * math.hypot(early.se, late.se)
+
+
+# -- bit identity ---------------------------------------------------------------------
+
+HEMISPHERE = "cap:sphere:2:psi=1.5707963267948966"
+
+# SHA-256 of _golden_outputs() as the transition computed them before it reused
+# the accepted point and its density and drew uniforms through random(); any
+# change to a random draw or to the arithmetic of a transition shows here.
+GOLDEN = {
+    "ensemble": "8d3bf5b3c5784b9f2b69952b6cd1e521d365a8fcbe79e5f8adaa0dbd51fa179f",
+    "chain": "c1fbe53ff2777c3a656d9ca25a9b745b1395ea7d0786fe84eb361f32f8160e96",
+    "broken": "75150e543d64b790ad8ba5393edbdc5f5b4393ab71ff6b8799f74a3fa99a8a7c",
+}
+
+
+def _golden_outputs():
+    cap = targets.from_spec(HEMISPHERE)
+    disk = targets.from_spec("convex-uniform:ball:2:r=1.0")
+    vmf = targets.from_spec("vmf:sphere:2:kappa=2.0")
+    ens_cap = endpoint_ensemble(
+        harness.worst_start(cap), 3, 200, GssConfig(target=cap, w=TWO_PI, m=1, seed=31)
+    )
+    ens_disk = endpoint_ensemble(
+        harness.worst_start(disk), 3, 200, GssConfig(target=disk, w=1.0, m=math.inf, seed=32)
+    )
+    sink = io.StringIO()
+    run_chain(harness.worst_start(vmf), 500, GssConfig(target=vmf, w=TWO_PI, m=1, seed=33), sink=sink)
+    cfg = GssConfig(target=cap, w=TWO_PI, m=1, seed=34)
+    rng = make_stream(34, 2)
+    broken = np.array([
+        harness._broken_step_array(x, cfg, rng)
+        for x in targets.reference_samples(cap, 500, make_stream(34, 1))
+    ])
+    return {
+        "ensemble": hashlib.sha256(ens_cap.tobytes() + ens_disk.tobytes()).hexdigest(),
+        "chain": hashlib.sha256(sink.getvalue().encode()).hexdigest(),
+        "broken": hashlib.sha256(broken.tobytes()).hexdigest(),
+    }
+
+
+def test_outputs_match_golden_digests():
+    assert _golden_outputs() == GOLDEN
+
+
+_PRESET_SPECS = (
+    "uniform:sphere:1",
+    "uniform:sphere:2",
+    "uniform:torus:2:6.283185307179586",
+    HEMISPHERE,
+    "vmf:sphere:2:kappa=2.0",
+    "convex-uniform:ball:2:r=1.0",
+    "convex-uniform:box:2:extents=1,2",
+    "ball-gauss:2:sigma=0.5:r=1.0",
+)
+
+
+@pytest.mark.parametrize("spec,m", [
+    (spec, m)
+    for spec in _PRESET_SPECS
+    for m in (1, 4, math.inf)
+    if not math.isinf(m) or targets.from_spec(spec).lambda_finite
+])
+def test_carried_density_matches_recomputed(spec, m):
+    t = targets.from_spec(spec)
+    cfg = GssConfig(target=t, w=1.3, m=m, seed=35)
+    rng_carry, rng_fresh = make_stream(35, 0), make_stream(35, 0)
+    xc = xf = harness.worst_start(t).coords
+    px = None
+    for _ in range(60):
+        xc, dc = _step_array(xc, cfg, rng_carry, px)
+        xf, df = _step_array(xf, cfg, rng_fresh)
+        assert np.array_equal(xc, xf)
+        assert np.array_equal(dc.direction, df.direction)
+        assert (dc.level, dc.interval_width, dc.shrink_iterations, dc.expansions, dc.density) == (
+            df.level, df.interval_width, df.shrink_iterations, df.expansions, df.density
+        )
+        assert dc.density == float(t.density(xc))
+        px = dc.density
+    assert rng_carry.bit_generator.state == rng_fresh.bit_generator.state
+
+
+def test_accepted_point_recomputed_when_the_oracle_moved_on(monkeypatch):
+    # the transition reuses the oracle's latest query only when it is the accepted time
+    from geoslice import slice1d
+
+    t = targets.from_spec("vmf:sphere:2:kappa=2.0")
+    cfg = GssConfig(target=t, w=TWO_PI, m=1, seed=36)
+    x = harness.worst_start(t).coords
+    expect = [_step_array(x, cfg, make_stream(36, k)) for k in range(20)]
+    shrink = slice1d.reeled_shrinkage
+
+    def shrink_then_query(oracle, lo, hi, rng, max_iters):
+        res = shrink(oracle, lo, hi, rng, max_iters)
+        oracle(0.5 * lo)
+        return res
+
+    monkeypatch.setattr(slice1d, "reeled_shrinkage", shrink_then_query)
+    for k, (y, d) in enumerate(expect):
+        y2, d2 = _step_array(x, cfg, make_stream(36, k))
+        assert np.array_equal(y, y2) and d2.density == d.density == float(t.density(y))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from geoslice.rng import make_stream
+from geoslice.rng import make_stream, open_uniform
 from geoslice.slice1d import (
     ApplicabilityError,
     ExpansionCapError,
@@ -271,3 +271,24 @@ def test_interval_invariants_random_sets(ivs, w, m, seed):
     assert itv.width == pytest.approx(total * w, rel=1e-12)
     if not math.isinf(m):
         assert itv.width <= m * w * (1 + 1e-12)
+
+
+def test_random_forms_match_uniform_and_integers():
+    # open_uniform, the first shrinkage angle and the m = 1 split draw through
+    # random() or not at all; they must give what uniform()/integers() give,
+    # from the same stream state, and leave the stream where those leave it
+    src = make_stream(40, 0)
+    fast, ref = make_stream(41, 0), make_stream(41, 0)
+    inside = lambda s: True
+    for _ in range(2000):
+        lo = float(src.uniform(-3.0, 0.0))
+        hi = float(src.uniform(1e-9, 3.0))
+        w = float(src.exponential(2.0))
+        assert open_uniform(fast, lo, hi) == ref.uniform(lo, hi)
+        res = reeled_shrinkage(inside, lo, hi, fast)
+        assert res == (unwrap_angle(ref.uniform(0.0, TWO_PI), lo, hi), 1)
+        itv = stepping_out(inside, StepOutParams(w, 1), fast)
+        ups = ref.uniform(0.0, w)
+        assert ref.integers(1, 2) == 1
+        assert (itv.lo, itv.hi, itv.expansions_left, itv.expansions_right) == (-ups, -ups + w, 0, 0)
+    assert fast.bit_generator.state == ref.bit_generator.state

@@ -6,7 +6,7 @@ from scipy import stats
 
 import oracles
 from geoslice import targets
-from geoslice.manifolds import Euclidean, Sphere, from_spec as manifold_from_spec
+from geoslice.manifolds import Euclidean, Sphere
 from geoslice.rng import make_stream
 from geoslice.targets import (
     ball_gaussian_target,
