@@ -251,12 +251,11 @@ def estimate_epsilon(
     n_probes: int,
     runs_per_probe: int,
     rng: np.random.Generator,
-    grid: int = 4096,
 ):
     """Statistical lower envelope of the covering probability over random probes.
 
-    Each probe scans a random geodesic section on a grid
-    (``targets.scan_section``), draws a level, locates the supremum of the
+    Each probe scans a random geodesic section at ``targets.SCAN_GRID``
+    steps (``targets.scan_section``), draws a level, locates the supremum of the
     superlevel section before the cut time, and counts stepping-out draws
     whose interval clears it.  Returns (min over probes of the per-probe
     estimate, standard error at the argmin).  An infimum over an uncountable
@@ -266,7 +265,7 @@ def estimate_epsilon(
     params = slice1d.StepOutParams(w, m)
     best = (math.inf, 0.0)
     for _ in range(n_probes):
-        xa, va, thetas, dens = targets.scan_section(target, rng, grid)
+        xa, va, thetas, dens = targets.scan_section(target, rng, targets.SCAN_GRID)
         level = rng.random() * float(target.density(xa))
         hits = np.nonzero(dens > level)[0]
         if len(hits) == 0:

@@ -158,6 +158,15 @@ _CASTS = {
     "gnuplot": lambda s: str(s).lower() in ("1", "true", "yes"),
 }
 
+_MINIMUMS = {
+    "steps": 0,
+    "burn_in": 0,
+    "thin": 1,
+    "replicates": harness.MIN_TV_POINTS,  # each ensemble feeds one TV estimate
+    "samples": 1,
+    "bins": 1,
+}
+
 
 def parse_config(argv=None) -> RunConfig:
     """Parse command line plus optional config file into a resolved RunConfig."""
@@ -205,6 +214,11 @@ def _validate(cfg: RunConfig) -> None:
             v["n_list"] = [int(s) for s in v["n_list"].split(",") if s.strip()]
         except ValueError:
             raise UsageError(f"bad n-list {v['n_list']!r}") from None
+        if not v["n_list"] or min(v["n_list"]) < 1:
+            raise UsageError(f"n-list needs step counts >= 1, got {v['n_list']}")
+    for key, low in _MINIMUMS.items():
+        if v.get(key) is not None and v[key] < low:
+            raise UsageError(f"--{key.replace('_', '-')} must be >= {low}, got {v[key]}")
     if v.get("epsilon_mode") not in (None,) + bounds.EPSILON_MODES:
         raise UsageError(f"bad epsilon-mode {v['epsilon_mode']!r}")
 
@@ -217,6 +231,14 @@ def _resolve_target(cfg: RunConfig) -> targets.Target:
         return targets.from_spec(spec)
     except ValueError as e:
         raise UsageError(str(e)) from None
+
+
+def _start(cfg: RunConfig, target: targets.Target):
+    """The --x0 point on the target's manifold."""
+    try:
+        return target.manifold.point([float(s) for s in cfg.x0.split(",")])
+    except ValueError as e:
+        raise UsageError(f"bad --x0 {cfg.x0!r}: {e}") from None
 
 
 def _gss_config(cfg: RunConfig, target: targets.Target) -> kernel.GssConfig:
@@ -272,7 +294,7 @@ def _cmd_sample(cfg: RunConfig) -> int:
     target = _resolve_target(cfg)
     gss = _gss_config(cfg, target)
     if cfg.values.get("x0"):
-        x0 = target.manifold.point([float(s) for s in cfg.x0.split(",")])
+        x0 = _start(cfg, target)
     elif target.has_reference_sampler:
         x0 = targets.reference_sample(target, make_stream(cfg.seed, 7))
     else:
@@ -301,10 +323,7 @@ def _cmd_sample(cfg: RunConfig) -> int:
 def _cmd_verify(cfg: RunConfig) -> int:
     target = _resolve_target(cfg)
     gss = _gss_config(cfg, target)
-    if cfg.values.get("x0"):
-        x0 = target.manifold.point([float(s) for s in cfg.x0.split(",")])
-    else:
-        x0 = harness.worst_start(target)
+    x0 = _start(cfg, target) if cfg.values.get("x0") else harness.worst_start(target)
     mode = cfg.values.get("epsilon_mode") or "auto"
     curve = harness.verify_uniform_ergodicity(
         target, gss, x0, cfg.n_list, cfg.replicates,
@@ -381,12 +400,14 @@ _HYPEROPT_PRESETS = [
 
 
 def _cmd_hyperopt(cfg: RunConfig) -> int:
-    specs = [cfg.values["target"]] if cfg.values.get("target") else _HYPEROPT_PRESETS
+    if cfg.values.get("target"):
+        rows = [(cfg.target, _resolve_target(cfg))]
+    else:
+        rows = [(spec, targets.from_spec(spec)) for spec in _HYPEROPT_PRESETS]
     for line in _header_lines(cfg):
         print(line)
     print(f"{'target':40s} {'regime':6s} {'m*':8s} {'w*':14s} {'q*':14s} note")
-    for spec in specs:
-        t = targets.from_spec(spec)
+    for spec, t in rows:
         opt = bounds.optimal_hyperparameters(t.diam_w, t.max_gap or 0.0, t.lambda_value)
         m_lab = "inf" if math.isinf(opt.m) else str(int(opt.m))
         print(

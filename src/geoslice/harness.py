@@ -33,6 +33,9 @@ from .targets import Target, _orthonormal_frame
 
 TWO_PI = 2.0 * math.pi
 
+N_BOOTSTRAP = 200  # multinomial resamples behind a TV estimate's standard error
+MIN_TV_POINTS = 1000  # fewest sample points a TV estimate accepts
+
 
 # ---------------------------------------------------------------------------
 # binning with analytic masses
@@ -209,12 +212,11 @@ def estimate_tv(
     coords: np.ndarray,
     binning: Binning,
     rng: Optional[np.random.Generator] = None,
-    n_bootstrap: int = 200,
 ) -> TvEstimate:
     """Estimate the TV distance of a sample (one coordinate row per point) to the target masses."""
     n = len(coords)
-    if n < 1000:
-        raise ValueError(f"need at least 1000 points for a TV estimate, got {n}")
+    if n < MIN_TV_POINTS:
+        raise ValueError(f"need at least {MIN_TV_POINTS} points for a TV estimate, got {n}")
     if coords.shape[1] != binning.embedding_dim:
         raise ValueError(
             f"points have embedding dimension {coords.shape[1]}, "
@@ -231,7 +233,7 @@ def estimate_tv(
 
     tv = tv_of(counts)
     probs = counts / n
-    boots = rng.multinomial(n, probs, size=n_bootstrap).astype(float)
+    boots = rng.multinomial(n, probs, size=N_BOOTSTRAP).astype(float)
     tvs = np.array([tv_of(b) for b in boots])
     se = float(np.std(tvs, ddof=1))
     bias = 0.5 * float(np.sum(np.sqrt(2.0 * binning.masses * (1.0 - binning.masses) / (math.pi * n))))
@@ -368,12 +370,14 @@ def verify_uniform_ergodicity(
     covering probability can produce a PASS; with a Monte-Carlo epsilon the
     whole curve is advisory and ``passed`` is always False.
     """
+    if not n_list:
+        raise ValueError("n_list must not be empty")
+    if min(n_list) < 1:
+        raise ValueError(f"step counts must be >= 1, got {list(n_list)}")
     report = bounds.full_report(
         target, config.m, config.w, epsilon_mode,
         rng=make_stream(config.seed, 41) if epsilon_mode == "monte-carlo" else None,
     )
-    if not n_list:
-        raise ValueError("n_list must not be empty")
     binning = make_binning(target, bins)
     pts = []
     bias = 0.0
@@ -438,8 +442,6 @@ def invariance_test(
     samples: int,
     seed: Optional[int] = None,
     broken: bool = False,
-    permutations: int = 500,
-    subsample: int = 1500,
 ) -> InvarianceReport:
     """One-step invariance check: evolved exact samples vs fresh exact samples.
 
@@ -458,9 +460,7 @@ def invariance_test(
     for i in range(samples):
         evolved[i] = stepper(start[i], config, rng)
     fresh = targets.reference_samples(target, samples, make_stream(base, 3))
-    res = energy_permutation_test(
-        evolved, fresh, make_stream(base, 4), permutations=permutations, subsample=subsample
-    )
+    res = energy_permutation_test(evolved, fresh, make_stream(base, 4))
     return InvarianceReport(
         statistic=res.statistic,
         p_value=res.p_value,
@@ -509,17 +509,6 @@ def _reflected_intervals(ivs, alpha):
     return sorted((alpha - b, alpha - a) for a, b in ivs)
 
 
-def _sample_intervals(set_spec, theta, params, n, rng) -> np.ndarray:
-    """n stepping-out draws started at theta, as rows (lo, hi) in absolute coords."""
-    oracle = lambda s: slice1d.set_contains(set_spec, theta + s)
-    out = np.empty((n, 2))
-    for i in range(n):
-        itv = slice1d.stepping_out(oracle, params, rng)
-        out[i, 0] = theta + itv.lo
-        out[i, 1] = theta + itv.hi
-    return out
-
-
 def _random_interval_set(rng, contains: float = 0.0):
     """2-4 disjoint open intervals around ``contains``, one of them covering it."""
     k = int(rng.integers(2, 5))
@@ -542,6 +531,14 @@ def _random_interval_set(rng, contains: float = 0.0):
     return ivs
 
 
+def _covering_bound_from_zero(ivs, m, w) -> float:
+    """Closed-form covering bound for the stepping-out started at 0 in ivs."""
+    pieces = [(max(a, 0.0), b) for a, b in ivs if b > 0.0]
+    b_sup = max(hi for _, hi in pieces)
+    gap = b_sup - sum(hi - lo for lo, hi in pieces)
+    return slice1d.covering_bound(b_sup, 0.0, gap, m, w)
+
+
 def _covering_checks(seed: int, quick: bool) -> list:
     checks = []
     fixed = [
@@ -549,31 +546,25 @@ def _covering_checks(seed: int, quick: bool) -> list:
         ("S=(-0.1,0.1) m=1 w=2", [(-0.1, 0.1)], 1, 2.0, 200_000),
         ("S=(-1,1) m=inf w=0.7", [(-1.0, 1.0)], math.inf, 0.7, 20_000),
     ]
-    configs = list(fixed)
+    configs = [(*c, _covering_bound_from_zero(*c[1:4])) for c in fixed]
     rng_cfg = make_stream(seed, 100)
     made = 0
     while made < 5:
         ivs = _random_interval_set(rng_cfg)
         m = [1, 2, 3, 5, math.inf][int(rng_cfg.integers(0, 5))]
         w = float(rng_cfg.uniform(0.5, 2.5))
-        pieces = [(max(a, 0.0), b) for a, b in ivs if b > 0.0]
-        b_sup = max(hi for _, hi in pieces)
-        gap = b_sup - sum(hi - lo for lo, hi in pieces)
         try:
-            slice1d.covering_bound(b_sup, 0.0, gap, m, w)
+            bound = _covering_bound_from_zero(ivs, m, w)
         except slice1d.ApplicabilityError:
             continue
-        configs.append((f"random#{made} m={m} w={w:.3g}", ivs, m, w, 50_000 if not quick else 5_000))
+        n = 50_000 if not quick else 5_000
+        configs.append((f"random#{made} m={m} w={w:.3g}", ivs, m, w, n, bound))
         made += 1
-    for i, (label, ivs, m, w, n) in enumerate(configs):
+    for i, (label, ivs, m, w, n, bound) in enumerate(configs):
         if quick:
             n = min(n, 5_000)
         sub = stream_seed(seed, 200 + i)
         rng = make_stream(sub, 0)
-        pieces = [(max(a, 0.0), b) for a, b in ivs if b > 0.0]
-        b_sup = max(hi for _, hi in pieces)
-        gap = b_sup - sum(hi - lo for lo, hi in pieces)
-        bound = slice1d.covering_bound(b_sup, 0.0, gap, m, w)
         est, se = slice1d.estimate_covering_probability(
             ivs, 0.0, math.inf, StepOutParams(w, m), n, rng
         )
@@ -662,8 +653,8 @@ def _reflection_checks(seed: int, quick: bool) -> list:
         rng = make_stream(sub, 0)
         params = StepOutParams(w, m)
         refl = _reflected_intervals(ivs, alpha)
-        sample_a = _sample_intervals(refl, theta, params, n, rng)
-        sample_b = _sample_intervals(ivs, alpha - theta, params, n, rng)
+        sample_a = slice1d.sample_intervals(refl, theta, params, n, rng)
+        sample_b = slice1d.sample_intervals(ivs, alpha - theta, params, n, rng)
         # reflect the second sample: (lo, hi) -> (alpha - hi, alpha - lo)
         sample_b = np.column_stack([alpha - sample_b[:, 1], alpha - sample_b[:, 0]])
         res = energy_permutation_test(sample_a, sample_b, make_stream(sub, 1))
@@ -698,8 +689,8 @@ def _interchange_checks(seed: int, quick: bool) -> list:
         sub = stream_seed(seed, 800 + i)
         rng = make_stream(sub, 0)
         params = StepOutParams(w, m)
-        s1 = _sample_intervals(ivs, theta, params, n, rng)
-        s2 = _sample_intervals(ivs, alpha, params, n, rng)
+        s1 = slice1d.sample_intervals(ivs, theta, params, n, rng)
+        s2 = slice1d.sample_intervals(ivs, alpha, params, n, rng)
         p1 = float(np.mean((s1[:, 0] < alpha) & (alpha < s1[:, 1])))
         p2 = float(np.mean((s2[:, 0] < theta) & (theta < s2[:, 1])))
         se = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / n + 1e-300)
@@ -725,10 +716,10 @@ def _limit_checks(seed: int, quick: bool) -> list:
     n = 1_000 if quick else 2_000
     sub = stream_seed(seed, 900)
     rng = make_stream(sub, 0)
-    ref = _sample_intervals(ivs, 0.0, StepOutParams(w, math.inf), n, rng)
+    ref = slice1d.sample_intervals(ivs, 0.0, StepOutParams(w, math.inf), n, rng)
     dists = {}
     for m in (10, 100, 1000):
-        sm = _sample_intervals(ivs, 0.0, StepOutParams(w, m), n, rng)
+        sm = slice1d.sample_intervals(ivs, 0.0, StepOutParams(w, m), n, rng)
         dists[m] = (energy_distance(sm, ref), sm)
     res = energy_permutation_test(dists[1000][1], ref, make_stream(sub, 1))
     # the m=1000 distance is pure sampling noise; use it as the slack scale

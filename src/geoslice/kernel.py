@@ -38,11 +38,9 @@ class GssConfig:
     w: float
     m: float  # integer >= 1 or math.inf
     seed: int
-    max_expansions: int = 1_000_000
-    max_shrink_iters: int = 100_000
 
     def __post_init__(self):
-        params = slice1d.StepOutParams(self.w, self.m, self.max_expansions)  # validates w, m
+        params = slice1d.StepOutParams(self.w, self.m)  # validates w, m
         object.__setattr__(self, "_step_out_params", params)
         if math.isinf(self.m) and not self.target.lambda_finite:
             raise ConfigError(
@@ -61,8 +59,8 @@ class GssConfig:
             "w": self.w,
             "m": "inf" if math.isinf(self.m) else int(self.m),
             "seed": self.seed,
-            "max_expansions": self.max_expansions,
-            "max_shrink_iters": self.max_shrink_iters,
+            "max_expansions": slice1d.MAX_EXPANSIONS,
+            "max_shrink_iters": slice1d.MAX_SHRINK_ITERS,
         }
 
 
@@ -124,7 +122,7 @@ def _step_array(
     level, va, oracle = _slice(xa, config, rng, px)
     try:
         itv = slice1d.stepping_out(oracle, config.step_out_params, rng)
-        res = slice1d.reeled_shrinkage(oracle, itv.lo, itv.hi, rng, config.max_shrink_iters)
+        res = slice1d.reeled_shrinkage(oracle, itv.lo, itv.hi, rng)
     except (slice1d.ExpansionCapError, slice1d.ShrinkageCapError) as e:
         raise type(e)(
             f"{e} [state={np.array2string(xa, precision=6)}, "
@@ -162,6 +160,8 @@ def run_chain(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     if thin < 1:
         raise ValueError("thin must be >= 1")
     px = float(config.target.density(x0.coords))

@@ -26,6 +26,9 @@ import numpy as np
 from .rng import open_uniform
 
 TWO_PI = 2.0 * math.pi
+# safety caps: expansions per side of a stepping-out with m = inf, draws per shrinkage
+MAX_EXPANSIONS = 1_000_000
+MAX_SHRINK_ITERS = 100_000
 
 Oracle = Callable[[float], bool]
 """Membership test of the current superlevel set; must hold at 0.0."""
@@ -45,14 +48,10 @@ class ShrinkageCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepOutParams:
-    """Interval width w > 0 and expansion budget m (integer >= 1 or math.inf).
-
-    ``max_expansions`` guards the m = inf case only.
-    """
+    """Interval width w > 0 and expansion budget m (integer >= 1 or math.inf)."""
 
     w: float
     m: float
-    max_expansions: int = 1_000_000
 
     def __post_init__(self):
         if not self.w > 0:
@@ -61,10 +60,6 @@ class StepOutParams:
             return
         if self.m < 1 or int(self.m) != self.m:
             raise ValueError(f"m must be a positive integer or inf, got {self.m}")
-
-    @property
-    def m_finite(self) -> bool:
-        return not math.isinf(self.m)
 
 
 class Interval(NamedTuple):
@@ -80,26 +75,6 @@ class Interval(NamedTuple):
         return self.hi - self.lo
 
 
-def _stop_index(offset_at, oracle: Oracle, limit, cap: int) -> int:
-    """First index i >= 1 with offset_at(i) outside S, clipped at ``limit``.
-
-    ``limit`` is the per-side expansion budget (None = unbounded, guarded by
-    ``cap``).  When the budget binds, the oracle is not consulted there.
-    """
-    i = 1
-    while True:
-        if limit is not None and i == limit:
-            return i
-        if not oracle(offset_at(i)):
-            return i
-        i += 1
-        if limit is None and i > cap:
-            raise ExpansionCapError(
-                f"interval expansion exceeded {cap} steps with unbounded budget; "
-                "the level set along this geodesic appears unbounded"
-            )
-
-
 def stepping_out(oracle: Oracle, params: StepOutParams, rng: np.random.Generator) -> Interval:
     """Randomised interval around 0 whose endpoints left S or hit the budget.
 
@@ -107,29 +82,37 @@ def stepping_out(oracle: Oracle, params: StepOutParams, rng: np.random.Generator
     lo_i = -U - (i-1) w going left and hi_i = -U + i w going right.  Each side
     expands while its current endpoint still lies in S.  For finite m a split
     J uniform on {1..m} caps the left side at J expansions and the right side
-    at m + 1 - J, so the total interval width never exceeds m * w.
+    at m + 1 - J, so the total interval width never exceeds m * w.  With
+    m = inf a side that reaches MAX_EXPANSIONS raises ExpansionCapError.
     """
     w, m = params.w, params.m
+    unbounded = math.isinf(m)
     ups = open_uniform(rng, 0.0, w)
-    if params.m_finite:
+    if unbounded:
+        left_limit = right_limit = MAX_EXPANSIONS + 1
+    else:
         # integers(1, 2) consumes no state, so m = 1 skips the call
         j = 1 if m == 1 else int(rng.integers(1, int(m) + 1))
         left_limit, right_limit = j, int(m) + 1 - j
-    else:
-        left_limit = right_limit = None
-    tau = _stop_index(lambda i: -ups - (i - 1) * w, oracle, left_limit, params.max_expansions)
-    tee = _stop_index(lambda i: -ups + i * w, oracle, right_limit, params.max_expansions)
-    itv = Interval(
-        lo=-ups - (tau - 1) * w,
-        hi=-ups + tee * w,
-        expansions_left=tau - 1,
-        expansions_right=tee - 1,
-    )
+    # a side stops at its budget without asking the oracle about that endpoint
+    tau = 1
+    while tau < left_limit and oracle(-ups - (tau - 1) * w):
+        tau += 1
+    tee = 1
+    while tee < right_limit and oracle(-ups + tee * w):
+        tee += 1
+    if unbounded and max(tau, tee) > MAX_EXPANSIONS:
+        raise ExpansionCapError(
+            f"interval expansion exceeded {MAX_EXPANSIONS} steps with unbounded budget; "
+            "the level set along this geodesic appears unbounded"
+        )
+    lo, hi = -ups - (tau - 1) * w, -ups + tee * w
     if __debug__:
-        assert itv.lo < 0.0 < itv.hi
-        assert abs(itv.width - (tau + tee - 1) * w) < 1e-9 * max(1.0, itv.width)
-        assert not params.m_finite or itv.width <= m * w * (1.0 + 1e-12)
-    return itv
+        width = hi - lo
+        assert lo < 0.0 < hi
+        assert abs(width - (tau + tee - 1) * w) < 1e-9 * max(1.0, width)
+        assert unbounded or width <= m * w * (1.0 + 1e-12)
+    return Interval(lo, hi, tau - 1, tee - 1)
 
 
 def covering_bound(b: float, theta: float, delta: float, m: float, w: float) -> float:
@@ -204,28 +187,33 @@ def estimate_covering_probability(
     ivs = _normalize_set(set_spec)
     if not set_contains(ivs, theta):
         raise ValueError(f"start {theta} must lie inside the set")
-    pieces = []
-    for a, b in ivs:
-        lo, hi = max(a, theta), min(b, C)
-        if lo < hi:
-            pieces.append((lo, hi))
-    if not pieces:
+    top = max((min(b, C) for a, b in ivs if max(a, theta) < min(b, C)), default=None)
+    if top is None:
         raise ValueError("S cap [theta, C) is empty")
-    if not math.isfinite(max(hi for _, hi in pieces)):
+    if not math.isfinite(top):
         raise ValueError("sup of S cap [theta, C) must be finite")
-    if not params.m_finite and not math.isfinite(max(b for _, b in ivs)):
+    if math.isinf(params.m) and not math.isfinite(max(b for _, b in ivs)):
         raise ValueError("m = inf needs a bounded set")
 
-    oracle = lambda s: set_contains(ivs, theta + s)
-    hits = 0
-    for _ in range(n):
-        itv = stepping_out(oracle, params, rng)
-        lo_abs, hi_abs = theta + itv.lo, theta + itv.hi
-        if all(lo_abs <= a and b <= hi_abs for a, b in pieces):
-            hits += 1
+    # an interval starts at or below theta, so it covers S cap [theta, C) iff it reaches top
+    rows = sample_intervals(ivs, theta, params, n, rng)
+    hits = int(np.count_nonzero(rows[:, 1] >= top))
     p = hits / n
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / n)
     return p, se
+
+
+def sample_intervals(
+    set_spec: IntervalSet, theta: float, params: StepOutParams, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """n stepping-out draws started at theta, as rows (lo, hi) in absolute coords."""
+    oracle = lambda s: set_contains(set_spec, theta + s)
+    out = np.empty((n, 2))
+    for i in range(n):
+        itv = stepping_out(oracle, params, rng)
+        out[i, 0] = theta + itv.lo
+        out[i, 1] = theta + itv.hi
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +270,6 @@ def reeled_shrinkage(
     lo: float,
     hi: float,
     rng: np.random.Generator,
-    max_iters: int = 100_000,
 ) -> ShrinkageResult:
     """Draw a level-set point from (lo, hi) by shrinking a wrapped arc.
 
@@ -291,7 +278,7 @@ def reeled_shrinkage(
     first candidate is uniform on the circle and simultaneously anchors the
     arc bounds.  Each candidate is unwrapped and accepted when it lies in the
     open interval and satisfies the oracle; otherwise the arc is cut at the
-    rejected angle, keeping the side that contains the target angle, and the
+    rejected angle, keeping the side that contains angle 0, and the
     next candidate is drawn uniformly from the remaining arc.
 
     Returns the accepted parameter together with the number of candidate
@@ -299,20 +286,19 @@ def reeled_shrinkage(
     """
     if not (lo < 0.0 < hi):
         raise ValueError(f"current point 0 must lie inside ({lo}, {hi})")
-    target = wrap_angle(0.0, lo, hi)
     gamma = TWO_PI * rng.random()  # rng.uniform(0.0, TWO_PI), bit for bit
     arc_min = arc_max = gamma
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_SHRINK_ITERS + 1):
         cand = unwrap_angle(gamma, lo, hi)
         if lo < cand < hi and oracle(cand):
             return ShrinkageResult(cand, it)
-        if _arc_contains(gamma, arc_max, target):
+        if _arc_contains(gamma, arc_max, 0.0):
             arc_min = gamma
         else:
             arc_max = gamma
         gamma = _draw_arc(rng, arc_min, arc_max)
     raise ShrinkageCapError(
-        f"no accepted point in {max_iters} shrinkage iterations; "
+        f"no accepted point in {MAX_SHRINK_ITERS} shrinkage iterations; "
         "the level set inside the interval has negligible measure"
     )
 

@@ -836,6 +836,9 @@ def reference_sample(target: Target, rng: np.random.Generator) -> Point:
 # support-gap estimation
 # ---------------------------------------------------------------------------
 
+SCAN_GRID = 4096  # equal steps per geodesic section in the gap and epsilon scans
+
+
 def scan_section(target: Target, rng: np.random.Generator, grid: int):
     """Density on a random geodesic section of the support (gap and epsilon probes).
 
@@ -855,19 +858,18 @@ def estimate_max_gap(
     n_geodesics: int,
     n_levels: int,
     rng: np.random.Generator,
-    grid: int = 4096,
 ) -> float:
     """Monte-Carlo estimate of the worst gap inside geodesic superlevel sections.
 
     For random (point, direction, level) probes the geodesic parameter is
-    scanned on a grid over [0, cut time); the returned value is the largest
-    observed measure of (convex hull of the section) minus the section.  A
-    supremum over an uncountable family cannot be certified by sampling, so
+    scanned at SCAN_GRID steps over [0, cut time); the returned value is the
+    largest observed measure of (convex hull of the section) minus the section.
+    A supremum over an uncountable family cannot be certified by sampling, so
     this is a statistical lower bound of the true constant.
     """
     best = 0.0
     for _ in range(n_geodesics):
-        x, _, thetas, dens = scan_section(target, rng, grid)
+        x, _, thetas, dens = scan_section(target, rng, SCAN_GRID)
         px = float(target.density(x))
         for _ in range(n_levels):
             t = rng.random() * px

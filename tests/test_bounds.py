@@ -309,3 +309,26 @@ def test_report_lines_carry_provenance():
     assert "epsilon = 1.0 [analytic" in text
     d = full_report(t, 1, TWO_PI, "auto").to_dict()
     assert d["rho"] == pytest.approx(0.5)
+
+
+# The certificate table of the bundled presets at standard hyperparameters;
+# rho is given where it has a closed form.
+_CERTIFICATE_TABLE = [
+    ("uniform:sphere:1", 1, TWO_PI, "auto", 0.5),
+    ("uniform:sphere:2", 1, TWO_PI, "auto", None),
+    ("uniform:sphere:3", 1, TWO_PI, "auto", None),
+    ("cap:sphere:2:psi=1.5707963267948966", 1, TWO_PI, "corollary", None),
+    ("vmf:sphere:2:kappa=2.0", 1, TWO_PI, "corollary", None),
+    ("convex-uniform:ball:2:r=1.0", math.inf, 1.0, "auto", 0.875),
+    ("convex-uniform:box:2:extents=1.0,1.0", math.inf, 1.0, "auto", None),
+    ("ball-gauss:2:sigma=0.5:r=1.0", math.inf, 1.0, "auto", None),
+]
+
+
+@pytest.mark.parametrize("spec,m,w,mode,rho", _CERTIFICATE_TABLE, ids=lambda v: str(v))
+def test_certificate_table(spec, m, w, mode, rho):
+    rep = full_report(targets.from_spec(spec), m, w, mode)
+    assert rep.certified
+    assert 0.0 <= rep.rho < 1.0
+    if rho is not None:
+        assert rep.rho == pytest.approx(rho, abs=1e-12)

@@ -65,6 +65,25 @@ def test_config_file_unknown_key_rejected(tmp_path):
 def test_unknown_flag_is_usage_error(capsys):
     code = cli.main(["bounds", "--target", "uniform:sphere:1", "--frob", "1"])
     assert code == 2
+    # malformed or out-of-range values are usage errors too, caught before any output
+    sphere2 = ["--target", "uniform:sphere:2", "--m", "1", "--seed", "1"]
+    for args in [
+        ["sample", *sphere2, "--x0", "1,0"],
+        ["sample", *sphere2, "--x0", "a,b,c"],
+        ["verify", *sphere2, "--x0", "1,0"],
+        ["sample", *sphere2, "--steps", "-1"],
+        ["sample", *sphere2, "--thin", "0"],
+        ["sample", *sphere2, "--burn-in", "-5"],
+        ["verify", *sphere2, "--replicates", "10"],
+        ["verify", *sphere2, "--bins", "-4"],
+        ["verify", *sphere2, "--bins", "0"],
+        ["verify", *sphere2, "--n-list", "0"],
+        ["verify", *sphere2, "--n-list", "-3"],
+        ["invariance", *sphere2, "--samples", "0"],
+    ]:
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, ""), args
+        assert "runtime error" not in err, args
 
 
 def test_bounds_stdout_contains_rho(capsys):
@@ -104,6 +123,9 @@ def test_sample_writes_jsonl_with_header(tmp_path, capsys):
     header = json.loads(lines[0])
     assert header["seed"] == 11
     assert header["geoslice_chain"]["target"] == "uniform:sphere:1"
+    # the caps are module constants, still recorded with each chain
+    assert header["geoslice_chain"]["max_expansions"] == 1_000_000
+    assert header["geoslice_chain"]["max_shrink_iters"] == 100_000
     assert len(lines) == 21
     rec = json.loads(lines[1])
     assert set(rec) == {"i", "x", "t", "w_int", "k_shrink"}
@@ -191,9 +213,10 @@ def test_hyperopt_command(capsys):
 
 
 def test_bad_target_spec_is_usage_error(capsys):
-    code, _, err = run_cli(["bounds", "--target", "wat:sphere:2", "--seed", "1"], capsys)
-    assert code == 2
-    assert "preset" in err
+    for cmd in ("bounds", "hyperopt"):
+        code, out, err = run_cli([cmd, "--target", "wat:sphere:2", "--seed", "1"], capsys)
+        assert code == 2, cmd
+        assert "preset" in err and out == "", cmd
     spec = "vmf:sphere:2:kappa=2.0:kapa=3"
     code, _, err = run_cli(["bounds", "--target", spec, "--seed", "1"], capsys)
     assert code == 2

@@ -162,8 +162,9 @@ def test_verify_circle_uniform_passes():
 def test_verify_rejects_empty_n_list():
     t = targets.from_spec("uniform:sphere:1")
     cfg = kernel.GssConfig(target=t, w=TWO_PI, m=1, seed=21)
-    with pytest.raises(ValueError):
-        verify_uniform_ergodicity(t, cfg, t.manifold.point([1.0, 0.0]), [], 5000)
+    for n_list in ([], [0], [-3]):
+        with pytest.raises(ValueError):
+            verify_uniform_ergodicity(t, cfg, t.manifold.point([1.0, 0.0]), n_list, 5000)
 
 
 def test_verify_monte_carlo_epsilon_is_advisory():

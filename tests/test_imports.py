@@ -1,4 +1,4 @@
-"""No module under src/ or tests/ imports a name it never uses."""
+"""No module under src/, tests/ or scripts/ imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
-    p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
+    p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
 )
 
 

@@ -69,11 +69,13 @@ def test_ball_chain_stays_inside():
         assert float(x @ x) < 1.0
 
 
-def test_step_failure_carries_diagnostic_context():
+def test_step_failure_carries_diagnostic_context(monkeypatch):
+    from geoslice import slice1d
     from geoslice.slice1d import ShrinkageCapError
 
+    monkeypatch.setattr(slice1d, "MAX_SHRINK_ITERS", 1)
     t = targets.from_spec("cap:sphere:2:psi=0.3")
-    cfg = GssConfig(target=t, w=TWO_PI, m=1, seed=16, max_shrink_iters=1)
+    cfg = GssConfig(target=t, w=TWO_PI, m=1, seed=16)
     x0 = harness.worst_start(t).coords
     rng = make_stream(16, 0)
     with pytest.raises(ShrinkageCapError) as exc:
@@ -99,6 +101,14 @@ def test_run_chain_zero_length_is_valid():
     assert isinstance(rec, ChainRecord)
     assert rec.states == [] and rec.diagnostics == []
     assert rec.config["target"] == "uniform:sphere:1"
+
+
+def test_run_chain_rejects_negative_counts():
+    t, cfg = _circle_uniform_config()
+    x0 = t.manifold.point([1.0, 0.0])
+    for kwargs in (dict(n=-1), dict(n=2, thin=0), dict(n=2, burn_in=-5)):
+        with pytest.raises(ValueError):
+            run_chain(x0, config=cfg, **kwargs)
 
 
 def test_run_chain_deterministic_given_seed():
@@ -298,8 +308,8 @@ def test_accepted_point_recomputed_when_the_oracle_moved_on(monkeypatch):
     expect = [_step_array(x, cfg, make_stream(36, k)) for k in range(20)]
     shrink = slice1d.reeled_shrinkage
 
-    def shrink_then_query(oracle, lo, hi, rng, max_iters):
-        res = shrink(oracle, lo, hi, rng, max_iters)
+    def shrink_then_query(oracle, lo, hi, rng):
+        res = shrink(oracle, lo, hi, rng)
         oracle(0.5 * lo)
         return res
 

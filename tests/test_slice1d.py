@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
+from geoslice import slice1d
 from geoslice.rng import make_stream, open_uniform
 from geoslice.slice1d import (
     ApplicabilityError,
@@ -16,6 +19,7 @@ from geoslice.slice1d import (
     covering_bound,
     estimate_covering_probability,
     reeled_shrinkage,
+    sample_intervals,
     set_contains,
     shrinkage_mass_bound,
     stepping_out,
@@ -66,9 +70,10 @@ def test_unbounded_budget_interval_always_covers_bounded_set():
         assert itv.lo < -0.25 and itv.hi > 0.25
 
 
-def test_expansion_cap_error():
+def test_expansion_cap_error(monkeypatch):
+    monkeypatch.setattr(slice1d, "MAX_EXPANSIONS", 50)
     rng = make_stream(4, 0)
-    params = StepOutParams(w=1.0, m=math.inf, max_expansions=50)
+    params = StepOutParams(w=1.0, m=math.inf)
     with pytest.raises(ExpansionCapError):
         stepping_out(lambda t: True, params, rng)
 
@@ -214,10 +219,11 @@ def test_shrinkage_mean_iterations_logged():
     assert mean_iters < 200  # sanity ceiling, far above observed values
 
 
-def test_shrinkage_cap_error():
+def test_shrinkage_cap_error(monkeypatch):
+    monkeypatch.setattr(slice1d, "MAX_SHRINK_ITERS", 60)
     rng = make_stream(13, 0)
     with pytest.raises(ShrinkageCapError):
-        reeled_shrinkage(lambda t: False, -1.0, 1.0, rng, max_iters=60)
+        reeled_shrinkage(lambda t: False, -1.0, 1.0, rng)
 
 
 def test_shrinkage_rejects_degenerate_interval():
@@ -292,3 +298,21 @@ def test_random_forms_match_uniform_and_integers():
         assert ref.integers(1, 2) == 1
         assert (itv.lo, itv.hi, itv.expansions_left, itv.expansions_right) == (-ups, -ups + w, 0, 0)
     assert fast.bit_generator.state == ref.bit_generator.state
+
+
+# SHA-256 of the 1-D layer's outputs on a fixed two-piece set, taken before
+# stepping-out became one loop per side and the repeated-draw loop moved here
+GOLDEN_COVERING = "b2ae64f8c0fb23f6ec7c3fdfc4eaab61d2376bb996ce2fffcece37d41f8d27de"
+GOLDEN_INTERVALS = "7a85eeb913ee5b845f8a2d76b4ee7136b868c35254df3182dbc775a9ecac8182"
+
+
+def test_outputs_match_golden_digests_1d():
+    ivs = [(-1.0, 0.3), (0.5, 1.2)]
+    covering, intervals = hashlib.sha256(), hashlib.sha256()
+    for k, m in enumerate((1, 2, 3, math.inf)):
+        params = StepOutParams(0.8, m)
+        p, se = estimate_covering_probability(ivs, 0.0, math.inf, params, 4000, make_stream(50, k))
+        covering.update(struct.pack("<2d", p, se))
+        intervals.update(sample_intervals(ivs, 0.2, params, 500, make_stream(51, k)).tobytes())
+    assert covering.hexdigest() == GOLDEN_COVERING
+    assert intervals.hexdigest() == GOLDEN_INTERVALS
