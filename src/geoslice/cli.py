@@ -1,29 +1,40 @@
 """Command-line entry point.
 
-Subcommands
------------
+Subcommands, each with the options it takes (every one also takes ``--config``)
+------------------------------------------------------------------------------
 sample      run one chain, stream it as JSON lines
+            --target --m --w --seed --out --steps --burn-in --thin --x0
 bounds      print the convergence certificate for a target/hyperparameter pair
+            --target --m --w --seed --out --epsilon-mode
 verify      endpoint-ensemble TV decay against the certified envelope (CSV)
+            --target --m --w --seed --threads --out --n-list --replicates --bins
+            --epsilon-mode --x0 --gnuplot
 invariance  one-step invariance two-sample test
+            --target --m --w --seed --samples
 lemmas      distributional battery for the 1-D procedures
+            --seed --out --quick
 hyperopt    optimal hyperparameter table
+            --target --seed
 
-Options may come from a flat ``key = value`` config file (``--config``);
-explicit flags override file values, unknown keys are rejected.  Every output
-file starts with a header carrying the tool version, command line and seed;
-timestamps appear only in that header.  Exit codes: 0 success/PASS,
-1 statistical FAIL, 2 usage error, 3 runtime error.
+argparse is the only parser; ``_OPTIONS`` gives each option its type, default
+and range check once.  A flat ``key = value`` config file (``--config``) may
+set only options of its command (``-`` or ``_`` in keys); its lines are parsed
+as ``--key=value`` flags placed right after the command name, so a later flag
+wins.  Boolean options take true/false/yes/no/1/0, or no value for true.
+``--threads`` defaults to the ``GEOSLICE_THREADS`` environment variable,
+checked like the flag and overridden by a file's ``threads``.  Every output file starts with a header carrying the
+tool version, command line and seed; timestamps appear only in that header.
+Exit codes: 0 success/PASS, 1 statistical FAIL, 2 usage error, 3 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__, bounds, harness, kernel, targets
@@ -34,206 +45,152 @@ class UsageError(ValueError):
     pass
 
 
-_COMMON = {
-    "config": dict(type=str, help="flat key = value config file; flags override"),
-    "target": dict(type=str, help="target spec, e.g. uniform:sphere:2 or vmf:sphere:2:kappa=2"),
-    "m": dict(type=str, help="expansion budget: positive integer or 'inf'"),
-    "w": dict(type=float, help="stepping-out width (> 0)"),
-    "seed": dict(type=int, help="64-bit master seed (default: fresh, recorded)"),
-    "threads": dict(type=int, help="worker threads (default: env GEOSLICE_THREADS or 1)"),
-    "out": dict(type=str, help="output file path"),
-}
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit; subparsers inherit it."""
 
-_PER_COMMAND = {
-    "sample": {
-        "steps": dict(type=int, help="number of recorded states"),
-        "burn-in": dict(type=int, help="discarded initial steps"),
-        "thin": dict(type=int, help="record every thin-th step"),
-        "x0": dict(type=str, help="initial point as comma-separated coordinates"),
-    },
-    "bounds": {
-        "epsilon-mode": dict(type=str, help="auto | analytic | corollary | monte-carlo"),
-    },
-    "verify": {
-        "n-list": dict(type=str, help="comma-separated step counts, e.g. 1,5,10"),
-        "replicates": dict(type=int, help="chains per ensemble"),
-        "bins": dict(type=int, help="bin count override"),
-        "epsilon-mode": dict(type=str, help="auto | analytic | corollary | monte-carlo"),
-        "x0": dict(type=str, help="start point override (default: worst-start heuristic)"),
-        "gnuplot": dict(action="store_true", help="also emit a gnuplot script next to the CSV"),
-    },
-    "invariance": {
-        "samples": dict(type=int, help="exact draws per side"),
-    },
-    "lemmas": {
-        "quick": dict(action="store_true", help="reduced sample sizes"),
-    },
-    "hyperopt": {},
-}
-
-_DEFAULTS = {
-    "threads": None,  # resolved from env later
-    "seed": None,     # resolved to a fresh recorded seed
-    "m": "1",
-    "w": 2.0 * math.pi,
-    "steps": 1000,
-    "burn_in": 0,
-    "thin": 1,
-    "n_list": "1,5,10",
-    "replicates": 10_000,
-    "samples": 20_000,
-    "epsilon_mode": "auto",
-}
+    def error(self, message):
+        raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    argv: list
-    values: dict = field(default_factory=dict)
+def _checked(cast, ok, what):
+    """argparse type: ``cast`` the text, then require ``ok`` of the value."""
 
-    def __getattr__(self, name):
+    def convert(text):
         try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name) from None
+            good = ok(value := cast(text))
+        except (ValueError, KeyError):
+            good = False
+        if not good:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
 
-    def resolved(self) -> dict:
-        out = {"command": self.command}
-        for k, v in sorted(self.values.items()):
-            if v is None:
-                continue
-            out[k] = v
-        return out
+    return convert
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _at_least(low):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_FLAG = dict(
+    nargs="?", const=True,
+    type=_checked(lambda s: _BOOLS[s.lower()], lambda v: True, "true/false/yes/no/1/0"),
+)
+
+_OPTIONS = {
+    "config": dict(help="flat key = value file of this command's options; flags override"),
+    "target": dict(help="target spec, e.g. uniform:sphere:2 or vmf:sphere:2:kappa=2"),
+    "m": dict(
+        type=_checked(float, lambda m: m == math.inf or (m >= 1 and m.is_integer()),
+                      "a positive integer or 'inf'"),
+        default="1", help="expansion budget: positive integer or 'inf'",
+    ),
+    "w": dict(type=_checked(float, lambda w: w > 0, "a positive number"),
+              default=2.0 * math.pi, help="stepping-out width (> 0)"),
+    # the random streams read a seed modulo 2**64, so a larger one would alias a smaller
+    "seed": dict(type=_checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)"),
+                 help="64-bit master seed (default: fresh, recorded)"),
+    "threads": dict(
+        type=_checked(int, lambda v: v >= 1, "an integer >= 1 from --threads or GEOSLICE_THREADS"),
+        help="worker threads (default: env GEOSLICE_THREADS or 1)",
+    ),
+    "out": dict(help="output file path"),
+    "steps": dict(type=_at_least(0), default=1000, help="number of recorded states"),
+    "burn-in": dict(type=_at_least(0), default=0, help="discarded initial steps"),
+    "thin": dict(type=_at_least(1), default=1, help="record every thin-th step"),
+    "x0": dict(help="start point as comma-separated coordinates (default: a target draw "
+                    "or the worst start)"),
+    "epsilon-mode": dict(choices=bounds.EPSILON_MODES, default="auto",
+                         help="source of the minorisation constant"),
+    "n-list": dict(
+        type=_checked(lambda s: [int(c) for c in s.split(",") if c.strip()],
+                      lambda ns: min(ns) >= 1, "comma-separated step counts >= 1"),
+        default="1,5,10", help="comma-separated step counts, e.g. 1,5,10",
+    ),
+    # each ensemble feeds one TV estimate
+    "replicates": dict(type=_at_least(harness.MIN_TV_POINTS), default=10_000,
+                       help="chains per ensemble"),
+    "bins": dict(type=_at_least(1), help="bin count override"),
+    "gnuplot": dict(_FLAG, help="also emit a gnuplot script next to the --out CSV"),
+    "samples": dict(type=_at_least(1), default=20_000, help="exact draws per side"),
+    "quick": dict(_FLAG, help="reduced sample sizes"),
+}
+
+_COMMANDS = {
+    "sample": ("target", "m", "w", "seed", "out", "steps", "burn-in", "thin", "x0"),
+    "bounds": ("target", "m", "w", "seed", "out", "epsilon-mode"),
+    "verify": ("target", "m", "w", "seed", "threads", "out", "n-list", "replicates", "bins",
+               "epsilon-mode", "x0", "gnuplot"),
+    "invariance": ("target", "m", "w", "seed", "samples"),
+    "lemmas": ("seed", "out", "quick"),
+    "hyperopt": ("target", "seed"),
+}
+
+
+def _build_parser(threads: str) -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="geoslice",
         description="geodesic slice sampling with explicit convergence certificates",
     )
     parser.add_argument("--version", action="version", version=f"geoslice {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for cmd, extra in _PER_COMMAND.items():
+    # defaults read per run; a string default goes through the option's type
+    run_defaults = {"threads": threads, "seed": fresh_seed()}
+    for cmd, names in _COMMANDS.items():
         sp = subs.add_parser(cmd)
-        for name, kw in {**_COMMON, **extra}.items():
-            if kw.get("action") == "store_true":
-                sp.add_argument(f"--{name}", action="store_true", default=None)
-            else:
-                sp.add_argument(f"--{name}", default=None, **kw)
+        for name in ("config", *names):
+            sp.add_argument(f"--{name}", **_OPTIONS[name])
+        sp.set_defaults(**{k: v for k, v in run_defaults.items() if k in names})
     return parser
 
 
-def _read_config_file(path: str, allowed: set) -> dict:
-    out = {}
+def _config_tokens(path: str, names) -> list:
+    """The ``key = value`` lines of a config file as ``--key=value`` flags."""
+    tokens = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
+                key, eq, value = line.partition("=")
+                key = key.strip().replace("_", "-")
+                if not eq:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-                key, val = (s.strip() for s in line.split("=", 1))
-                key = key.replace("-", "_")
-                if key not in allowed:
-                    raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-                out[key] = val
+                if key not in names:
+                    raise UsageError(f"{path}:{lineno}: {key!r} is not an option of this command")
+                tokens.append(f"--{key}={value.strip()}")
     except OSError as e:
         raise UsageError(f"cannot read config file {path}: {e}") from None
-    return out
+    return tokens
 
 
-_CASTS = {
-    "w": float,
-    "seed": int,
-    "threads": int,
-    "steps": int,
-    "burn_in": int,
-    "thin": int,
-    "replicates": int,
-    "samples": int,
-    "bins": int,
-    "quick": lambda s: str(s).lower() in ("1", "true", "yes"),
-    "gnuplot": lambda s: str(s).lower() in ("1", "true", "yes"),
-}
+def parse_config(argv=None) -> argparse.Namespace:
+    """Parse the command line with the --config file's flags ahead of it; ``argv`` is kept.
 
-_MINIMUMS = {
-    "steps": 0,
-    "burn_in": 0,
-    "thin": 1,
-    "replicates": harness.MIN_TV_POINTS,  # each ensemble feeds one TV estimate
-    "samples": 1,
-    "bins": 1,
-}
-
-
-def parse_config(argv=None) -> RunConfig:
-    """Parse command line plus optional config file into a resolved RunConfig."""
+    The first pass finds the command and its config file.  GEOSLICE_THREADS
+    enters only the second, so a file's ``threads`` overrides it as a flag does.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    ns = _build_parser().parse_args(argv)
-    command = ns.command
-    values = {k.replace("-", "_"): v for k, v in vars(ns).items() if k != "command"}
-    allowed = set(values)
-    if values.get("config"):
-        file_vals = _read_config_file(values["config"], allowed)
-        for k, v in file_vals.items():
-            if values.get(k) is None:  # explicit flags win
-                values[k] = _CASTS.get(k, str)(v)
-    for k, v in _DEFAULTS.items():
-        if k in values and values[k] is None:
-            values[k] = v
-    if values.get("threads") is None:
-        values["threads"] = int(os.environ.get("GEOSLICE_THREADS", "1"))
-    if values.get("seed") is None:
-        values["seed"] = fresh_seed()
-    cfg = RunConfig(command=command, argv=argv, values=values)
-    _validate(cfg)
-    return cfg
+    first = _build_parser("1").parse_args(argv)
+    at = argv.index(first.command) + 1
+    tokens = _config_tokens(first.config, _COMMANDS[first.command]) if first.config else []
+    parser = _build_parser(os.environ.get("GEOSLICE_THREADS") or "1")
+    ns = parser.parse_args(argv[:at] + tokens + argv[at:])
+    ns.argv = argv
+    return ns
 
 
-def _parse_m(text) -> float:
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        mv = float(text)
-    else:
-        t = str(text).strip().lower()
-        mv = math.inf if t in ("inf", "infinity") else float(t)
-    if not math.isinf(mv) and (mv < 1 or int(mv) != mv):
-        raise UsageError(f"m must be a positive integer or 'inf', got {text!r}")
-    return mv
-
-
-def _validate(cfg: RunConfig) -> None:
-    v = cfg.values
-    if "m" in v and v["m"] is not None:
-        v["m"] = _parse_m(v["m"])
-    if "w" in v and v["w"] is not None and not v["w"] > 0:
-        raise UsageError(f"w must be positive, got {v['w']}")
-    if "n_list" in v and v["n_list"] is not None and isinstance(v["n_list"], str):
-        try:
-            v["n_list"] = [int(s) for s in v["n_list"].split(",") if s.strip()]
-        except ValueError:
-            raise UsageError(f"bad n-list {v['n_list']!r}") from None
-        if not v["n_list"] or min(v["n_list"]) < 1:
-            raise UsageError(f"n-list needs step counts >= 1, got {v['n_list']}")
-    for key, low in _MINIMUMS.items():
-        if v.get(key) is not None and v[key] < low:
-            raise UsageError(f"--{key.replace('_', '-')} must be >= {low}, got {v[key]}")
-    if v.get("epsilon_mode") not in (None,) + bounds.EPSILON_MODES:
-        raise UsageError(f"bad epsilon-mode {v['epsilon_mode']!r}")
-
-
-def _resolve_target(cfg: RunConfig) -> targets.Target:
-    spec = cfg.values.get("target")
-    if not spec:
+def _resolve_target(cfg: argparse.Namespace) -> targets.Target:
+    if not cfg.target:
         raise UsageError(f"command {cfg.command!r} needs --target")
     try:
-        return targets.from_spec(spec)
+        return targets.from_spec(cfg.target)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
 
-def _start(cfg: RunConfig, target: targets.Target):
+def _start(cfg: argparse.Namespace, target: targets.Target):
     """The --x0 point on the target's manifold."""
     try:
         return target.manifold.point([float(s) for s in cfg.x0.split(",")])
@@ -241,25 +198,26 @@ def _start(cfg: RunConfig, target: targets.Target):
         raise UsageError(f"bad --x0 {cfg.x0!r}: {e}") from None
 
 
-def _gss_config(cfg: RunConfig, target: targets.Target) -> kernel.GssConfig:
+def _gss_config(cfg: argparse.Namespace, target: targets.Target) -> kernel.GssConfig:
     try:
         return kernel.GssConfig(target=target, w=cfg.w, m=cfg.m, seed=cfg.seed)
     except kernel.ConfigError as e:
         raise UsageError(str(e)) from None
 
 
-def _header_lines(cfg: RunConfig) -> list:
+def _header_lines(cfg: argparse.Namespace) -> list:
+    config = {k: v for k, v in vars(cfg).items() if v is not None and k != "argv"}
     return [
         f"# geoslice {__version__}",
         f"# command: geoslice {' '.join(cfg.argv)}",
         f"# seed: {cfg.seed}",
         f"# timestamp: {datetime.now(timezone.utc).isoformat()}",
-        f"# config: {json.dumps(cfg.resolved(), sort_keys=True, default=str)}",
+        f"# config: {json.dumps(config, sort_keys=True, default=str)}",
     ]
 
 
-def dispatch(cfg: RunConfig) -> int:
-    """Execute a parsed run configuration; returns the process exit code."""
+def dispatch(cfg: argparse.Namespace) -> int:
+    """Execute a parsed command line; returns the process exit code."""
     handler = {
         "sample": _cmd_sample,
         "bounds": _cmd_bounds,
@@ -271,29 +229,27 @@ def dispatch(cfg: RunConfig) -> int:
     return handler(cfg)
 
 
-def _cmd_bounds(cfg: RunConfig) -> int:
+def _cmd_bounds(cfg: argparse.Namespace) -> int:
     target = _resolve_target(cfg)
-    mode = cfg.values.get("epsilon_mode") or "auto"
-    rng = make_stream(cfg.seed, 0) if mode == "monte-carlo" else None
+    rng = make_stream(cfg.seed, 0) if cfg.epsilon_mode == "monte-carlo" else None
     try:
-        report = bounds.full_report(target, cfg.m, cfg.w, mode, rng=rng)
+        report = bounds.full_report(target, cfg.m, cfg.w, cfg.epsilon_mode, rng=rng)
     except (bounds.ApplicabilityError, ValueError) as e:
         raise UsageError(str(e)) from None
-    for line in _header_lines(cfg):
+    header = _header_lines(cfg)
+    for line in header + report.lines():
         print(line)
-    for line in report.lines():
-        print(line)
-    if cfg.values.get("out"):
+    if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(_header_lines(cfg)) + "\n")
+            fh.write("\n".join(header) + "\n")
             fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
     return 0
 
 
-def _cmd_sample(cfg: RunConfig) -> int:
+def _cmd_sample(cfg: argparse.Namespace) -> int:
     target = _resolve_target(cfg)
     gss = _gss_config(cfg, target)
-    if cfg.values.get("x0"):
+    if cfg.x0:
         x0 = _start(cfg, target)
     elif target.has_reference_sampler:
         x0 = targets.reference_sample(target, make_stream(cfg.seed, 7))
@@ -305,39 +261,36 @@ def _cmd_sample(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    if cfg.values.get("out"):
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            kernel.run_chain(
-                x0, cfg.steps, gss, burn_in=cfg.burn_in, thin=cfg.thin,
-                sink=fh, header_extra=header_extra,
-            )
-        print(f"wrote {cfg.steps} states to {cfg.out}")
-    else:
+    sink = open(cfg.out, "w", encoding="utf-8") if cfg.out else contextlib.nullcontext(sys.stdout)
+    with sink as fh:
         kernel.run_chain(
             x0, cfg.steps, gss, burn_in=cfg.burn_in, thin=cfg.thin,
-            sink=sys.stdout, header_extra=header_extra,
+            sink=fh, header_extra=header_extra,
         )
+    if cfg.out:
+        print(f"wrote {cfg.steps} states to {cfg.out}")
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> int:
+    if cfg.gnuplot and not cfg.out:
+        raise UsageError("--gnuplot writes its script next to the --out CSV; give --out")
     target = _resolve_target(cfg)
     gss = _gss_config(cfg, target)
-    x0 = _start(cfg, target) if cfg.values.get("x0") else harness.worst_start(target)
-    mode = cfg.values.get("epsilon_mode") or "auto"
+    x0 = _start(cfg, target) if cfg.x0 else harness.worst_start(target)
     curve = harness.verify_uniform_ergodicity(
         target, gss, x0, cfg.n_list, cfg.replicates,
-        threads=cfg.threads, bins=cfg.values.get("bins"), epsilon_mode=mode,
+        threads=cfg.threads, bins=cfg.bins, epsilon_mode=cfg.epsilon_mode,
     )
     lines = _header_lines(cfg)
     lines.append("n,tv,se,envelope,pass")
     for n, tv, se, env, ok in curve.csv_rows():
         lines.append(f"{n},{tv!r},{se!r},{env!r},{int(ok)}")
     text = "\n".join(lines) + "\n"
-    if cfg.values.get("out"):
+    if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        if cfg.values.get("gnuplot"):
+        if cfg.gnuplot:
             script = cfg.out + ".gp"
             with open(script, "w", encoding="utf-8") as fh:
                 fh.write(_gnuplot_script(cfg.out, curve.rho))
@@ -365,7 +318,7 @@ def _gnuplot_script(csv_path: str, rho: float) -> str:
     )
 
 
-def _cmd_invariance(cfg: RunConfig) -> int:
+def _cmd_invariance(cfg: argparse.Namespace) -> int:
     target = _resolve_target(cfg)
     gss = _gss_config(cfg, target)
     rep = harness.invariance_test(target, gss, cfg.samples, seed=cfg.seed)
@@ -377,11 +330,11 @@ def _cmd_invariance(cfg: RunConfig) -> int:
     return 0 if rep.passed else 1
 
 
-def _cmd_lemmas(cfg: RunConfig) -> int:
-    report = harness.lemma_suite(cfg.seed, quick=bool(cfg.values.get("quick")))
+def _cmd_lemmas(cfg: argparse.Namespace) -> int:
+    report = harness.lemma_suite(cfg.seed, quick=bool(cfg.quick))
     lines = _header_lines(cfg) + list(report.summary_lines())
     text = "\n".join(lines) + "\n"
-    if cfg.values.get("out"):
+    if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
@@ -399,8 +352,8 @@ _HYPEROPT_PRESETS = [
 ]
 
 
-def _cmd_hyperopt(cfg: RunConfig) -> int:
-    if cfg.values.get("target"):
+def _cmd_hyperopt(cfg: argparse.Namespace) -> int:
+    if cfg.target:
         rows = [(cfg.target, _resolve_target(cfg))]
     else:
         rows = [(spec, targets.from_spec(spec)) for spec in _HYPEROPT_PRESETS]
@@ -419,17 +372,12 @@ def _cmd_hyperopt(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(argv)
+        return dispatch(parse_config(argv))
     except UsageError as e:
         print(f"geoslice: error: {e}", file=sys.stderr)
         return 2
-    except SystemExit as e:  # argparse error or --help
+    except SystemExit as e:  # --help or --version
         return int(e.code or 0)
-    try:
-        return dispatch(cfg)
-    except UsageError as e:
-        print(f"geoslice: error: {e}", file=sys.stderr)
-        return 2
     except Exception as e:  # noqa: BLE001 - map anything else to the runtime code
         print(f"geoslice: runtime error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

@@ -452,6 +452,8 @@ def invariance_test(
     """
     if not target.has_reference_sampler:
         raise ValueError(f"target {target.name!r} has no reference sampler")
+    if samples < 1:
+        raise ValueError(f"invariance test needs samples >= 1, got {samples}")
     base = config.seed if seed is None else seed
     start = targets.reference_samples(target, samples, make_stream(base, 1))
     rng = make_stream(base, 2)

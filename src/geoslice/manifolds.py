@@ -84,6 +84,8 @@ class Manifold:
         c = np.asarray(coords, dtype=float)
         if c.shape != (self.embedding_dim,):
             raise ValueError(f"point has shape {c.shape}, not ({self.embedding_dim},), on {self.spec}")
+        if not np.isfinite(c).all():
+            raise ValueError(f"point has non-finite coordinates {c.tolist()} on {self.spec}")
         return c
 
     # -- core operations on coordinate arrays ---------------------------------------

@@ -62,28 +62,91 @@ def test_config_file_unknown_key_rejected(tmp_path):
         cli.parse_config(["bounds", "--target", "uniform:sphere:1", "--config", str(cfgfile)])
 
 
-def test_unknown_flag_is_usage_error(capsys):
-    code = cli.main(["bounds", "--target", "uniform:sphere:1", "--frob", "1"])
-    assert code == 2
+# one value per option, none of them its default
+_OPTION_VALUES = {
+    "target": "uniform:sphere:2", "m": "3", "w": "1.5", "seed": "42", "threads": "3",
+    "out": "run.out", "steps": "7", "burn-in": "2", "thin": "2", "x0": "0,1,0",
+    "epsilon-mode": "analytic", "n-list": "1,2", "replicates": "2000", "bins": "9",
+    "samples": "50", "quick": "yes", "gnuplot": "true",
+}
+
+
+def test_config_file_value_parses_like_the_flag(tmp_path, monkeypatch):
+    monkeypatch.delenv("GEOSLICE_THREADS", raising=False)
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    cfgfile = tmp_path / "run.cfg"
+    for cmd, names in cli._COMMANDS.items():
+        for i, name in enumerate(names):
+            value = _OPTION_VALUES[name]
+            key = name.replace("-", "_") if i % 2 else name  # both spellings
+            cfgfile.write_text(f"{key} = {value}\n")
+            dest = name.replace("-", "_")
+            parsed = lambda *args: getattr(cli.parse_config([cmd, "--config", *args]), dest)
+            via_file = parsed(str(cfgfile))
+            via_flag = parsed(str(empty), f"--{name}", value)
+            default = parsed(str(empty))
+            assert via_file == via_flag, (cmd, name)
+            assert via_flag != default or name == "seed", (cmd, name)  # the seed default is fresh
+
+
+def test_help_for_every_command(capsys):
+    for cmd in ("sample", "bounds", "verify", "invariance", "lemmas", "hyperopt"):
+        assert cli.main([cmd, "--help"]) == 0, cmd
+        assert capsys.readouterr().out.startswith(f"usage: geoslice {cmd}"), cmd
+
+
+def test_unknown_flag_is_usage_error(capsys, tmp_path, monkeypatch):
+    assert run_cli(["bounds", "--target", "uniform:sphere:1", "--frob", "1"], capsys)[0] == 2
     # malformed or out-of-range values are usage errors too, caught before any output
     sphere2 = ["--target", "uniform:sphere:2", "--m", "1", "--seed", "1"]
-    for args in [
+    cases = [
         ["sample", *sphere2, "--x0", "1,0"],
         ["sample", *sphere2, "--x0", "a,b,c"],
+        ["sample", *sphere2, "--x0", "nan,0,0"],
         ["verify", *sphere2, "--x0", "1,0"],
         ["sample", *sphere2, "--steps", "-1"],
         ["sample", *sphere2, "--thin", "0"],
         ["sample", *sphere2, "--burn-in", "-5"],
+        ["sample", *sphere2, "--seed=-1"],
+        ["sample", *sphere2, "--seed", str(2**64 + 5)],  # would alias seed 5
         ["verify", *sphere2, "--replicates", "10"],
         ["verify", *sphere2, "--bins", "-4"],
         ["verify", *sphere2, "--bins", "0"],
         ["verify", *sphere2, "--n-list", "0"],
         ["verify", *sphere2, "--n-list", "-3"],
+        ["verify", *sphere2, "--threads", "0"],
+        ["verify", *sphere2, "--gnuplot"],  # the script goes next to --out
         ["invariance", *sphere2, "--samples", "0"],
+    ]
+    # options a command does not read are rejected, not ignored
+    for cmd, option, value in [
+        ("sample", "threads", "2"), ("bounds", "threads", "2"),
+        ("invariance", "threads", "2"), ("invariance", "out", "x.txt"),
+        ("lemmas", "target", "uniform:sphere:2"), ("lemmas", "m", "1"),
+        ("lemmas", "w", "1.0"), ("lemmas", "threads", "2"),
+        ("hyperopt", "m", "1"), ("hyperopt", "w", "1.0"),
+        ("hyperopt", "threads", "2"), ("hyperopt", "out", "x.txt"),
     ]:
+        base = ["--seed", "1", "--quick"] if cmd == "lemmas" else sphere2
+        cases.append([cmd, *base, f"--{option}", value])
+    # config-file values are checked like flags
+    for cmd, line in [
+        ("bounds", "seed = 1.5"), ("bounds", "w = abc"), ("bounds", "m = 2.5"),
+        ("lemmas", "quick = maybe"), ("bounds", "threads = 2"),
+    ]:
+        cfgfile = tmp_path / f"bad{len(cases)}.cfg"
+        cfgfile.write_text(line + "\n")
+        target = [] if cmd == "lemmas" else ["--target", "uniform:sphere:1"]
+        cases.append([cmd, *target, "--config", str(cfgfile)])
+    for args in cases:
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (2, ""), args
-        assert "runtime error" not in err, args
+        assert "runtime error" not in err and len(err.splitlines()) == 1, args
+    # the environment default of --threads is checked like the flag
+    monkeypatch.setenv("GEOSLICE_THREADS", "abc")
+    code, out, err = run_cli(["verify", *sphere2], capsys)
+    assert (code, out) == (2, "") and "GEOSLICE_THREADS" in err
 
 
 def test_bounds_stdout_contains_rho(capsys):
@@ -227,7 +290,7 @@ def test_bad_target_spec_is_usage_error(capsys):
         assert code == 2, spec
 
 
-def test_threads_default_from_environment(monkeypatch):
+def test_threads_default_from_environment(monkeypatch, tmp_path):
     monkeypatch.setenv("GEOSLICE_THREADS", "6")
     cfg = cli.parse_config(["verify", "--target", "uniform:sphere:1", "--seed", "1"])
     assert cfg.threads == 6
@@ -235,6 +298,12 @@ def test_threads_default_from_environment(monkeypatch):
         ["verify", "--target", "uniform:sphere:1", "--seed", "1", "--threads", "2"]
     )
     assert cfg2.threads == 2
+    # a config file's threads overrides the environment, even a malformed one
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("threads = 3\n")
+    for env in ("6", "abc"):
+        monkeypatch.setenv("GEOSLICE_THREADS", env)
+        assert cli.parse_config(["verify", "--config", str(cfgfile)]).threads == 3
 
 
 def test_verify_advisory_epsilon_exits_nonzero(capsys):

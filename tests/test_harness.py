@@ -241,6 +241,14 @@ def test_invariance_needs_reference_sampler():
         invariance_test(t, cfg, 2000, seed=1)
 
 
+def test_invariance_needs_a_sample():
+    t = targets.from_spec("uniform:sphere:1")
+    cfg = kernel.GssConfig(target=t, w=TWO_PI, m=1, seed=1)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            invariance_test(t, cfg, samples, seed=1)
+
+
 # -- battery -------------------------------------------------------------------------
 
 def test_battery_quick_all_pass():

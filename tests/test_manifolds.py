@@ -264,7 +264,11 @@ def test_point_validation():
 
 def test_dimension_mismatch_raises():
     for man, coords in [
-        (Sphere(2), [1.0, 0.0]), (Euclidean(2), [0.0, 0.0, 1.0]), (Torus(2, 1.0), [0.5])
+        (Sphere(2), [1.0, 0.0]), (Euclidean(2), [0.0, 0.0, 1.0]), (Torus(2, 1.0), [0.5]),
+        # non-finite coordinates are not points either
+        (Sphere(2), [math.nan, 0.0, 0.0]), (Sphere(2), [math.inf, 0.0, 0.0]),
+        (Euclidean(2), [math.nan, 0.0]), (Euclidean(2), [0.0, -math.inf]),
+        (Torus(2, 1.0), [math.nan, 0.5]), (Torus(2, 1.0), [0.5, math.inf]),
     ]:
         with pytest.raises(ValueError):
             man.point(coords)
