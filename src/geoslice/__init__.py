@@ -14,4 +14,4 @@ from . import bounds, harness, kernel, manifolds, slice1d, targets  # noqa: E402
 from .bounds import BoundsReport, full_report, optimal_hyperparameters  # noqa: F401
 from .kernel import GssConfig, endpoint_ensemble, run_chain  # noqa: F401
 from .manifolds import Manifold, Point  # noqa: F401
-from .targets import Target, reference_sample  # noqa: F401
+from .targets import Target  # noqa: F401

@@ -38,6 +38,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__, bounds, harness, kernel, targets
+from .manifolds import Point
 from .rng import fresh_seed, make_stream
 
 
@@ -145,7 +146,11 @@ def _build_parser(threads: str) -> argparse.ArgumentParser:
 
 
 def _config_tokens(path: str, names) -> list:
-    """The ``key = value`` lines of a config file as ``--key=value`` flags."""
+    """The ``key = value`` lines of a config file as ``--key=value`` flags.
+
+    Each flag is parsed here on its own, so a bad value is reported with the
+    file and line; a boolean key with no value becomes ``--key`` (true).
+    """
     tokens = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -153,13 +158,20 @@ def _config_tokens(path: str, names) -> list:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                key, eq, value = line.partition("=")
-                key = key.strip().replace("_", "-")
+                key, eq, value = (part.strip() for part in line.partition("="))
+                key = key.replace("_", "-")
                 if not eq:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
                 if key not in names:
                     raise UsageError(f"{path}:{lineno}: {key!r} is not an option of this command")
-                tokens.append(f"--{key}={value.strip()}")
+                token = f"--{key}={value}" if value else f"--{key}"
+                check = _Parser(add_help=False)
+                check.add_argument(f"--{key}", **_OPTIONS[key])
+                try:
+                    check.parse_args([token])
+                except UsageError as e:
+                    raise UsageError(f"{path}:{lineno}: {e}") from None
+                tokens.append(token)
     except OSError as e:
         raise UsageError(f"cannot read config file {path}: {e}") from None
     return tokens
@@ -251,8 +263,8 @@ def _cmd_sample(cfg: argparse.Namespace) -> int:
     gss = _gss_config(cfg, target)
     if cfg.x0:
         x0 = _start(cfg, target)
-    elif target.has_reference_sampler:
-        x0 = targets.reference_sample(target, make_stream(cfg.seed, 7))
+    elif target.sampler is not None:
+        x0 = Point(targets.reference_samples(target, 1, make_stream(cfg.seed, 7))[0])
     else:
         x0 = harness.worst_start(target)
     header_extra = {
@@ -278,10 +290,13 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
     target = _resolve_target(cfg)
     gss = _gss_config(cfg, target)
     x0 = _start(cfg, target) if cfg.x0 else harness.worst_start(target)
-    curve = harness.verify_uniform_ergodicity(
-        target, gss, x0, cfg.n_list, cfg.replicates,
-        threads=cfg.threads, bins=cfg.bins, epsilon_mode=cfg.epsilon_mode,
-    )
+    try:
+        curve = harness.verify_uniform_ergodicity(
+            target, gss, x0, cfg.n_list, cfg.replicates,
+            threads=cfg.threads, bins=cfg.bins, epsilon_mode=cfg.epsilon_mode,
+        )
+    except bounds.ApplicabilityError as e:
+        raise UsageError(str(e)) from None
     lines = _header_lines(cfg)
     lines.append("n,tv,se,envelope,pass")
     for n, tv, se, env, ok in curve.csv_rows():

@@ -368,17 +368,21 @@ def verify_uniform_ergodicity(
     x0 and its TV distance to the target estimated; the check passes when
     every estimate stays below rho^n + 3 SE + bias.  Only a certified
     covering probability can produce a PASS; with a Monte-Carlo epsilon the
-    whole curve is advisory and ``passed`` is always False.
+    whole curve is advisory and ``passed`` is always False.  A certificate or
+    binning that does not apply raises ApplicabilityError before any chain runs.
     """
     if not n_list:
         raise ValueError("n_list must not be empty")
     if min(n_list) < 1:
         raise ValueError(f"step counts must be >= 1, got {list(n_list)}")
-    report = bounds.full_report(
-        target, config.m, config.w, epsilon_mode,
-        rng=make_stream(config.seed, 41) if epsilon_mode == "monte-carlo" else None,
-    )
-    binning = make_binning(target, bins)
+    try:
+        report = bounds.full_report(
+            target, config.m, config.w, epsilon_mode,
+            rng=make_stream(config.seed, 41) if epsilon_mode == "monte-carlo" else None,
+        )
+        binning = make_binning(target, bins)
+    except ValueError as e:
+        raise slice1d.ApplicabilityError(str(e)) from e
     pts = []
     bias = 0.0
     for n in n_list:
@@ -450,7 +454,7 @@ def invariance_test(
     PASS means p > 0.001.  With ``broken=True`` the transition skips the
     shrinkage acceptance check; a correct test must fail loudly on it.
     """
-    if not target.has_reference_sampler:
+    if target.sampler is None:
         raise ValueError(f"target {target.name!r} has no reference sampler")
     if samples < 1:
         raise ValueError(f"invariance test needs samples >= 1, got {samples}")

@@ -42,7 +42,7 @@ class GssConfig:
     def __post_init__(self):
         params = slice1d.StepOutParams(self.w, self.m)  # validates w, m
         object.__setattr__(self, "_step_out_params", params)
-        if math.isinf(self.m) and not self.target.lambda_finite:
+        if math.isinf(self.m) and not math.isfinite(self.target.lambda_value):
             raise ConfigError(
                 "m = inf requires every geodesic to meet the support in a bounded "
                 f"parameter set, which fails for target {self.target.name!r} "

@@ -1,7 +1,8 @@
 """Built-in state spaces: Euclidean space, the round sphere, and flat tori.
 
 Each manifold provides geodesics through the exponential map, uniform unit
-tangent directions, geodesic distance, cut times, and the metadata consumed
+tangent directions, geodesic distance, cut times (a float, which may be a
+lower bound of the true cut time), and the metadata consumed
 by the convergence-bound calculator (dimension, diameter, Ricci lower bound,
 injectivity radius, unit-sphere area of the tangent spaces, total measure).
 
@@ -61,14 +62,6 @@ class ManifoldInfo:
     total_measure: float
 
 
-@dataclass(frozen=True)
-class CutTime:
-    """Cut time along a direction; ``is_lower_bound`` marks conservative values."""
-
-    value: float
-    is_lower_bound: bool = False
-
-
 class Manifold:
     """Common interface of the built-in geometries."""
 
@@ -89,8 +82,8 @@ class Manifold:
         return c
 
     # -- core operations on coordinate arrays ---------------------------------------
-    def cut_time(self, x: np.ndarray, v: np.ndarray) -> CutTime:
-        """Cut time of the geodesic from x along the unit direction v."""
+    def cut_time(self, x: np.ndarray, v: np.ndarray) -> float:
+        """Cut time of the geodesic from x along the unit direction v, or a lower bound."""
         raise NotImplementedError
 
     @property
@@ -163,8 +156,8 @@ class Euclidean(Manifold):
     def distance_array(self, x, y):
         return float(np.linalg.norm(x - y))
 
-    def cut_time(self, x, v) -> CutTime:
-        return CutTime(math.inf)
+    def cut_time(self, x, v) -> float:
+        return math.inf
 
     @property
     def info(self) -> ManifoldInfo:
@@ -216,8 +209,8 @@ class Sphere(Manifold):
     def distance_array(self, x, y):
         return math.acos(min(1.0, max(-1.0, float(x @ y))))
 
-    def cut_time(self, x, v) -> CutTime:
-        return CutTime(math.pi)
+    def cut_time(self, x, v) -> float:
+        return math.pi
 
     @property
     def info(self) -> ManifoldInfo:
@@ -268,17 +261,14 @@ class Torus(Manifold):
         d = np.minimum(d, self.period - d)
         return float(np.linalg.norm(d))
 
-    def cut_time(self, x, v) -> CutTime:
-        """Half the shortest closed geodesic length along v.
+    def cut_time(self, x, v) -> float:
+        """The injectivity radius P/2.
 
-        Exact (P/2) when v is an axis direction; for generic directions the
-        true cut time needs lattice reduction, so the injectivity radius is
-        returned flagged as a lower bound (bound consumers stay conservative).
+        Exact when v is an axis direction; for generic directions the true cut
+        time needs lattice reduction, so P/2 is a lower bound there (bound
+        consumers stay conservative).
         """
-        axis_aligned = np.sum(np.abs(np.abs(v) - 1.0) < _NORM_TOL) == 1 and (
-            np.sum(np.abs(v) > _NORM_TOL) == 1
-        )
-        return CutTime(self.period / 2.0, is_lower_bound=not axis_aligned)
+        return self.period / 2.0
 
     @property
     def info(self) -> ManifoldInfo:

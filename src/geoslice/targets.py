@@ -3,9 +3,9 @@
 A :class:`Target` bundles a density p >= 0 on one of the built-in manifolds
 with the metadata the bound calculator needs: the sup norm of p, the diameter
 of the support W = {p > 0}, the worst gap inside geodesic sections of the
-superlevel sets (``max_gap``), whether chords of the support along geodesics
-have bounded length (``lambda_finite`` / ``lambda_value``), and the level-set
-function t -> volume({p > t}).
+superlevel sets (``max_gap``), the longest chord of the support along a
+geodesic (``lambda_value``, inf when unbounded), and the level-set function
+t -> volume({p > t}), which is also the only record of the support's volume.
 
 Superlevel sets are strict throughout ({p > t}, not {p >= t}), matching the
 lower semi-continuity convention of the densities.
@@ -40,7 +40,7 @@ import numpy as np
 from scipy import integrate, special
 
 from . import manifolds
-from .manifolds import Manifold, Point, Sphere, Euclidean, Torus
+from .manifolds import Manifold, Sphere, Euclidean, Torus
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,6 @@ class LevelSetFunction:
     measure: Callable[[float], float]
     stderr: Callable[[float], float]
     analytic: bool
-    n_samples: int = 0
 
     def __call__(self, t: float) -> float:
         return self.measure(t)
@@ -220,7 +219,7 @@ def _monte_carlo_level_fn(
         f = float(np.mean(vals > t))
         return total * math.sqrt(max(f * (1.0 - f), 1e-300) / n_samples)
 
-    return LevelSetFunction(measure=measure, stderr=stderr, analytic=False, n_samples=n_samples)
+    return LevelSetFunction(measure=measure, stderr=stderr, analytic=False)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +239,7 @@ class Target:
     diam_w: float
     max_gap: Optional[float]          # sup gap inside geodesic superlevel sections
     max_gap_analytic: bool
-    lambda_finite: bool
-    lambda_value: float               # inf when lambda_finite is False
-    support_measure: Optional[float]  # volume of W when known
+    lambda_value: float               # inf when geodesic chords of W are unbounded
     level_set: LevelSetFunction
     sampler: Optional[Callable[[int, np.random.Generator], np.ndarray]]
     convex_level_sets: bool = False
@@ -255,10 +252,6 @@ class Target:
     bin_masses: Optional[Callable[[list], np.ndarray]] = None
     grid_half: Optional[np.ndarray] = None
 
-    @property
-    def has_reference_sampler(self) -> bool:
-        return self.sampler is not None
-
     def rescaled(self, c: float) -> "Target":
         """Same distribution with density multiplied by c > 0."""
         if not c > 0:
@@ -269,7 +262,6 @@ class Target:
             measure=lambda t: base_level.measure(t / c),
             stderr=lambda t: base_level.stderr(t / c),
             analytic=base_level.analytic,
-            n_samples=base_level.n_samples,
         )
         return replace(
             self,
@@ -310,9 +302,7 @@ def uniform_target(manifold: Manifold) -> Target:
         diam_w=manifold.info.diameter,
         max_gap=0.0,
         max_gap_analytic=True,
-        lambda_finite=False,  # geodesics on compact manifolds wrap through W forever
-        lambda_value=math.inf,
-        support_measure=total,
+        lambda_value=math.inf,  # geodesics on compact manifolds wrap through W forever
         level_set=level,
         sampler=lambda n, rng: manifold.uniform_points(n, rng),
         is_uniform=True,
@@ -375,9 +365,7 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
         diam_w=min(2.0 * colatitude, math.pi),
         max_gap=gap,
         max_gap_analytic=True,
-        lambda_finite=False,
         lambda_value=math.inf,
-        support_measure=area,
         level_set=level,
         sampler=sampler,
         is_uniform=True,
@@ -438,9 +426,7 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
         # Superlevel caps larger than a hemisphere leave gaps approaching pi.
         max_gap=math.pi,
         max_gap_analytic=True,
-        lambda_finite=False,
         lambda_value=math.inf,
-        support_measure=total,
         level_set=_analytic_level_fn(level_measure),
         sampler=sampler,
         params={"concentration": kap, "mean": mu},
@@ -509,9 +495,7 @@ def ball_target(dim: int, radius: float) -> Target:
         diam_w=2.0 * r,
         max_gap=0.0,
         max_gap_analytic=True,
-        lambda_finite=True,
         lambda_value=2.0 * r,
-        support_measure=vol,
         level_set=_analytic_level_fn(lambda t: vol if t < 1.0 else 0.0),
         sampler=sampler,
         convex_level_sets=True,
@@ -554,9 +538,7 @@ def box_target(extents) -> Target:
         diam_w=diam,
         max_gap=0.0,
         max_gap_analytic=True,
-        lambda_finite=True,
         lambda_value=diam,
-        support_measure=vol,
         level_set=_analytic_level_fn(lambda t: vol if t < 1.0 else 0.0),
         sampler=sampler,
         convex_level_sets=True,
@@ -575,7 +557,6 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
     man = Euclidean(dim)
     s2 = float(sigma) ** 2
     r = float(radius)
-    vol = ball_volume(dim, r)
 
     def density(x):
         q = float(x @ x)
@@ -637,9 +618,7 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
         diam_w=2.0 * r,
         max_gap=0.0,  # superlevel sets are balls, so geodesic sections are intervals
         max_gap_analytic=True,
-        lambda_finite=True,
         lambda_value=2.0 * r,
-        support_measure=vol,
         level_set=_analytic_level_fn(level_measure),
         sampler=sampler,
         convex_level_sets=True,
@@ -660,7 +639,6 @@ def custom_target(
     density_batch=None,
     max_gap: Optional[float] = None,
     lambda_value: float = math.inf,
-    support_measure: Optional[float] = None,
     sampler=None,
     level_set: Optional[LevelSetFunction] = None,
     level_samples: int = 200_000,
@@ -685,9 +663,7 @@ def custom_target(
         diam_w=float(diam_w),
         max_gap=max_gap,
         max_gap_analytic=max_gap is not None,
-        lambda_finite=math.isfinite(lambda_value),
         lambda_value=float(lambda_value),
-        support_measure=support_measure,
         level_set=level_set,
         sampler=sampler,
     )
@@ -772,22 +748,17 @@ def from_spec(spec: str) -> Target:
 # level-set operations
 # ---------------------------------------------------------------------------
 
-def level_set_measure(target: Target, t: float) -> float:
-    """Volume of the strict superlevel set {p > t}; t must be positive."""
-    if not t > 0:
-        raise ValueError("level must be positive")
-    return float(target.level_set(t))
-
-
 def sup_t_level(target: Target) -> float:
     """sup over t of t * volume({p > t}).
 
-    Uniform presets are exact (p_max times the support volume).  Otherwise a
+    Uniform presets are exact: every level below p_max has all of W as its
+    superlevel set, so the sup is p_max times the volume at any such level.
+    Otherwise a
     1024-point log-uniform grid over (p_max * 1e-6, p_max) locates the peak
     and golden-section refinement sharpens it to 1e-6 relative in t.
     """
     if target.is_uniform:
-        return target.p_max * target.support_measure
+        return target.p_max * target.level_set(0.5 * target.p_max)
     pm = target.p_max
     grid = np.geomspace(pm * 1e-6, pm, 1024)
     vals = np.array([t * target.level_set(t) for t in grid])
@@ -827,11 +798,6 @@ def reference_samples(target: Target, n: int, rng: np.random.Generator) -> np.nd
     return target.sampler(n, rng)
 
 
-def reference_sample(target: Target, rng: np.random.Generator) -> Point:
-    """One exact draw from the normalised target."""
-    return Point(reference_samples(target, 1, rng)[0])
-
-
 # ---------------------------------------------------------------------------
 # support-gap estimation
 # ---------------------------------------------------------------------------
@@ -848,7 +814,7 @@ def scan_section(target: Target, rng: np.random.Generator, grid: int):
     man = target.manifold
     x = _support_draw(target, rng)
     v = man.sample_tangent_array(x, rng)
-    horizon = min(man.cut_time(x, v).value, target.diam_w * (1.0 + 1e-9))
+    horizon = min(man.cut_time(x, v), target.diam_w * (1.0 + 1e-9))
     thetas = np.linspace(0.0, horizon, grid, endpoint=False)
     return x, v, thetas, target.density_batch(man.exp_batch(x, v, thetas))
 

@@ -88,6 +88,9 @@ def test_config_file_value_parses_like_the_flag(tmp_path, monkeypatch):
             default = parsed(str(empty))
             assert via_file == via_flag, (cmd, name)
             assert via_flag != default or name == "seed", (cmd, name)  # the seed default is fresh
+    # a boolean key with no value means true, as the bare flag does
+    cfgfile.write_text("quick =\n")
+    assert cli.parse_config(["lemmas", "--config", str(cfgfile)]).quick is True
 
 
 def test_help_for_every_command(capsys):
@@ -118,6 +121,12 @@ def test_unknown_flag_is_usage_error(capsys, tmp_path, monkeypatch):
         ["verify", *sphere2, "--threads", "0"],
         ["verify", *sphere2, "--gnuplot"],  # the script goes next to --out
         ["invariance", *sphere2, "--samples", "0"],
+        # inputs the certificate or the binning does not cover, as bounds rejects them
+        ["verify", "--target", "cap:sphere:3:psi=1.0", "--m", "1", "--w", "1", "--seed", "1"],
+        ["verify", "--target", "vmf:sphere:3:kappa=1", "--m", "1",
+         "--w", str(2 * math.pi), "--seed", "1"],
+        ["verify", "--target", "convex-uniform:ball:3:r=1", "--m", "inf", "--w", "1",
+         "--seed", "1"],
     ]
     # options a command does not read are rejected, not ignored
     for cmd, option, value in [
@@ -130,10 +139,11 @@ def test_unknown_flag_is_usage_error(capsys, tmp_path, monkeypatch):
     ]:
         base = ["--seed", "1", "--quick"] if cmd == "lemmas" else sphere2
         cases.append([cmd, *base, f"--{option}", value])
-    # config-file values are checked like flags
+    # config-file values are checked like flags, and the error names the file and line
     for cmd, line in [
         ("bounds", "seed = 1.5"), ("bounds", "w = abc"), ("bounds", "m = 2.5"),
         ("lemmas", "quick = maybe"), ("bounds", "threads = 2"),
+        ("bounds", "epsilon_mode = bogus"),
     ]:
         cfgfile = tmp_path / f"bad{len(cases)}.cfg"
         cfgfile.write_text(line + "\n")
@@ -143,6 +153,8 @@ def test_unknown_flag_is_usage_error(capsys, tmp_path, monkeypatch):
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (2, ""), args
         assert "runtime error" not in err and len(err.splitlines()) == 1, args
+        if "--config" in args:
+            assert f"{args[-1]}:1" in err, args
     # the environment default of --threads is checked like the flag
     monkeypatch.setenv("GEOSLICE_THREADS", "abc")
     code, out, err = run_cli(["verify", *sphere2], capsys)

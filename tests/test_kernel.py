@@ -277,7 +277,7 @@ _PRESET_SPECS = (
     (spec, m)
     for spec in _PRESET_SPECS
     for m in (1, 4, math.inf)
-    if not math.isinf(m) or targets.from_spec(spec).lambda_finite
+    if not math.isinf(m) or math.isfinite(targets.from_spec(spec).lambda_value)
 ])
 def test_carried_density_matches_recomputed(spec, m):
     t = targets.from_spec(spec)

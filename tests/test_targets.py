@@ -6,17 +6,18 @@ from scipy import stats
 
 import oracles
 from geoslice import targets
-from geoslice.manifolds import Euclidean, Sphere
+from geoslice.manifolds import Euclidean, Sphere, unit_sphere_area
 from geoslice.rng import make_stream
 from geoslice.targets import (
     ball_gaussian_target,
     ball_target,
+    ball_volume,
     box_target,
     cap_target,
     custom_target,
     estimate_max_gap,
-    level_set_measure,
     reference_samples,
+    sphere_cap_area,
     sup_t_level,
     uniform_target,
     vmf_target,
@@ -27,17 +28,17 @@ def test_uniform_sphere_metadata():
     t = uniform_target(Sphere(2))
     assert t.p_max == 1.0
     assert t.diam_w == pytest.approx(math.pi)
-    assert not t.lambda_finite
+    assert math.isinf(t.lambda_value)
     assert t.max_gap == 0.0 and t.max_gap_analytic
-    assert t.support_measure == pytest.approx(4 * math.pi)
+    assert t.level_set(0.5) == pytest.approx(4 * math.pi)
 
 
 def test_ball_metadata():
     t = ball_target(2, 1.0)
     assert t.diam_w == 2.0
     assert t.max_gap == 0.0
-    assert t.lambda_finite and t.lambda_value == 2.0
-    assert t.support_measure == pytest.approx(math.pi)
+    assert t.lambda_value == 2.0
+    assert t.level_set(0.5) == pytest.approx(math.pi)
     assert t.convex_level_sets
 
 
@@ -66,15 +67,13 @@ def test_cap_parameter_validation():
 
 def test_level_set_measure_uniform_sphere():
     t = uniform_target(Sphere(2))
-    assert level_set_measure(t, 0.5) == pytest.approx(4 * math.pi)
-    assert level_set_measure(t, 1.5) == 0.0
-    with pytest.raises(ValueError):
-        level_set_measure(t, 0.0)
+    assert t.level_set(0.5) == pytest.approx(4 * math.pi)
+    assert t.level_set(1.5) == 0.0
 
 
 def test_level_set_measure_vmf_hemisphere_and_monte_carlo():
     t = vmf_target(Sphere(2), 2.0)
-    analytic = level_set_measure(t, 1.0)
+    analytic = t.level_set(1.0)
     assert analytic == pytest.approx(2 * math.pi, rel=1e-12)
     # cross-check by Monte-Carlo integration over the sphere
     rng = make_stream(5150, 0)
@@ -85,8 +84,16 @@ def test_level_set_measure_vmf_hemisphere_and_monte_carlo():
 
 
 def test_sup_t_level_uniform_exact():
-    assert sup_t_level(uniform_target(Sphere(1))) == pytest.approx(2 * math.pi, rel=1e-12)
-    assert sup_t_level(uniform_target(Sphere(2))) == pytest.approx(4 * math.pi, rel=1e-12)
+    # every level below p_max has all of W as its superlevel set
+    for t, volume in [
+        (uniform_target(Sphere(1)), 2 * math.pi),
+        (uniform_target(Sphere(2)), unit_sphere_area(3)),  # area of S^2 in R^3
+        (cap_target(Sphere(2), math.pi / 2), sphere_cap_area(2, math.pi / 2)),
+        (ball_target(2, 1.0), ball_volume(2, 1.0)),
+        (box_target([1.0, 2.0]), 1.0 * 2.0),
+    ]:
+        for target in (t, t.rescaled(3.0)):
+            assert sup_t_level(target) == target.p_max * volume, target.name
 
 
 def test_sup_t_level_vmf_matches_dense_grid_oracle():
@@ -246,10 +253,11 @@ def test_density_range_invariant():
 
 def test_sup_t_level_bounded_by_support_mass():
     for t in [uniform_target(Sphere(2)), vmf_target(Sphere(2), 2.0), ball_target(2, 1.0)]:
-        assert sup_t_level(t) / t.p_max <= t.support_measure + 1e-9
+        support = t.level_set(1e-300)  # volume of W = {p > 0}
+        assert sup_t_level(t) / t.p_max <= support + 1e-9
         total = t.manifold.info.total_measure
         if math.isfinite(total):
-            assert t.support_measure <= total + 1e-9
+            assert support <= total + 1e-9
 
 
 def test_estimate_max_gap_ball_is_zero():
@@ -318,7 +326,7 @@ def test_spec_strings_round_trip():
 def test_box_target_metadata():
     t = box_target([1.0, 2.0])
     assert t.diam_w == pytest.approx(math.sqrt(5.0))
-    assert t.support_measure == pytest.approx(2.0)
+    assert t.level_set(0.5) == pytest.approx(2.0)
     assert t.lambda_value == pytest.approx(math.sqrt(5.0))
 
 
