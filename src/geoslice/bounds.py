@@ -311,6 +311,7 @@ class BoundsReport:
     lambda_value: float
     lambda_eff: float
     sup_t_level: float
+    level_set_analytic: bool
     p_max: float
     omega_dm1: float
     diam_w: float
@@ -332,6 +333,7 @@ class BoundsReport:
 
         gap_tag = "analytic" if self.delta_analytic else "statistical lower bound"
         cert = "certified" if self.certified else "advisory (not certified)"
+        level_tag = "level-set optimiser" if self.level_set_analytic else "monte-carlo level set"
         out = [
             f"target = {self.target_spec}",
             f"dim = {self.dim}",
@@ -345,7 +347,7 @@ class BoundsReport:
             f"kappa = {fmt(self.kappa)} [volume comparison]",
             f"omega_dm1 = {fmt(self.omega_dm1)} [unit sphere area]",
             f"p_max = {fmt(self.p_max)} [target metadata]",
-            f"sup_t_level = {fmt(self.sup_t_level)} [level-set optimiser]",
+            f"sup_t_level = {fmt(self.sup_t_level)} [{level_tag}]",
             f"epsilon = {fmt(self.epsilon)} [{self.epsilon_provenance}]",
         ]
         if self.epsilon_se is not None:
@@ -409,7 +411,9 @@ def full_report(
     ``epsilon_mode``: "analytic" uses the exact epsilon = 1 special cases;
     "corollary" derives epsilon from (diam W, gap, m, w); "monte-carlo"
     estimates the covering probability empirically (never certified);
-    "auto" picks analytic when applicable, else corollary.
+    "auto" picks analytic when applicable, else corollary.  A Monte-Carlo
+    level-set function makes sup t * vol({p > t}) an estimate, so such a
+    report is never certified either.
     """
     if epsilon_mode not in EPSILON_MODES:
         raise ValueError(f"epsilon_mode must be one of {EPSILON_MODES}")
@@ -472,6 +476,7 @@ def full_report(
         lambda_value=target.lambda_value,
         lambda_eff=min(m * w, target.lambda_value),
         sup_t_level=sup_tl,
+        level_set_analytic=target.level_set.analytic,
         p_max=target.p_max,
         omega_dm1=info.omega_dm1,
         diam_w=target.diam_w,
@@ -480,5 +485,5 @@ def full_report(
         rho=rho,
         q=q,
         q_note=q_note,
-        certified=certified,
+        certified=certified and target.level_set.analytic,
     )

@@ -49,144 +49,90 @@ class Binning:
     bin (zero target mass).  Bins of zero mass are excluded up front.
     """
 
-    scheme: str
     bin_count: int
     masses: np.ndarray
     assign: object
     embedding_dim: int
 
 
-def _binning(scheme: str, masses: np.ndarray, cell_of, dim: int, floor: float = 0.0) -> Binning:
-    """Binning over the grid cells that ``cell_of`` maps coordinates to.
+def _azimuth(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.mod(np.arctan2(y, x), TWO_PI)
 
-    ``cell_of`` returns flat cell indices into ``masses``, or -1 outside the
-    grid.  Cells of mass <= floor are dropped; they and the outside land in
-    the overflow bin -1.  The kept masses must sum to one.
+
+def make_binning(target: Target, bins: Optional[int] = None) -> Binning:
+    """Product grid of equal-step axes with analytic bin masses.
+
+    Each axis is (a coordinate of the points, lo, hi, cell count).  Circle:
+    the angle over [0, 2 pi) (default 64 cells).  Sphere S^2: the height
+    along the target's symmetry axis over [-1, 1] times the azimuth about it,
+    equal-area cells (default 16 x 32).  Euclidean (d <= 2): each coordinate
+    over [-h, h], h from the target's ``grid_half``; torus: each coordinate
+    over [0, P) (default 32 per axis).  Cells are numbered row-major; points
+    off a Euclidean grid land in the overflow bin.  Masses are the target's
+    ``bin_masses`` (on S^2 of the height bands, split evenly over the
+    sectors); on the circle, a target without ``bin_masses`` is integrated
+    by deterministic quadrature of its density.
     """
-    keep = masses > floor
+    man = target.manifold
+    circle, sphere2 = (isinstance(man, Sphere) and man.dim == d for d in (1, 2))
+    bounded = isinstance(man, Euclidean)
+    if (target.bin_masses is None and not circle) or (bounded and target.grid_half is None):
+        raise ValueError(f"no analytic bin masses for target {target.name!r} on {man.spec}")
+    per_axis = 32 if bins is None else max(2, int(round(bins ** (1.0 / man.dim))))
+    if circle:
+        axes = [(lambda c: _azimuth(c[:, 0], c[:, 1]), 0.0, TWO_PI, bins or 64)]
+    elif sphere2:
+        n_bands = max(int(round(math.sqrt((bins or 512) / 2.0))), 2)
+        pole = target.params.get("pole", target.params.get("mean"))
+        if pole is None:
+            pole = np.array([0.0, 0.0, 1.0])
+        frame = _orthonormal_frame(pole)
+        axes = [
+            (lambda c: c @ pole, -1.0, 1.0, n_bands),
+            (lambda c: _azimuth(c @ frame[0], c @ frame[1]), 0.0, TWO_PI, 2 * n_bands),
+        ]
+    elif bounded and man.dim <= 2:
+        axes = [(lambda c, i=i: c[:, i], -h, h, per_axis) for i, h in enumerate(target.grid_half)]
+    elif isinstance(man, Torus):
+        axes = [(lambda c, i=i: c[:, i], 0.0, man.period, per_axis) for i in range(man.dim)]
+    else:
+        raise ValueError(f"no binning scheme for manifold {man.spec} (circle, S^2, flat d <= 2, torus)")
+
+    def cell_of(coords: np.ndarray) -> np.ndarray:
+        flat = np.zeros(len(coords), dtype=int)
+        inside = np.ones(len(coords), dtype=bool)
+        for coord, lo, hi, n in axes:
+            cell = np.floor((coord(coords) - lo) / (hi - lo) * n).astype(int)
+            inside &= (cell >= 0) & (cell < n)
+            flat = flat * n + np.clip(cell, 0, n - 1)
+        return np.where(inside, flat, -1) if bounded else flat
+
+    edges = [np.linspace(lo, hi, n + 1) for _, lo, hi, n in axes]
+    if sphere2:
+        n_sectors = axes[1][3]
+        masses = np.repeat(target.bin_masses(edges[:1]) / n_sectors, n_sectors)
+    elif target.bin_masses is not None:
+        masses = target.bin_masses(edges)
+    else:  # deterministic quadrature of the density over each angle bin
+        def angle_density(phi: float) -> float:
+            return target.density(np.array([math.cos(phi), math.sin(phi)]))
+
+        grid = edges[0]
+        masses = np.array([integrate.quad(angle_density, a, b, limit=200)[0]
+                           for a, b in zip(grid, grid[1:])])
+        total = float(np.sum(masses))
+        if total <= 0:
+            raise ValueError("target mass vanished on the circle grid")
+        masses = masses / total
+
+    keep = masses > (1e-15 if bounded else 0.0)
     lookup = np.full(len(masses) + 1, -1)  # the last slot serves cell index -1
     lookup[:-1][keep] = np.arange(int(np.sum(keep)))
     kept = masses[keep]
     s = float(np.sum(kept))
     if abs(s - 1.0) > 1e-8:
         raise AssertionError(f"bin masses sum to {s}, not 1; mass computation wrong")
-    return Binning(scheme, len(kept), kept / s, lambda coords: lookup[cell_of(coords)], dim)
-
-
-def make_binning(target: Target, bins: Optional[int] = None) -> Binning:
-    """Binning scheme for the target's manifold with analytic bin masses.
-
-    Circle: equal angles (default 64).  Sphere S^2: equal-area latitude bands
-    times longitude sectors aligned with the target's symmetry axis (default
-    16 x 32).  Euclidean (d <= 2) and torus: uniform box grid (default 32 per
-    axis).  Masses and the flat grid's extent are read from the target's
-    ``bin_masses`` and ``grid_half``; on the circle, a target without
-    ``bin_masses`` is integrated by deterministic quadrature of its density.
-    """
-    man = target.manifold
-    if isinstance(man, Sphere) and man.dim == 1:
-        return _binning_circle(target, bins or 64)
-    if isinstance(man, Sphere) and man.dim == 2:
-        return _binning_sphere2(target, bins or 512)
-    if isinstance(man, Euclidean):
-        if man.dim > 2:
-            raise ValueError("analytic box-grid masses implemented for dimension <= 2")
-        return _binning_box_grid(target, bins)
-    if isinstance(man, Torus):
-        return _binning_torus(target, bins)
-    raise ValueError(f"no binning scheme for manifold {man.spec}")
-
-
-def _binning_circle(target: Target, n_bins: int) -> Binning:
-    edges = np.linspace(0.0, TWO_PI, n_bins + 1)
-    dens = target.density
-
-    def angle_density(phi: float) -> float:
-        return dens(np.array([math.cos(phi), math.sin(phi)]))
-
-    if target.bin_masses is not None:
-        masses = target.bin_masses([edges])
-    else:
-        raw = np.empty(n_bins)
-        for i in range(n_bins):
-            raw[i], _ = integrate.quad(angle_density, edges[i], edges[i + 1], limit=200)
-        total = float(np.sum(raw))
-        if total <= 0:
-            raise ValueError("target mass vanished on the circle grid")
-        masses = raw / total
-
-    def cell_of(coords: np.ndarray) -> np.ndarray:
-        ang = np.mod(np.arctan2(coords[:, 1], coords[:, 0]), TWO_PI)
-        return np.minimum((ang / TWO_PI * n_bins).astype(int), n_bins - 1)
-
-    return _binning("circle-equal-angle", masses, cell_of, 2)
-
-
-def _binning_sphere2(target: Target, bins: int) -> Binning:
-    if target.bin_masses is None:
-        raise ValueError(f"no analytic sphere bin masses for target {target.name!r}")
-    n_bands = max(int(round(math.sqrt(bins / 2.0))), 2)
-    n_sectors = 2 * n_bands
-    z_edges = np.linspace(-1.0, 1.0, n_bands + 1)
-
-    pole = target.params.get("pole", target.params.get("mean"))
-    if pole is None:
-        pole = np.array([0.0, 0.0, 1.0])
-    frame = _orthonormal_frame(pole)
-
-    def cell_of(coords: np.ndarray) -> np.ndarray:
-        z = np.clip(coords @ pole, -1.0, 1.0)
-        band = np.minimum(((z + 1.0) / 2.0 * n_bands).astype(int), n_bands - 1)
-        az = np.mod(np.arctan2(coords @ frame[1], coords @ frame[0]), TWO_PI)
-        sector = np.minimum((az / TWO_PI * n_sectors).astype(int), n_sectors - 1)
-        return band * n_sectors + sector
-
-    masses = np.repeat(target.bin_masses([z_edges]) / n_sectors, n_sectors)
-    return _binning("sphere2-band-sector", masses, cell_of, 3)
-
-
-def _grid_per_axis(dim: int, bins: Optional[int]) -> int:
-    return 32 if bins is None else max(2, int(round(bins ** (1.0 / dim))))
-
-
-def _flat_index(cell: np.ndarray, per_axis: int) -> np.ndarray:
-    """Row-major flat index of per-axis cell indices (one row per point)."""
-    flat = np.zeros(len(cell), dtype=int)
-    for d in range(cell.shape[1]):
-        flat = flat * per_axis + cell[:, d]
-    return flat
-
-
-def _binning_box_grid(target: Target, bins: Optional[int]) -> Binning:
-    if target.bin_masses is None or target.grid_half is None:
-        raise ValueError(f"no analytic box-grid masses for target {target.name!r}")
-    dim = target.manifold.dim
-    per_axis = _grid_per_axis(dim, bins)
-    half = target.grid_half
-    masses = target.bin_masses([np.linspace(-h, h, per_axis + 1) for h in half])
-    widths = 2.0 * half / per_axis
-
-    def cell_of(coords: np.ndarray) -> np.ndarray:
-        cell = np.floor((coords + half) / widths).astype(int)
-        inside = np.all((cell >= 0) & (cell < per_axis), axis=1)
-        return np.where(inside, _flat_index(np.clip(cell, 0, per_axis - 1), per_axis), -1)
-
-    return _binning("box-grid", masses, cell_of, dim, floor=1e-15)
-
-
-def _binning_torus(target: Target, bins: Optional[int]) -> Binning:
-    if target.bin_masses is None:
-        raise ValueError(f"no analytic torus bin masses for target {target.name!r}")
-    man = target.manifold
-    dim, period = man.dim, man.period
-    per_axis = _grid_per_axis(dim, bins)
-    masses = target.bin_masses([np.linspace(0.0, period, per_axis + 1)] * dim)
-
-    def cell_of(coords: np.ndarray) -> np.ndarray:
-        cell = np.minimum((coords / period * per_axis).astype(int), per_axis - 1)
-        return _flat_index(cell, per_axis)
-
-    return _binning("torus-grid", masses, cell_of, dim)
+    return Binning(len(kept), kept / s, lambda coords: lookup[cell_of(coords)], man.embedding_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +175,7 @@ def estimate_tv(
 
     def tv_of(cnt: np.ndarray) -> float:
         freq = cnt / np.sum(cnt)
-        return 0.5 * (float(np.sum(np.abs(freq[1:] - binning.masses))) + freq[0])
+        return 0.5 * float(np.sum(np.abs(freq[1:] - binning.masses)) + freq[0])
 
     tv = tv_of(counts)
     probs = counts / n

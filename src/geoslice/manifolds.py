@@ -1,7 +1,7 @@
 """Built-in state spaces: Euclidean space, the round sphere, and flat tori.
 
 Each manifold provides geodesics through the exponential map, uniform unit
-tangent directions, geodesic distance, cut times (a float, which may be a
+tangent directions, cut times (a float, which may be a
 lower bound of the true cut time), and the metadata consumed
 by the convergence-bound calculator (dimension, diameter, Ricci lower bound,
 injectivity radius, unit-sphere area of the tangent spaces, total measure).
@@ -105,9 +105,6 @@ class Manifold:
     def project_tangent(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def distance_array(self, x: np.ndarray, y: np.ndarray) -> float:
-        raise NotImplementedError
-
     def sample_tangent_array(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Uniform unit tangent direction at x.
 
@@ -152,9 +149,6 @@ class Euclidean(Manifold):
 
     def project_tangent(self, x, g):
         return g
-
-    def distance_array(self, x, y):
-        return float(np.linalg.norm(x - y))
 
     def cut_time(self, x, v) -> float:
         return math.inf
@@ -206,9 +200,6 @@ class Sphere(Manifold):
     def project_tangent(self, x, g):
         return g - float(g @ x) * x
 
-    def distance_array(self, x, y):
-        return math.acos(min(1.0, max(-1.0, float(x @ y))))
-
     def cut_time(self, x, v) -> float:
         return math.pi
 
@@ -255,11 +246,6 @@ class Torus(Manifold):
 
     def project_tangent(self, x, g):
         return g
-
-    def distance_array(self, x, y):
-        d = np.abs(x - y)
-        d = np.minimum(d, self.period - d)
-        return float(np.linalg.norm(d))
 
     def cut_time(self, x, v) -> float:
         """The injectivity radius P/2.

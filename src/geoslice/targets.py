@@ -766,7 +766,7 @@ def sup_t_level(target: Target) -> float:
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     best = _golden_max(lambda t: t * target.level_set(t), lo, hi, rel_tol=1e-6)
-    return max(float(vals[i]), best)
+    return float(max(vals[i], best))
 
 
 def _golden_max(fn, lo: float, hi: float, rel_tol: float) -> float:

@@ -44,6 +44,22 @@ def torus_lattice_distance(x, y, period: float, k_range: int = 3) -> float:
     return best
 
 
+def geodesic_distance(spec: str, x, y) -> float:
+    """Closed-form distance on a built-in manifold given by its spec string.
+
+    Sphere: the angle between the unit vectors; torus: the shortest lattice
+    translate; Euclidean space: the straight-line norm.
+    """
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    kind = spec.split(":")[0]
+    if kind == "sphere":
+        return math.acos(min(1.0, max(-1.0, float(x @ y))))
+    if kind == "torus":
+        return torus_lattice_distance(x, y, float(spec.split(":")[2]))
+    return float(np.linalg.norm(x - y))
+
+
 def cap_max_distance(colatitude: float, n_grid: int = 400) -> float:
     """Diameter of a spherical cap on S^2 by brute-force pair maximisation."""
     thetas = np.linspace(0.0, colatitude, n_grid, endpoint=False)

@@ -16,6 +16,7 @@ from geoslice.bounds import (
     optimal_hyperparameters,
     volume_comparison_factor,
 )
+from geoslice.manifolds import Sphere
 from geoslice.rng import make_stream
 
 TWO_PI = 2 * math.pi
@@ -290,6 +291,21 @@ def test_full_report_monte_carlo_not_certified():
     assert rep.epsilon_se is not None
     # convex sections are always covered, so the estimate must sit at 1
     assert rep.epsilon == pytest.approx(1.0)
+
+
+def test_monte_carlo_level_set_is_never_certified():
+    vmf = targets.from_spec("vmf:sphere:2:kappa=2.0")
+    mc = targets.custom_target(
+        Sphere(2), vmf.density, p_max=math.exp(2.0), diam_w=math.pi,
+        density_batch=vmf.density_batch, max_gap=0.0,
+    )
+    for mode in ("auto", "corollary"):
+        assert full_report(vmf, 1, TWO_PI, mode).certified, mode
+        rep = full_report(mc, 1, TWO_PI, mode)
+        assert not rep.certified, mode
+        assert "[monte-carlo level set]" in "\n".join(rep.lines())
+    # the Monte-Carlo sup overshoots the analytic one: a faster rate than proven
+    assert rep.sup_t_level > full_report(vmf, 1, TWO_PI, "auto").sup_t_level
 
 
 def test_full_report_rescaling_leaves_rho_unchanged():

@@ -170,6 +170,12 @@ def test_bounds_stdout_contains_rho(capsys):
     assert code == 0
     assert "rho = 0.5" in out
     assert "# seed: 5" in out
+    code, out, _ = run_cli(
+        ["bounds", "--target", "vmf:sphere:2:kappa=2.0", "--m", "1", "--w", str(2 * math.pi)],
+        capsys,
+    )
+    assert code == 0
+    assert "rho = 0.97" in out and "np." not in out
 
 
 def test_bounds_json_out(tmp_path, capsys):
@@ -250,6 +256,7 @@ def test_verify_circle_uniform_pass_and_csv(tmp_path, capsys):
     assert "n,tv,se,envelope,pass" in text
     data_row = text[text.index("n,tv,se,envelope,pass") + 1].split(",")
     assert data_row[0] == "1" and data_row[4] == "1"
+    assert all(math.isfinite(float(cell)) for cell in data_row)  # plain floats gnuplot reads
     assert (tmp_path / "curve.csv.gp").exists()
 
 

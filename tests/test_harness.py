@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from geoslice.harness import (
     verify_uniform_ergodicity,
     worst_start,
 )
+from geoslice.manifolds import Euclidean, Sphere
 from geoslice.rng import make_stream
 from geoslice.targets import reference_samples
 
@@ -63,9 +65,106 @@ def test_cap_binning_excludes_dead_hemisphere():
 
 
 def test_binning_rejects_unknown_schemes():
-    t = targets.from_spec("vmf:sphere:3:kappa=1.0")
-    with pytest.raises(ValueError):
-        make_binning(t)
+    no_masses = targets.custom_target(
+        Sphere(2), lambda x: 1.0, p_max=1.0, diam_w=math.pi, level_samples=1000
+    )
+    for t in [targets.from_spec("vmf:sphere:3:kappa=1.0"),
+              targets.from_spec("convex-uniform:ball:3:r=1"), no_masses]:
+        with pytest.raises(ValueError):
+            make_binning(t)
+
+
+# (spec, explicit bins) -> SHA-256 prefix of the masses and of the assignment of
+# support and off-support draws, at the default bins and at the explicit ones,
+# as the four hand-written binning schemes computed them.
+GOLDEN_BINNING = {
+    ("uniform:sphere:1", 48): (
+        "758c37e35bdccf0fb235ee99dd28645b",
+        "00f732deb0c53f4bb7a69968b3ee02e4",
+    ),
+    ("cap:sphere:1:psi=2.0", 48): (
+        "341560901fe89f2560928ba50c68a4c8",
+        "82d56698d83125e0be923c6e6b75ee07",
+    ),
+    ("vmf:sphere:1:kappa=2.0", 48): (
+        "89aaecabb8f2c686092d038ead9e82cd",
+        "86d57530d84b2746f0dda3cef2cb5aff",
+    ),
+    ("uniform:sphere:2", 200): (
+        "866340aad736e09c44c7e281fbf3eee3",
+        "6569670b76a71ca1188c304568a72f41",
+    ),
+    ("cap:sphere:2:psi=1.0", 200): (
+        "b2a99f88beca8ecdd2db06efa6269bc0",
+        "fe4bf5c0e3a5df6ba85fc9239594a576",
+    ),
+    ("cap:sphere:2:psi=1.2:pole=0.6,0.0,0.8", 200): (
+        "083fdcee0833e1d230999889427d902b",
+        "5dcb2ec8478e5ad372c4a55c1f892ff3",
+    ),
+    ("vmf:sphere:2:kappa=2.0", 200): (
+        "9e99d056d8ec7fd2e945d460b210c24a",
+        "8060c8b9a094f3f7ae804c3142c17ebe",
+    ),
+    ("vmf:sphere:2:kappa=5.0:mu=0.0,0.6,-0.8", 200): (
+        "b753c937a1e1d3d1330b197c2e4f6844",
+        "759b3a586ccced77e733bcbb4e4814f6",
+    ),
+    ("convex-uniform:ball:1:r=1.5", 50): (
+        "8e694f281fb43b8e82c9871aa43cc03a",
+        "bf2c9d72e2e822bc576ba56c360ed91c",
+    ),
+    ("convex-uniform:ball:2:r=1.0", 256): (
+        "255b10bce4a0a6a217d7fcce6639a863",
+        "698c2b2a7fbb43a43d209b0228cda905",
+    ),
+    ("convex-uniform:box:1:extents=3.0", 50): (
+        "9aba3b8da772e017de334406cd34947c",
+        "f06100cd5b9c0f187db6bfc31e7ea921",
+    ),
+    ("convex-uniform:box:2:extents=1.0,2.0", 256): (
+        "3bb6ed3f01790d01dcacb498d3a68006",
+        "5099817556e8ac8bf20bed9bd41d9321",
+    ),
+    ("ball-gauss:1:sigma=0.5:r=1.0", 50): (
+        "bf9786d1bca06a2151431b608a3b095b",
+        "d41aef1c730cf0d35b656b355e32752d",
+    ),
+    ("ball-gauss:2:sigma=0.5:r=1.0", 256): (
+        "3ce0b3dbffe485455e5d25faf9561feb",
+        "96ad8c7aa3926b1ed81c031fc40cdccf",
+    ),
+    ("uniform:torus:1:6.283185307179586", 50): (
+        "cef98f6a10c74827ac71621daed8da2e",
+        "08231b7c1ea30d803d8a57ee99e0bf59",
+    ),
+    ("uniform:torus:2:6.283185307179586", 256): (
+        "33f306791400dd1eb784cdee9c9fadcb",
+        "0d522813fcf7643ed2f41e427c93f690",
+    ),
+}
+
+
+def _binning_digests(spec, bins):
+    t = targets.from_spec(spec)
+    man = t.manifold
+    rng = make_stream(4321, 0)
+    support = reference_samples(t, 4000, rng)
+    if isinstance(man, Euclidean):
+        off = 2.0 * float(np.max(t.grid_half)) * rng.standard_normal((4000, man.dim))
+    else:
+        off = man.uniform_points(4000, rng)
+    pts = np.concatenate([support, off])
+    out = []
+    for b in (make_binning(t), make_binning(t, bins)):
+        h = hashlib.sha256(b.masses.tobytes())
+        h.update(b.assign(pts).astype(np.int64).tobytes())
+        out.append(h.hexdigest()[:32])
+    return tuple(out)
+
+
+def test_binning_matches_golden_digests():
+    assert {key: _binning_digests(*key) for key in GOLDEN_BINNING} == GOLDEN_BINNING
 
 
 # -- tv estimation ----------------------------------------------------------------
