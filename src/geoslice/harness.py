@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import integrate, stats
@@ -457,10 +457,6 @@ class BatteryReport:
             )
 
 
-def _reflected_intervals(ivs, alpha):
-    return sorted((alpha - b, alpha - a) for a, b in ivs)
-
-
 def _random_interval_set(rng, contains: float = 0.0):
     """2-4 disjoint open intervals around ``contains``, one of them covering it."""
     k = int(rng.integers(2, 5))
@@ -491,174 +487,134 @@ def _covering_bound_from_zero(ivs, m, w) -> float:
     return slice1d.covering_bound(b_sup, 0.0, gap, m, w)
 
 
-def _covering_checks(seed: int, quick: bool) -> list:
-    checks = []
-    fixed = [
-        ("S=(-1,0.3)u(0.5,1) m=3 w=1", [(-1.0, 0.3), (0.5, 1.0)], 3, 1.0, 200_000),
-        ("S=(-0.1,0.1) m=1 w=2", [(-0.1, 0.1)], 1, 2.0, 200_000),
-        ("S=(-1,1) m=inf w=0.7", [(-1.0, 1.0)], math.inf, 0.7, 20_000),
-    ]
-    configs = [(*c, _covering_bound_from_zero(*c[1:4])) for c in fixed]
-    rng_cfg = make_stream(seed, 100)
-    made = 0
-    while made < 5:
-        ivs = _random_interval_set(rng_cfg)
-        m = [1, 2, 3, 5, math.inf][int(rng_cfg.integers(0, 5))]
-        w = float(rng_cfg.uniform(0.5, 2.5))
-        try:
-            bound = _covering_bound_from_zero(ivs, m, w)
-        except slice1d.ApplicabilityError:
-            continue
-        n = 50_000 if not quick else 5_000
-        configs.append((f"random#{made} m={m} w={w:.3g}", ivs, m, w, n, bound))
-        made += 1
-    for i, (label, ivs, m, w, n, bound) in enumerate(configs):
-        if quick:
-            n = min(n, 5_000)
-        sub = stream_seed(seed, 200 + i)
-        rng = make_stream(sub, 0)
-        est, se = slice1d.estimate_covering_probability(
-            ivs, 0.0, math.inf, StepOutParams(w, m), n, rng
-        )
-        checks.append(
-            BatteryCheck(
-                name="stepout-covering",
-                config=label,
-                passed=est >= bound - 3.0 * se,
-                observed=est,
-                reference=bound,
-                criterion="estimate >= bound - 3*SE",
-                seed=sub,
-                details={"se": se, "set": ivs, "m": m, "w": w, "n": n},
-            )
-        )
-    return checks
+def _draw_covering(rng):
+    ivs = _random_interval_set(rng)
+    m = [1, 2, 3, 5, math.inf][int(rng.integers(0, 5))]
+    w = float(rng.uniform(0.5, 2.5))
+    try:
+        _covering_bound_from_zero(ivs, m, w)
+    except slice1d.ApplicabilityError:
+        return None
+    return f" m={m} w={w:.3g}", (ivs, m, w, 50_000)
 
 
-def _shrinkage_checks(seed: int, quick: bool) -> list:
-    checks = []
+def _check_covering(cfg, rng, sub, quick):
+    ivs, m, w, n = cfg
+    n = min(n, 5_000) if quick else n
+    bound = _covering_bound_from_zero(ivs, m, w)
+    est, se = slice1d.estimate_covering_probability(ivs, 0.0, math.inf, StepOutParams(w, m), n, rng)
+    return est >= bound - 3.0 * se, est, bound, {"se": se, "set": ivs, "m": m, "w": w, "n": n}
+
+
+def _draw_shrinkage(rng):
+    lo = float(rng.uniform(-1.5, -0.1))
+    hi = float(rng.uniform(0.1, 1.5))
+    ivs = _random_interval_set(rng)
+    cand = [(max(a, lo), min(b, hi)) for a, b in ivs if min(b, hi) - max(a, lo) > 0.02] or [(lo, hi)]
+    a0, b0 = cand[int(rng.integers(0, len(cand)))]
+    mid = 0.5 * (a0 + b0)
+    width = min((b0 - a0) * 0.8, float(rng.uniform(min(0.05, b0 - a0), b0 - a0)))
+    return "", (ivs, (lo, hi), (mid - width / 2.0, mid + width / 2.0))
+
+
+def _check_shrinkage(cfg, rng, sub, quick):
+    ivs, (lo, hi), a_set = cfg
     n = 20_000 if quick else 100_000
-    configs = [
+    oracle = lambda t: slice1d.set_contains(ivs, t)
+    hits = sum(a_set[0] < slice1d.reeled_shrinkage(oracle, lo, hi, rng).theta < a_set[1] for _ in range(n))
+    p = hits / n
+    se = math.sqrt(max(p * (1 - p), 1e-300) / n)
+    mass = sum(max(0.0, min(b, a_set[1], hi) - max(a, a_set[0], lo)) for a, b in ivs)
+    diam_s = max(b for _, b in ivs) - min(a for a, _ in ivs)
+    bound = slice1d.shrinkage_mass_bound(mass, hi - lo, diam_s)
+    return p >= bound - 3.0 * se, p, bound, {"se": se, "set": ivs, "interval": (lo, hi), "A": a_set, "n": n}
+
+
+def _stepout_config(rng, ivs, alpha, *rest):
+    """Finish a reflection or interchange config: draw the budget m and the width w."""
+    m = [1, 2, 4, math.inf][int(rng.integers(0, 4))]
+    w = float(rng.uniform(0.5, 2.0))
+    return f" alpha={alpha:.3g} m={m} w={w:.3g}", (ivs, alpha, m, w, *rest)
+
+
+def _draw_reflection(rng):
+    ivs = _random_interval_set(rng)
+    return _stepout_config(rng, ivs, float(rng.uniform(-1.0, 1.0)))
+
+
+def _check_reflection(cfg, rng, sub, quick):
+    ivs, alpha, m, w = cfg
+    n = 20_000 if quick else 100_000
+    params = StepOutParams(w, m)
+    reflected = sorted((alpha - b, alpha - a) for a, b in ivs)
+    sample_a = slice1d.sample_intervals(reflected, 0.0, params, n, rng)
+    sample_b = slice1d.sample_intervals(ivs, alpha, params, n, rng)
+    # reflect the second sample: (lo, hi) -> (alpha - hi, alpha - lo)
+    sample_b = np.column_stack([alpha - sample_b[:, 1], alpha - sample_b[:, 0]])
+    res = energy_permutation_test(sample_a, sample_b, make_stream(sub, 1))
+    return res.p_value > 0.001, res.p_value, 0.001, {"stat": res.statistic, "n": n}
+
+
+def _draw_interchange(rng):
+    ivs = _random_interval_set(rng)
+    inside = [iv for iv in ivs if iv[1] - iv[0] > 0.05]
+    a0, b0 = inside[int(rng.integers(0, len(inside)))]
+    return _stepout_config(rng, ivs, float(rng.uniform(a0, b0)), 100_000)
+
+
+def _check_interchange(cfg, rng, sub, quick):
+    ivs, alpha, m, w, n = cfg
+    n = n // 5 if quick else n
+    params = StepOutParams(w, m)
+    s1 = slice1d.sample_intervals(ivs, 0.0, params, n, rng)
+    s2 = slice1d.sample_intervals(ivs, alpha, params, n, rng)
+    p1 = float(np.mean((s1[:, 0] < alpha) & (alpha < s1[:, 1])))
+    p2 = float(np.mean((s2[:, 0] < 0.0) & (0.0 < s2[:, 1])))
+    se = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / n + 1e-300)
+    return abs(p1 - p2) <= 3.0 * se, p1 - p2, 0.0, {"p1": p1, "p2": p2, "se": se, "n": n}
+
+
+class _Family(NamedTuple):
+    """A lemma check family: fixed configs, then five drawn ones, each sampled and held to a bound."""
+
+    name: str
+    criterion: str
+    stream: int  # configs are drawn from make_stream(seed, stream)
+    sub_base: int  # config i samples from the sub-seed stream_seed(seed, sub_base + i)
+    fixed: tuple  # (label, config) pairs
+    draw: Callable  # draw(rng) -> (label tail, config), or None to draw again
+    check: Callable  # check(config, rng, sub_seed, quick) -> (passed, observed, reference, details)
+
+
+_TWO_GAP = [(-1.0, 0.3), (0.5, 1.0)]
+_FAMILIES = (
+    _Family("stepout-covering", "estimate >= bound - 3*SE", 100, 200, (
+        ("S=(-1,0.3)u(0.5,1) m=3 w=1", (_TWO_GAP, 3, 1.0, 200_000)),
+        ("S=(-0.1,0.1) m=1 w=2", ([(-0.1, 0.1)], 1, 2.0, 200_000)),
+        ("S=(-1,1) m=inf w=0.7", ([(-1.0, 1.0)], math.inf, 0.7, 20_000)),
+    ), _draw_covering, _check_covering),
+    _Family("shrinkage-mass", "P(A) >= mass bound - 3*SE", 300, 400, (
         ("S=(-0.1,0.1)u(0.7,0.9) itv=(-0.1,0.9) A=(0.7,0.9)",
-         [(-0.1, 0.1), (0.7, 0.9)], (-0.1, 0.9), (0.7, 0.9)),
-    ]
-    rng_cfg = make_stream(seed, 300)
-    for k in range(5):
-        lo = float(rng_cfg.uniform(-1.5, -0.1))
-        hi = float(rng_cfg.uniform(0.1, 1.5))
-        ivs = _random_interval_set(rng_cfg)
-        cand = [(max(a, lo), min(b, hi)) for a, b in ivs if min(b, hi) - max(a, lo) > 0.02]
-        if not cand:
-            cand = [(lo, hi)]
-        a0, b0 = cand[int(rng_cfg.integers(0, len(cand)))]
-        mid = 0.5 * (a0 + b0)
-        width = min((b0 - a0) * 0.8, float(rng_cfg.uniform(min(0.05, b0 - a0), b0 - a0)))
-        a_set = (mid - width / 2.0, mid + width / 2.0)
-        configs.append((f"random#{k}", ivs, (lo, hi), a_set))
-    for i, (label, ivs, (lo, hi), a_set) in enumerate(configs):
-        sub = stream_seed(seed, 400 + i)
-        rng = make_stream(sub, 0)
-        oracle = lambda t: slice1d.set_contains(ivs, t)
-        hits = 0
-        for _ in range(n):
-            res = slice1d.reeled_shrinkage(oracle, lo, hi, rng)
-            if a_set[0] < res.theta < a_set[1]:
-                hits += 1
-        p = hits / n
-        se = math.sqrt(max(p * (1 - p), 1e-300) / n)
-        mass = _set_mass_in(ivs, max(a_set[0], lo), min(a_set[1], hi))
-        diam_s = max(b for _, b in ivs) - min(a for a, _ in ivs)
-        bound = slice1d.shrinkage_mass_bound(mass, hi - lo, diam_s)
-        checks.append(
-            BatteryCheck(
-                name="shrinkage-mass",
-                config=label,
-                passed=p >= bound - 3.0 * se,
-                observed=p,
-                reference=bound,
-                criterion="P(A) >= mass bound - 3*SE",
-                seed=sub,
-                details={"se": se, "set": ivs, "interval": (lo, hi), "A": a_set, "n": n},
-            )
-        )
-    return checks
+         ([(-0.1, 0.1), (0.7, 0.9)], (-0.1, 0.9), (0.7, 0.9))),
+    ), _draw_shrinkage, _check_shrinkage),
+    _Family("stepout-reflection", "energy permutation p > 0.001", 500, 600, (
+        ("fixed alpha=0.4 m=3 w=1", (_TWO_GAP, 0.4, 3, 1.0)),
+    ), _draw_reflection, _check_reflection),
+    _Family("stepout-interchange", "|P(theta covers alpha) - P(alpha covers theta)| <= 3*SE", 700, 800, (
+        ("fixed alpha=0.7 m=3 w=1", (_TWO_GAP, 0.7, 3, 1.0, 1_000_000)),
+    ), _draw_interchange, _check_interchange),
+)
 
 
-def _set_mass_in(ivs, lo, hi) -> float:
-    return sum(max(0.0, min(b, hi) - max(a, lo)) for a, b in ivs)
-
-
-def _reflection_checks(seed: int, quick: bool) -> list:
-    checks = []
-    n = 20_000 if quick else 100_000
-    configs = [("fixed", [(-1.0, 0.3), (0.5, 1.0)], 0.0, 0.4, 3, 1.0)]
-    rng_cfg = make_stream(seed, 500)
-    for k in range(5):
-        ivs = _random_interval_set(rng_cfg)
-        theta = 0.0
-        alpha = float(rng_cfg.uniform(-1.0, 1.0))
-        m = [1, 2, 4, math.inf][int(rng_cfg.integers(0, 4))]
-        w = float(rng_cfg.uniform(0.5, 2.0))
-        configs.append((f"random#{k}", ivs, theta, alpha, m, w))
-    for i, (label, ivs, theta, alpha, m, w) in enumerate(configs):
-        sub = stream_seed(seed, 600 + i)
-        rng = make_stream(sub, 0)
-        params = StepOutParams(w, m)
-        refl = _reflected_intervals(ivs, alpha)
-        sample_a = slice1d.sample_intervals(refl, theta, params, n, rng)
-        sample_b = slice1d.sample_intervals(ivs, alpha - theta, params, n, rng)
-        # reflect the second sample: (lo, hi) -> (alpha - hi, alpha - lo)
-        sample_b = np.column_stack([alpha - sample_b[:, 1], alpha - sample_b[:, 0]])
-        res = energy_permutation_test(sample_a, sample_b, make_stream(sub, 1))
-        checks.append(
-            BatteryCheck(
-                name="stepout-reflection",
-                config=f"{label} alpha={alpha:.3g} m={m} w={w:.3g}",
-                passed=res.p_value > 0.001,
-                observed=res.p_value,
-                reference=0.001,
-                criterion="energy permutation p > 0.001",
-                seed=sub,
-                details={"stat": res.statistic, "n": n},
-            )
-        )
-    return checks
-
-
-def _interchange_checks(seed: int, quick: bool) -> list:
-    checks = []
-    configs = [("fixed", [(-1.0, 0.3), (0.5, 1.0)], 0.0, 0.7, 3, 1.0, 200_000 if quick else 1_000_000)]
-    rng_cfg = make_stream(seed, 700)
-    for k in range(5):
-        ivs = _random_interval_set(rng_cfg)
-        inside = [iv for iv in ivs if iv[1] - iv[0] > 0.05]
-        a0, b0 = inside[int(rng_cfg.integers(0, len(inside)))]
-        alpha = float(rng_cfg.uniform(a0, b0))
-        m = [1, 2, 4, math.inf][int(rng_cfg.integers(0, 4))]
-        w = float(rng_cfg.uniform(0.5, 2.0))
-        configs.append((f"random#{k}", ivs, 0.0, alpha, m, w, 20_000 if quick else 100_000))
-    for i, (label, ivs, theta, alpha, m, w, n) in enumerate(configs):
-        sub = stream_seed(seed, 800 + i)
-        rng = make_stream(sub, 0)
-        params = StepOutParams(w, m)
-        s1 = slice1d.sample_intervals(ivs, theta, params, n, rng)
-        s2 = slice1d.sample_intervals(ivs, alpha, params, n, rng)
-        p1 = float(np.mean((s1[:, 0] < alpha) & (alpha < s1[:, 1])))
-        p2 = float(np.mean((s2[:, 0] < theta) & (theta < s2[:, 1])))
-        se = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / n + 1e-300)
-        checks.append(
-            BatteryCheck(
-                name="stepout-interchange",
-                config=f"{label} alpha={alpha:.3g} m={m} w={w:.3g}",
-                passed=abs(p1 - p2) <= 3.0 * se,
-                observed=p1 - p2,
-                reference=0.0,
-                criterion="|P(theta covers alpha) - P(alpha covers theta)| <= 3*SE",
-                seed=sub,
-                details={"p1": p1, "p2": p2, "se": se, "n": n},
-            )
-        )
-    return checks
+def _family_configs(family: _Family, seed: int) -> list:
+    """The family's fixed (label, config) pairs, then five drawn from its config stream."""
+    rng = make_stream(seed, family.stream)
+    configs = list(family.fixed)
+    while len(configs) < len(family.fixed) + 5:
+        drawn = family.draw(rng)
+        if drawn is not None:
+            configs.append((f"random#{len(configs) - len(family.fixed)}{drawn[0]}", drawn[1]))
+    return configs
 
 
 def _limit_checks(seed: int, quick: bool) -> list:
@@ -712,9 +668,9 @@ def lemma_suite(seed: int, quick: bool = False) -> BatteryReport:
     configuration runs with the full sizes.
     """
     checks = []
-    checks += _covering_checks(seed, quick)
-    checks += _shrinkage_checks(seed, quick)
-    checks += _reflection_checks(seed, quick)
-    checks += _interchange_checks(seed, quick)
-    checks += _limit_checks(seed, quick)
-    return BatteryReport(seed=seed, checks=checks)
+    for fam in _FAMILIES:
+        for i, (label, cfg) in enumerate(_family_configs(fam, seed)):
+            sub = stream_seed(seed, fam.sub_base + i)
+            passed, observed, reference, details = fam.check(cfg, make_stream(sub, 0), sub, quick)
+            checks.append(BatteryCheck(fam.name, label, passed, observed, reference, fam.criterion, sub, details))
+    return BatteryReport(seed=seed, checks=checks + _limit_checks(seed, quick))

@@ -105,16 +105,16 @@ def _unit_orthogonal(pole: np.ndarray, n: int, rng: np.random.Generator) -> np.n
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _bisect_monotone(fn, targets: np.ndarray, lo: float, hi: float, iters: int = 80) -> np.ndarray:
-    """Vectorised bisection solve fn(x) = target for increasing fn."""
-    lo_v = np.full_like(targets, lo, dtype=float)
-    hi_v = np.full_like(targets, hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo_v + hi_v)
-        below = fn(mid) < targets
-        lo_v = np.where(below, mid, lo_v)
-        hi_v = np.where(below, hi_v, mid)
-    return 0.5 * (lo_v + hi_v)
+def _accepted(n: int, batch, shape: tuple = ()) -> np.ndarray:
+    """n draws, each of shape ``shape``, from a rejection sampler whose ``batch(k)``
+    proposes for k more draws and returns the accepted ones (n = 0 calls it never)."""
+    out = np.empty((n, *shape))
+    filled = 0
+    while filled < n:
+        good = batch(n - filled)[: n - filled]
+        out[filled : filled + len(good)] = good
+        filled += len(good)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +321,8 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
     pole_arr = _unit_axis(manifold, pole)
     cos_psi = math.cos(colatitude)
     area = sphere_cap_area(d, colatitude)
+    # s = sin^2(theta / 2) of the colatitude theta is Beta(d/2, d/2); the cap cuts it at s_max
+    s_max = special.betainc(d / 2.0, d / 2.0, (1.0 - cos_psi) / 2.0)
 
     def density(x):
         return 1.0 if float(x @ pole_arr) > cos_psi else 0.0
@@ -329,14 +331,7 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
         return (x @ pole_arr > cos_psi).astype(float)
 
     def sampler(n, rng):
-        u = rng.random(n)
-        if d == 2:
-            cos_t = 1.0 - u * (1.0 - cos_psi)
-        else:
-            cdf = lambda th: np.vectorize(_sin_power_integral, otypes=[float])(d, th)
-            tot = _sin_power_integral(d, colatitude)
-            theta = _bisect_monotone(lambda th: cdf(th) / tot, u, 0.0, colatitude)
-            cos_t = np.cos(theta)
+        cos_t = 1.0 - 2.0 * special.betaincinv(d / 2.0, d / 2.0, rng.random(n) * s_max)
         sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
         perp = _unit_orthogonal(pole_arr, n, rng)
         return cos_t[:, None] * pole_arr + sin_t[:, None] * perp
@@ -441,18 +436,13 @@ def _vmf_cosines(embed_dim: int, kap: float, n: int, rng: np.random.Generator) -
     b = m / (math.sqrt(4.0 * kap**2 + m**2) + 2.0 * kap)
     x0 = (1.0 - b) / (1.0 + b)
     c = kap * x0 + m * math.log(1.0 - x0**2)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        k = n - filled
+
+    def batch(k):
         z = rng.beta(m / 2.0, m / 2.0, size=k)
         w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
-        u = rng.random(k)
-        ok = kap * w + m * np.log(1.0 - x0 * w) - c >= np.log(u)
-        took = int(np.sum(ok))
-        out[filled : filled + took] = w[ok]
-        filled += took
-    return out
+        return w[kap * w + m * np.log(1.0 - x0 * w) - c >= np.log(rng.random(k))]
+
+    return _accepted(n, batch)
 
 
 def ball_target(dim: int, radius: float) -> Target:
@@ -470,15 +460,11 @@ def ball_target(dim: int, radius: float) -> Target:
         return (np.einsum("ij,ij->i", x, x) < r * r).astype(float)
 
     def sampler(n, rng):
-        out = np.empty((n, dim))
-        filled = 0
-        while filled < n:
-            cand = rng.uniform(-r, r, size=(2 * (n - filled) + 8, dim))
-            good = cand[np.einsum("ij,ij->i", cand, cand) < r * r]
-            take = min(len(good), n - filled)
-            out[filled : filled + take] = good[:take]
-            filled += take
-        return out
+        def batch(k):
+            cand = rng.uniform(-r, r, size=(2 * k + 8, dim))
+            return cand[np.einsum("ij,ij->i", cand, cand) < r * r]
+
+        return _accepted(n, batch, (dim,))
 
     def cell_masses(edges):
         if dim == 1:
@@ -577,23 +563,16 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
     accept_gauss = float(stats.chi2.cdf(r * r / s2, df=dim))
 
     def sampler(n, rng):
-        out = np.empty((n, dim))
-        filled = 0
-        while filled < n:
-            k = n - filled
+        def batch(k):
             if accept_gauss >= 0.05:
                 cand = rng.standard_normal((int(2 * k / max(accept_gauss, 0.05)) + 8, dim)) * math.sqrt(s2)
-                good = cand[np.einsum("ij,ij->i", cand, cand) < r * r]
-            else:
-                # Narrow ball: uniform-ball proposal with density thinning.
-                cand = rng.uniform(-r, r, size=(4 * k + 8, dim))
-                q = np.einsum("ij,ij->i", cand, cand)
-                keep = (q < r * r) & (rng.random(len(cand)) < np.exp(-q / (2.0 * s2)))
-                good = cand[keep]
-            take = min(len(good), k)
-            out[filled : filled + take] = good[:take]
-            filled += take
-        return out
+                return cand[np.einsum("ij,ij->i", cand, cand) < r * r]
+            # Narrow ball: uniform-ball proposal with density thinning.
+            cand = rng.uniform(-r, r, size=(4 * k + 8, dim))
+            q = np.einsum("ij,ij->i", cand, cand)
+            return cand[(q < r * r) & (rng.random(len(cand)) < np.exp(-q / (2.0 * s2)))]
+
+        return _accepted(n, batch, (dim,))
 
     c = math.sqrt(2.0 * s2)
     g = math.sqrt(math.pi * s2 / 2.0)

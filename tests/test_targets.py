@@ -157,14 +157,20 @@ def test_reference_sampler_uniform_sphere_moments():
     assert np.all(np.abs(pts.mean(axis=0)) < 0.02)
 
 
-def test_reference_sampler_cap_support_and_gof():
-    t = cap_target(Sphere(2), math.pi / 2)
-    pts = reference_samples(t, 100_000, make_stream(62, 0))
-    pole = t.params["pole"]
-    assert np.all(pts @ pole > 0)
-    # goodness of fit against the analytic colatitude law: z uniform on (0, 1]
-    counts, _ = np.histogram(pts @ pole, bins=20, range=(0.0, 1.0))
-    assert stats.chisquare(counts).pvalue > 0.001
+@pytest.mark.parametrize("d, psi", [(1, 2.0), (2, math.pi / 2), (3, 1.0)], ids=["S1", "S2", "S3"])
+def test_reference_sampler_cap_support_and_gof(d, psi):
+    from scipy.integrate import quad
+
+    t = cap_target(Sphere(d), psi)
+    pts = reference_samples(t, 100_000, make_stream(62, d))
+    cos_t = pts @ t.params["pole"]
+    assert np.all(cos_t > math.cos(psi))
+    # goodness of fit of the colatitude against its law, density prop to sin^(d-1),
+    # integrated by quadrature per bin
+    edges = np.linspace(0.0, psi, 21)
+    counts, _ = np.histogram(np.arccos(np.clip(cos_t, -1.0, 1.0)), bins=edges)
+    masses = np.array([quad(lambda th: math.sin(th) ** (d - 1), a, b)[0] for a, b in zip(edges, edges[1:])])
+    assert stats.chisquare(counts, f_exp=masses / masses.sum() * len(pts)).pvalue > 0.001
 
 
 def test_reference_sampler_vmf_resultant_length():
@@ -213,15 +219,16 @@ def test_reference_sampler_ball_and_gauss():
 def test_reference_sampler_chisquare_against_analytic_masses():
     from geoslice import harness
 
-    for spec in [
+    for seed, spec in enumerate([
         "cap:sphere:2:psi=1.5707963267948966",
         "vmf:sphere:2:kappa=2.0",
         "convex-uniform:ball:2:r=1.0",
         "uniform:sphere:1",
-    ]:
+        "cap:sphere:1:psi=2.0",
+    ]):
         t = targets.from_spec(spec)
         b = harness.make_binning(t)
-        pts = reference_samples(t, 100_000, make_stream(hash(spec) & 0xFFFF, 0))
+        pts = reference_samples(t, 100_000, make_stream(0xC41, seed))
         counts = np.bincount(b.assign(pts), minlength=b.bin_count).astype(float)
         expected = b.masses * len(pts)
         # pool bins with tiny expectation so the chi-square approximation holds
