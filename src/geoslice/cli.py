@@ -113,7 +113,8 @@ _OPTIONS = {
                        help="chains per ensemble"),
     "bins": dict(type=_at_least(1), help="bin count override"),
     "gnuplot": dict(_FLAG, help="also emit a gnuplot script next to the --out CSV"),
-    "samples": dict(type=_at_least(1), default=20_000, help="exact draws per side"),
+    "samples": dict(type=_at_least(1), default=20_000,
+                    help="exact draws per side (the energy test reads a random 1,500 of them)"),
     "quick": dict(_FLAG, help="reduced sample sizes"),
 }
 

@@ -558,9 +558,8 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
         rad = min(r, math.sqrt(-2.0 * s2 * math.log(t)))
         return ball_volume(dim, rad)
 
-    from scipy import stats
-
-    accept_gauss = float(stats.chi2.cdf(r * r / s2, df=dim))
+    # P(|N(0, s2 I)| < r), the chi-square cdf: scipy.stats.chi2.cdf calls chdtr
+    accept_gauss = float(special.chdtr(dim, r * r / s2))
 
     def sampler(n, rng):
         def batch(k):

@@ -65,9 +65,13 @@ def cap_max_distance(colatitude: float, n_grid: int = 400) -> float:
     thetas = np.linspace(0.0, colatitude, n_grid, endpoint=False)
     phis = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
     # rotational symmetry: fix one point's azimuth at 0
-    t1, t2, dphi = np.meshgrid(thetas, thetas, phis, indexing="ij")
-    cosd = np.cos(t1) * np.cos(t2) + np.sin(t1) * np.sin(t2) * np.cos(dphi)
-    return float(np.max(np.arccos(np.clip(cosd, -1.0, 1.0))))
+    t2, dphi = np.meshgrid(thetas, phis, indexing="ij")
+    cos2, sin2, cos_dphi = np.cos(t2), np.sin(t2), np.cos(dphi)
+    best = 0.0
+    for cos1, sin1 in zip(np.cos(thetas), np.sin(thetas)):  # n_grid^2 memory, not n_grid^3
+        cosd = cos1 * cos2 + sin1 * sin2 * cos_dphi
+        best = max(best, float(np.max(np.arccos(np.clip(cosd, -1.0, 1.0)))))
+    return best
 
 
 def _in_set(ivs, x) -> np.ndarray:

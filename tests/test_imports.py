@@ -1,9 +1,18 @@
 """No module under src/, tests/ or scripts/ imports a name it never uses, and
-no private top-level name in src/ is left without a reader."""
+no private top-level name in src/ is left without a reader.
+
+src/ never imports scipy.stats, whose import costs every process about a
+third of a second at start-up; tests may.  src/ calls instead the two
+scipy.special functions that scipy.stats itself evaluates, and a test here
+checks that they agree with scipy.stats bit for bit."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,3 +82,65 @@ def test_check_flags_an_unused_helper():
     a = ast.parse("def _used():\n    pass\n\ndef _dead(n):\n    return _dead(n - 1)\n\n_LIMIT = 3\n")
     b = ast.parse("from a import _used\n_used()\n")
     assert _unused_private({"a": a, "b": b}) == [("a", "_dead"), ("a", "_LIMIT")]
+
+
+def _scipy_stats_imports(tree: ast.Module) -> list:
+    """Line numbers of every import of scipy.stats or a submodule of it,
+    function-local imports included, and of every ``scipy.stats`` attribute
+    (scipy loads its submodules lazily on attribute access)."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "stats"
+                and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
+            lines.append(node.lineno)
+            continue
+        if isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            mods = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in mods):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_does_not_import_scipy_stats(path):
+    assert _scipy_stats_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_check_flags_a_scipy_stats_import():
+    tree = ast.parse(
+        "import scipy.special\nfrom scipy import integrate\n"
+        "def f():\n    from scipy import stats\n"
+        "import scipy.stats as st\nfrom scipy.stats import norm\nfrom scipy.stats._x import y\n"
+        "from .scipy import stats\nimport scipy\np = scipy.stats.norm.sf(1.0)\n"
+    )
+    assert _scipy_stats_imports(tree) == [4, 5, 6, 7, 10]
+
+
+def test_importing_geoslice_leaves_scipy_stats_unloaded():
+    code = ("import sys, geoslice, geoslice.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_special_functions_match_scipy_stats_bit_for_bit():
+    # norm.sf(z) is ndtr(-z) and chi2.cdf(x, df=d) is chdtr(d, x), as arrays and as scalars
+    from scipy import special, stats
+
+    def bits(v):
+        return np.asarray(v, dtype=np.float64).tobytes()
+
+    z = np.linspace(-40.0, 40.0, 80_001)
+    assert bits(special.ndtr(-z)) == bits(stats.norm.sf(z))
+    for v in z[::100]:
+        assert bits(special.ndtr(-v)) == bits(stats.norm.sf(v))
+    x = np.linspace(0.0, 120.0, 24_001)
+    for d in range(1, 11):
+        assert bits(special.chdtr(d, x)) == bits(stats.chi2.cdf(x, df=d))
+        for v in x[::300]:
+            assert bits(special.chdtr(d, v)) == bits(stats.chi2.cdf(v, df=d))
