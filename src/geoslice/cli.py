@@ -86,8 +86,8 @@ _OPTIONS = {
                       "a positive integer or 'inf'"),
         default="1", help="expansion budget: positive integer or 'inf'",
     ),
-    "w": dict(type=_checked(float, lambda w: w > 0, "a positive number"),
-              default=2.0 * math.pi, help="stepping-out width (> 0)"),
+    "w": dict(type=_checked(float, lambda w: 0 < w < math.inf, "a positive finite number"),
+              default=2.0 * math.pi, help="stepping-out width (finite, > 0)"),
     # the random streams read a seed modulo 2**64, so a larger one would alias a smaller
     "seed": dict(type=_checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)"),
                  help="64-bit master seed (default: fresh, recorded)"),

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, special
-from scipy.spatial.distance import cdist
 
 from . import bounds, kernel, slice1d, targets
 from .manifolds import Euclidean, Point, Sphere, Torus
@@ -114,6 +112,8 @@ def make_binning(target: Target, bins: Optional[int] = None) -> Binning:
     elif target.bin_masses is not None:
         masses = target.bin_masses(edges)
     else:  # deterministic quadrature of the density over each angle bin
+        from scipy import integrate
+
         def angle_density(phi: float) -> float:
             return target.density(np.array([math.cos(phi), math.sin(phi)]))
 
@@ -202,6 +202,8 @@ class EnergyTestResult:
 
 def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample energy statistic 2 E|A-B| - E|A-A'| - E|B-B'|."""
+    from scipy.spatial.distance import cdist
+
     dab = cdist(a, b)
     daa = cdist(a, a)
     dbb = cdist(b, b)
@@ -232,6 +234,8 @@ def energy_permutation_test(
     permutation matmul; its entries are centred and small, so the sums do
     not cancel and stay accurate to well under 1e-5 relative.
     """
+    from scipy.spatial.distance import cdist
+
     if len(a) > subsample:
         a = a[rng.choice(len(a), subsample, replace=False)]
     if len(b) > subsample:
@@ -265,6 +269,8 @@ def energy_permutation_test(
     if exceed == 0:
         mu, sd = float(np.mean(null)), float(np.std(null, ddof=1))
         if sd > 0:
+            from scipy import special
+
             # normal upper tail; ndtr(-z) is what scipy.stats.norm.sf(z) computes
             p = min(p_perm, float(special.ndtr(-(obs - mu) / sd)))
     return EnergyTestResult(obs, p, p_perm, na, nb, permutations)

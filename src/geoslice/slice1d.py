@@ -48,14 +48,14 @@ class ShrinkageCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepOutParams:
-    """Interval width w > 0 and expansion budget m (integer >= 1 or math.inf)."""
+    """Finite interval width w > 0 and expansion budget m (integer >= 1 or math.inf)."""
 
     w: float
     m: float
 
     def __post_init__(self):
-        if not self.w > 0:
-            raise ValueError(f"w must be positive, got {self.w}")
+        if not 0 < self.w < math.inf:
+            raise ValueError(f"w must be positive and finite, got {self.w}")
         if math.isinf(self.m):
             return
         if self.m < 1 or int(self.m) != self.m:

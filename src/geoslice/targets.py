@@ -32,12 +32,12 @@ come with correct metadata.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, special
 
 from . import manifolds
 from .manifolds import Manifold, Sphere, Euclidean, Torus
@@ -49,6 +49,8 @@ from .manifolds import Manifold, Sphere, Euclidean, Torus
 
 def _sin_power_integral(d: int, psi: float) -> float:
     """integral_0^psi sin^(d-1)(t) dt via the regularised incomplete beta."""
+    from scipy import special
+
     if psi <= 0.0:
         return 0.0
     full = special.beta(d / 2.0, 0.5)
@@ -138,6 +140,7 @@ def _disk_cell_masses(r: float, edges, strip) -> np.ndarray:
     with lo < hi; per cell it is integrated over x piecewise between the
     points where the cell edges meet the circle, so every piece is smooth.
     """
+    from scipy import integrate
 
     def cell(x0, x1, y0, y1) -> float:
         def integrand(x: float) -> float:
@@ -317,9 +320,13 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
         raise ValueError("cap target is defined on spheres")
     if not 0.0 < colatitude <= math.pi:
         raise ValueError(f"cap colatitude must lie in (0, pi], got {colatitude}")
+    cos_psi = math.cos(colatitude)
+    if cos_psi == 1.0:  # no unit x has x @ pole > 1: the density would be 0 everywhere
+        raise ValueError(f"cap colatitude {colatitude} is too small: its cosine rounds to 1")
+    from scipy import special
+
     d = manifold.dim
     pole_arr = _unit_axis(manifold, pole)
-    cos_psi = math.cos(colatitude)
     area = sphere_cap_area(d, colatitude)
     # s = sin^2(theta / 2) of the colatitude theta is Beta(d/2, d/2); the cap cuts it at s_max
     s_max = special.betainc(d / 2.0, d / 2.0, (1.0 - cos_psi) / 2.0)
@@ -376,6 +383,9 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
         raise ValueError("vMF target is defined on spheres")
     if not concentration > 0:
         raise ValueError("concentration must be positive")
+    kap_max = math.log(sys.float_info.max)  # exp of a larger concentration overflows a float
+    if concentration > kap_max:
+        raise ValueError(f"concentration must be at most {kap_max}, got {concentration}")
     d = manifold.dim
     mu = _unit_axis(manifold, mean)
     kap = float(concentration)
@@ -540,6 +550,8 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
     """exp(-|x|^2 / (2 sigma^2)) truncated to the open ball of given radius."""
     if not sigma > 0 or not radius > 0:
         raise ValueError("sigma and radius must be positive")
+    from scipy import special
+
     man = Euclidean(dim)
     s2 = float(sigma) ** 2
     r = float(radius)

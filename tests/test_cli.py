@@ -110,6 +110,7 @@ def test_unknown_flag_is_usage_error(capsys, tmp_path, monkeypatch):
         ["verify", *sphere2, "--x0", "1,0"],
         ["sample", *sphere2, "--steps", "-1"],
         ["sample", *sphere2, "--thin", "0"],
+        ["sample", *sphere2, "--w", "inf"],  # stepping out would never end
         ["sample", *sphere2, "--burn-in", "-5"],
         ["sample", *sphere2, "--seed=-1"],
         ["sample", *sphere2, "--seed", str(2**64 + 5)],  # would alias seed 5
@@ -307,6 +308,11 @@ def test_bad_target_spec_is_usage_error(capsys):
     for spec in ["convex-uniform:box:3:extents=1,2", "cap:sphere:2:psi=1.0:pole=1,0"]:
         code, _, err = run_cli(["bounds", "--target", spec, "--seed", "1"], capsys)
         assert code == 2, spec
+    # a cap whose cosine rounds to 1 holds no point; exp(kappa) past ~709.78 overflows
+    for spec, word in [("cap:sphere:2:psi=1e-8", "colatitude"), ("vmf:sphere:2:kappa=800", "concentration")]:
+        for cmd in ("bounds", "sample"):
+            code, out, err = run_cli([cmd, "--target", spec, "--m", "1", "--w", "1", "--seed", "1"], capsys)
+            assert code == 2 and word in err and out == "", (cmd, spec)
 
 
 def test_threads_default_from_environment(monkeypatch, tmp_path):

@@ -1,10 +1,14 @@
 """No module under src/, tests/ or scripts/ imports a name it never uses, and
 no private top-level name in src/ is left without a reader.
 
-src/ never imports scipy.stats, whose import costs every process about a
-third of a second at start-up; tests may.  src/ calls instead the two
-scipy.special functions that scipy.stats itself evaluates, and a test here
-checks that they agree with scipy.stats bit for bit."""
+Importing geoslice loads numpy only.  No src/ module imports scipy at module
+level: each function that calls scipy.special, scipy.integrate or
+scipy.spatial imports it in its own body, so a process loads only the scipy
+modules it calls, and a vMF or uniform chain loads none.  src/ never imports
+scipy.stats at all, whose import costs about a third of a second; tests may.
+src/ calls instead the two scipy.special functions that scipy.stats itself
+evaluates, and a test here checks that they agree with scipy.stats bit for
+bit."""
 
 import ast
 import os
@@ -120,12 +124,70 @@ def test_check_flags_a_scipy_stats_import():
     assert _scipy_stats_imports(tree) == [4, 5, 6, 7, 10]
 
 
-def test_importing_geoslice_leaves_scipy_stats_unloaded():
-    code = ("import sys, geoslice, geoslice.cli\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+def _is_scipy(module: str) -> bool:
+    return module == "scipy" or module.startswith("scipy.")
+
+
+def _module_level_scipy_imports(tree: ast.Module) -> list:
+    """Line numbers of the scipy imports that run when the module is imported:
+    every one outside a function body (class bodies and if/try blocks included)."""
+    lines = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import) and any(_is_scipy(a.name) for a in child.names):
+                lines.append(child.lineno)
+            elif (isinstance(child, ast.ImportFrom) and child.level == 0
+                  and child.module and _is_scipy(child.module)):
+                lines.append(child.lineno)
+            visit(child)
+
+    visit(tree)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_imports_scipy_only_inside_functions(path):
+    assert _module_level_scipy_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_check_flags_a_module_level_scipy_import():
+    tree = ast.parse(
+        "from scipy import special\n"
+        "def f():\n    from scipy import special\n    return special\n"
+        "import numpy, scipy.integrate as si\n"
+        "class C:\n    from scipy.spatial.distance import cdist\n"
+        "    def g(self):\n        import scipy\n"
+        "try:\n    import scipy\nexcept ImportError:\n    pass\n"
+        "from .scipy import special\nimport scipyx\n"
+    )
+    assert _module_level_scipy_imports(tree) == [1, 5, 7, 11]
+
+
+def _scipy_modules_loaded_after(code: str) -> str:
+    """Run ``code`` in a fresh interpreter and return the scipy modules it loaded."""
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_geoslice_leaves_scipy_unloaded():
+    assert _scipy_modules_loaded_after("import geoslice, geoslice.cli") == "[]"
+
+
+def test_vmf_chain_loads_no_scipy():
+    code = (
+        "from geoslice import kernel, targets\n"
+        "from geoslice.manifolds import Point\n"
+        "from geoslice.rng import make_stream\n"
+        "t = targets.from_spec('vmf:sphere:2:kappa=2.0')\n"
+        "x0 = Point(targets.reference_samples(t, 1, make_stream(1, 7))[0])\n"
+        "assert len(kernel.run_chain(x0, 100, kernel.GssConfig(t, w=1.0, m=1, seed=1)).states) == 100"
+    )
+    assert _scipy_modules_loaded_after(code) == "[]"
 
 
 def test_special_functions_match_scipy_stats_bit_for_bit():

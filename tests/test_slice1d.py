@@ -34,6 +34,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         StepOutParams(0.0, 1)
     with pytest.raises(ValueError):
+        StepOutParams(math.inf, 1)
+    with pytest.raises(ValueError):
         StepOutParams(1.0, 0)
     with pytest.raises(ValueError):
         StepOutParams(1.0, 2.5)
