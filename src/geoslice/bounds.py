@@ -188,15 +188,14 @@ def optimal_hyperparameters(diam_w: float, max_gap: float, lam: float) -> Optima
         raise ValueError("gap must be nonnegative")
     peak_q = 0.5 / min(2.0 * diam_w, lam)
     if math.isinf(lam):
-        note = "ties: every m, w with m*w = 2*diam(W)" if max_gap == 0.0 else ""
-        return OptimalHyperparameters(1, 2.0 * diam_w, peak_q, "a", True, note)
-    if lam > 4.0 * diam_w:
+        regime = "a"
+    elif lam > 4.0 * diam_w:
         regime = "c"
     elif lam > 2.0 * diam_w:
         regime = "b"
     else:
         regime = "d"
-    plateau_q = 1.0 / lam
+    plateau_q = 1.0 / lam  # 0 when lambda is infinite, so the peak wins
     if peak_q > plateau_q:
         note = "ties: every m, w with m*w = 2*diam(W)" if max_gap == 0.0 else ""
         return OptimalHyperparameters(1, 2.0 * diam_w, peak_q, regime, True, note)

@@ -178,12 +178,14 @@ def estimate_tv(
         return 0.5 * float(np.sum(np.abs(freq[1:] - binning.masses)) + freq[0])
 
     tv = tv_of(counts)
-    probs = counts / n
-    boots = rng.multinomial(n, probs, size=N_BOOTSTRAP).astype(float)
+    boots = rng.multinomial(n, counts / n, size=N_BOOTSTRAP).astype(float)
     tvs = np.array([tv_of(b) for b in boots])
     se = float(np.std(tvs, ddof=1))
-    bias = 0.5 * float(np.sum(np.sqrt(2.0 * binning.masses * (1.0 - binning.masses) / (math.pi * n))))
-    return TvEstimate(tv=tv, se=se, bias=bias, n=n)
+    return TvEstimate(tv=tv, se=se, bias=_null_bias(binning.masses, n), n=n)
+
+
+def _null_bias(masses: np.ndarray, n: int) -> float:
+    return 0.5 * float(np.sum(np.sqrt(2.0 * masses * (1.0 - masses) / (math.pi * n))))
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +323,11 @@ def verify_uniform_ergodicity(
     x0 and its TV distance to the target estimated; the check passes when
     every estimate stays below rho^n + 3 SE + bias.  Only a certified
     covering probability can produce a PASS; with a Monte-Carlo epsilon the
-    whole curve is advisory and ``passed`` is always False.  A certificate or
-    binning that does not apply raises ApplicabilityError before any chain runs.
+    whole curve is advisory and ``passed`` is always False.  An inapplicable certificate
+    or binning, or a bias >= 1 (no check could fail), raises ApplicabilityError first.
     """
-    if not n_list:
-        raise ValueError("n_list must not be empty")
-    if min(n_list) < 1:
-        raise ValueError(f"step counts must be >= 1, got {list(n_list)}")
+    if not n_list or min(n_list) < 1:
+        raise ValueError(f"n_list needs at least one step count, each >= 1, got {list(n_list)}")
     try:
         report = bounds.full_report(
             target, config.m, config.w, epsilon_mode,
@@ -336,21 +336,23 @@ def verify_uniform_ergodicity(
         binning = make_binning(target, bins)
     except ValueError as e:
         raise slice1d.ApplicabilityError(str(e)) from e
+    bias = _null_bias(binning.masses, replicates)
+    if bias >= 1.0:  # a TV estimate never exceeds 1, so no check could fail
+        raise slice1d.ApplicabilityError(f"TV bias {bias:.3g} >= 1 with {binning.bin_count} bins and "
+                                         f"{replicates} replicates; lower --bins or raise --replicates")
     pts = []
-    bias = 0.0
     for n in n_list:
         ens = kernel.endpoint_ensemble(
             x0, n, replicates, config, seed=stream_seed(config.seed, 70_000 + n), threads=threads
         )
         est = estimate_tv(ens, binning, rng=make_stream(config.seed, 90_000 + n))
-        bias = est.bias
         env = report.rho**n
         ok = report.certified and est.tv <= env + 3.0 * est.se + est.bias
         pts.append(TvCurvePoint(n=int(n), tv=est.tv, se=est.se, envelope=env, passed=ok))
     return TvCurve(
         points=pts,
         rho=report.rho,
-        bias=float(bias),
+        bias=bias,
         certified=report.certified,
         passed=report.certified and all(p.passed for p in pts),
         report=report,

@@ -108,16 +108,17 @@ class Manifold:
     def sample_tangent_array(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Uniform unit tangent direction at x.
 
-        A standard Gaussian vector in the embedding is projected onto the
-        tangent space and normalised; a vanishing projection is resampled
-        (probability zero, guarded against a broken generator).
+        A standard Gaussian vector in the embedding is projected onto the tangent
+        space and normalised in place, so ``project_tangent`` must return an array
+        the caller owns; a vanishing projection (probability zero) is resampled.
         """
         for _ in range(64):
             g = rng.standard_normal(self.embedding_dim)
             t = self.project_tangent(x, g)
-            n = math.sqrt(t @ t)
+            n = math.sqrt(t.dot(t))
             if n > _NORM_TOL:
-                return t / n
+                t /= n
+                return t
         raise RuntimeError("64 consecutive zero tangent projections; generator broken")
 
     def uniform_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -190,15 +191,17 @@ class Sphere(Manifold):
         return Point(c / n)
 
     def exp_array(self, x, v, theta):
-        p = math.cos(theta) * x + math.sin(theta) * v
-        return p / math.sqrt(p @ p)
+        p = x * math.cos(theta)
+        p += v * math.sin(theta)
+        p /= math.sqrt(p.dot(p))
+        return p
 
     def exp_batch(self, x, v, thetas):
         p = np.outer(np.cos(thetas), x) + np.outer(np.sin(thetas), v)
         return p / np.linalg.norm(p, axis=1, keepdims=True)
 
     def project_tangent(self, x, g):
-        return g - float(g @ x) * x
+        return g - float(g.dot(x)) * x
 
     def cut_time(self, x, v) -> float:
         return math.pi

@@ -234,9 +234,11 @@ def unwrap_angle(alpha: float, lo: float, hi: float) -> float:
         raise ValueError(f"degenerate interval ({lo}, {hi})")
     if not 0.0 <= alpha < TWO_PI:
         raise ValueError(f"angle {alpha} outside [0, 2 pi)")
-    span = hi - lo
-    t = span * alpha / TWO_PI
-    out = lo + (t - lo) % span
+    return _unwrap(alpha, lo, hi, hi - lo)
+
+
+def _unwrap(alpha: float, lo: float, hi: float, span: float) -> float:
+    out = lo + (span * alpha / TWO_PI - lo) % span
     return lo if out >= hi else out
 
 
@@ -288,8 +290,9 @@ def reeled_shrinkage(
         raise ValueError(f"current point 0 must lie inside ({lo}, {hi})")
     gamma = TWO_PI * rng.random()  # rng.uniform(0.0, TWO_PI), bit for bit
     arc_min = arc_max = gamma
+    span = hi - lo
     for it in range(1, MAX_SHRINK_ITERS + 1):
-        cand = unwrap_angle(gamma, lo, hi)
+        cand = _unwrap(gamma, lo, hi, span)
         if lo < cand < hi and oracle(cand):
             return ShrinkageResult(cand, it)
         if _arc_contains(gamma, arc_max, 0.0):

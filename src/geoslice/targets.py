@@ -332,7 +332,7 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
     s_max = special.betainc(d / 2.0, d / 2.0, (1.0 - cos_psi) / 2.0)
 
     def density(x):
-        return 1.0 if float(x @ pole_arr) > cos_psi else 0.0
+        return 1.0 if float(x.dot(pole_arr)) > cos_psi else 0.0
 
     def density_batch(x):
         return (x @ pole_arr > cos_psi).astype(float)
@@ -392,7 +392,7 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
     total = manifold.info.total_measure
 
     def density(x):
-        return math.exp(kap * float(x @ mu))
+        return math.exp(kap * float(x.dot(mu)))
 
     def density_batch(x):
         return np.exp(kap * (x @ mu))
@@ -464,7 +464,7 @@ def ball_target(dim: int, radius: float) -> Target:
     vol = ball_volume(dim, r)
 
     def density(x):
-        return 1.0 if float(x @ x) < r * r else 0.0
+        return 1.0 if float(x.dot(x)) < r * r else 0.0
 
     def density_batch(x):
         return (np.einsum("ij,ij->i", x, x) < r * r).astype(float)
@@ -557,7 +557,7 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
     r = float(radius)
 
     def density(x):
-        q = float(x @ x)
+        q = float(x.dot(x))
         return math.exp(-q / (2.0 * s2)) if q < r * r else 0.0
 
     def density_batch(x):

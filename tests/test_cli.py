@@ -120,6 +120,9 @@ def test_unknown_flag_is_usage_error(capsys, tmp_path, monkeypatch):
         ["verify", *sphere2, "--n-list", "0"],
         ["verify", *sphere2, "--n-list", "-3"],
         ["verify", *sphere2, "--threads", "0"],
+        # a bias >= 1 would make every TV check pass
+        ["verify", "--target", "uniform:sphere:1", "--m", "1", "--replicates", "1000",
+         "--n-list", "1", "--seed", "1", "--bins", "100000"],
         ["verify", *sphere2, "--gnuplot"],  # the script goes next to --out
         ["invariance", *sphere2, "--samples", "0"],
         # inputs the certificate or the binning does not cover, as bounds rejects them

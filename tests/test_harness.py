@@ -266,6 +266,24 @@ def test_verify_rejects_empty_n_list():
             verify_uniform_ergodicity(t, cfg, t.manifold.point([1.0, 0.0]), n_list, 5000)
 
 
+def test_verify_rejects_a_bias_no_estimate_can_exceed(monkeypatch):
+    # 100,000 circle bins over 1,000 replicates give a bias of 3.99: a TV estimate never
+    # exceeds 1, so every check would pass; the refusal comes before any chain runs
+    t = targets.from_spec("uniform:sphere:1")
+    cfg = kernel.GssConfig(target=t, w=TWO_PI, m=1, seed=23)
+    monkeypatch.setattr(kernel, "endpoint_ensemble", None)
+    x0 = t.manifold.point([1.0, 0.0])
+    with pytest.raises(harness.slice1d.ApplicabilityError, match=r"bias 3\.99 .*--bins.*--replicates"):
+        verify_uniform_ergodicity(t, cfg, x0, [1], 1000, bins=100_000)
+    # the bias the check uses is the one each TV estimate reports
+    b = make_binning(t, bins=100_000)
+    est = estimate_tv(reference_samples(t, 1000, make_stream(23, 0)), b, rng=make_stream(23, 1))
+    assert est.bias == harness._null_bias(b.masses, 1000) > 1.0
+    # the benchmark's ensembles stay far below: 1,000 replicates on the cap and on the disk
+    for spec in ("cap:sphere:2:psi=1.5707963267948966", "convex-uniform:ball:2:r=1.0"):
+        assert harness._null_bias(make_binning(targets.from_spec(spec)).masses, 1000) < 0.4
+
+
 def test_verify_monte_carlo_epsilon_is_advisory():
     t = targets.from_spec("convex-uniform:ball:2:r=1.0")
     cfg = kernel.GssConfig(target=t, w=1.0, m=math.inf, seed=22)

@@ -8,7 +8,12 @@ modules it calls, and a vMF or uniform chain loads none.  src/ never imports
 scipy.stats at all, whose import costs about a third of a second; tests may.
 src/ calls instead the two scipy.special functions that scipy.stats itself
 evaluates, and a test here checks that they agree with scipy.stats bit for
-bit."""
+bit.
+
+The scalar hot path (the manifolds' exp maps, tangent projections and
+tangent draws, and the presets' scalar densities) takes 1-D products with
+``ndarray.dot``, which calls the same BLAS routine as ``@`` without the
+matmul dispatch; an AST check keeps ``@`` out of it."""
 
 import ast
 import os
@@ -206,3 +211,53 @@ def test_special_functions_match_scipy_stats_bit_for_bit():
         assert bits(special.chdtr(d, x)) == bits(stats.chi2.cdf(x, df=d))
         for v in x[::300]:
             assert bits(special.chdtr(d, v)) == bits(stats.chi2.cdf(v, df=d))
+
+
+_HOT_METHODS = ("exp_array", "project_tangent", "sample_tangent_array")
+
+
+def _hot_path_matmuls(tree: ast.Module) -> tuple:
+    """(functions checked, (name, line) of each ``@`` in them): the methods in
+    ``_HOT_METHODS`` of every class and each ``density`` function nested in a
+    function, as the target presets define their scalar densities."""
+    checked, hits = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            names = _HOT_METHODS
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = ("density",)
+        else:
+            continue
+        for fn in node.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                checked.append(f"{node.name}.{fn.name}")
+                hits += [(fn.name, n.lineno) for n in ast.walk(fn)
+                         if isinstance(getattr(n, "op", None), ast.MatMult)]  # a @ b and a @= b
+    return checked, sorted(hits, key=lambda h: h[1])
+
+
+def test_scalar_hot_path_has_no_matmul():
+    trees = {name: ast.parse((ROOT / "src" / "geoslice" / name).read_text(), name)
+             for name in ("manifolds.py", "targets.py")}
+    checked, hits = _hot_path_matmuls(trees["manifolds.py"])
+    assert {"Manifold.sample_tangent_array", "Sphere.exp_array", "Sphere.project_tangent",
+            "Euclidean.exp_array", "Torus.exp_array"} <= set(checked)
+    assert hits == []
+    checked, hits = _hot_path_matmuls(trees["targets.py"])
+    assert {"cap_target.density", "vmf_target.density", "ball_target.density",
+            "ball_gaussian_target.density"} <= set(checked)
+    assert hits == []
+
+
+def test_check_flags_a_matmul_in_the_hot_path():
+    tree = ast.parse(
+        "class S:\n    def exp_array(self, x, v, t):\n        return x @ v\n"
+        "    def exp_batch(self, x, v, t):\n        return x @ v\n"
+        "def vmf(mu):\n    def density(x):\n        return x @ mu\n"
+        "    def density_batch(x):\n        return x @ mu\n"
+        "    return density\n"
+        "def density(x, mu):\n    x @= mu\n"
+    )
+    checked, hits = _hot_path_matmuls(tree)
+    assert checked == ["S.exp_array", "vmf.density"]
+    assert hits == [("exp_array", 3), ("density", 8)]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -317,3 +318,54 @@ def test_accepted_point_recomputed_when_the_oracle_moved_on(monkeypatch):
     for k, (y, d) in enumerate(expect):
         y2, d2 = _step_array(x, cfg, make_stream(36, k))
         assert np.array_equal(y, y2) and d2.density == d.density == float(t.density(y))
+
+
+# -- calls at each layer boundary -----------------------------------------------------
+
+def _layer_calls(case, monkeypatch):
+    """Calls of each traced layer made by one fixed-seed run of ``case``."""
+    from geoslice import bounds, slice1d
+
+    calls = dict.fromkeys(
+        ("exp_array", "sample_tangent_array", "density", "stepping_out", "reeled_shrinkage"), 0
+    )
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    base = targets.from_spec("vmf:sphere:2:kappa=2.0" if case == "vmf chain" else HEMISPHERE)
+    man = base.manifold
+    for name in ("exp_array", "sample_tangent_array"):
+        setattr(man, name, counted(name, getattr(man, name)))
+    t = dataclasses.replace(base, density=counted("density", base.density))
+    for name in ("stepping_out", "reeled_shrinkage"):
+        monkeypatch.setattr(slice1d, name, counted(name, getattr(slice1d, name)))
+    x0 = harness.worst_start(t)
+    if case == "cap ensemble":
+        endpoint_ensemble(x0, 5, 200, GssConfig(target=t, w=TWO_PI, m=1, seed=37))
+    elif case == "vmf chain":
+        run_chain(x0, 500, GssConfig(target=t, w=TWO_PI, m=1, seed=38))
+    else:
+        bounds.estimate_epsilon(t, 4, 1.0, 2, 500, make_stream(39, 0))
+    return calls
+
+
+# Counts of the transition as it stood when the scalar hot path moved to ndarray.dot
+# and an in-place exp map.  The benchmark's traced units are these calls, so a
+# hot-path edit that adds or drops one shows here before it moves a benchmark figure.
+LAYER_CALLS = {
+    "cap ensemble": dict(exp_array=1925, sample_tangent_array=1000, density=1926,
+                         stepping_out=1000, reeled_shrinkage=1000),
+    "vmf chain": dict(exp_array=1064, sample_tangent_array=500, density=1065,
+                      stepping_out=500, reeled_shrinkage=500),
+    "estimate_epsilon": dict(exp_array=2572, sample_tangent_array=2, density=2574,
+                             stepping_out=1000, reeled_shrinkage=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYER_CALLS))
+def test_layer_call_counts(case, monkeypatch):
+    assert _layer_calls(case, monkeypatch) == LAYER_CALLS[case]

@@ -37,6 +37,25 @@ def test_exp_map_identity_at_zero():
         assert np.allclose(y, x, atol=1e-15)
 
 
+def test_hot_path_products_match_matmul_bit_for_bit():
+    # The scalar hot path takes 1-D products with ndarray.dot and builds the sphere's
+    # exp map in place.  Both must round exactly like the @ expressions they replaced,
+    # or every golden digest moves; a numpy or BLAS build that breaks this fails here.
+    rng = np.random.default_rng(41)
+    for n in range(1, 9):
+        for _ in range(3000):
+            a, b = rng.standard_normal((2, 2 * n)) * 10.0 ** rng.integers(-4, 5, size=(2, 1))
+            for x, y in ((a[:n], b[:n]), (a[::2], b[::2]), (a[1::2], b[n:]), (a[:n], b[::2])):
+                assert np.float64(x.dot(y)).tobytes() == np.float64(x @ y).tobytes(), (x, y)
+    for d in range(1, 5):
+        man = Sphere(d)
+        for x in man.uniform_points(5000, rng):
+            v = man.sample_tangent_array(x, rng)
+            theta = float(rng.uniform(-8.0, 8.0))
+            p = math.cos(theta) * x + math.sin(theta) * v
+            assert man.exp_array(x, v, theta).tobytes() == (p / math.sqrt(p @ p)).tobytes()
+
+
 def test_sphere_quarter_circle_matches_ode_oracle():
     man = Sphere(2)
     x = man.point([0.0, 0.0, 1.0]).coords
