@@ -317,7 +317,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
     print(f"rho = {curve.rho!r} ({'certified' if curve.certified else 'not certified'})")
     print(f"bias = {curve.bias!r}, replicates = {curve.replicates}")
     for p in curve.points:
-        mark = "ok " if p.passed else "VIOLATION"
+        mark = "vacuous" if p.vacuous else "ok " if p.passed else "VIOLATION"
         print(f"  n={p.n}: tv={p.tv:.5f} se={p.se:.5f} envelope={p.envelope:.5f} {mark}")
     print(f"verify: {status}")
     return 0 if curve.passed else 1

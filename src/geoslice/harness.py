@@ -289,6 +289,7 @@ class TvCurvePoint:
     se: float
     envelope: float
     passed: bool
+    vacuous: bool  # envelope + bias >= 1: a TV estimate never exceeds 1, so this check cannot fail
 
 
 @dataclass
@@ -324,10 +325,14 @@ def verify_uniform_ergodicity(
     every estimate stays below rho^n + 3 SE + bias.  Only a certified
     covering probability can produce a PASS; with a Monte-Carlo epsilon the
     whole curve is advisory and ``passed`` is always False.  An inapplicable certificate
-    or binning, or a bias >= 1 (no check could fail), raises ApplicabilityError first.
+    or binning, fewer than MIN_TV_POINTS replicates, or a bias >= 1 (no check could fail)
+    raises ApplicabilityError before any chain runs.
     """
     if not n_list or min(n_list) < 1:
         raise ValueError(f"n_list needs at least one step count, each >= 1, got {list(n_list)}")
+    if replicates < MIN_TV_POINTS:
+        raise slice1d.ApplicabilityError(
+            f"a TV estimate needs at least {MIN_TV_POINTS} replicates, got {replicates}")
     try:
         report = bounds.full_report(
             target, config.m, config.w, epsilon_mode,
@@ -348,7 +353,8 @@ def verify_uniform_ergodicity(
         est = estimate_tv(ens, binning, rng=make_stream(config.seed, 90_000 + n))
         env = report.rho**n
         ok = report.certified and est.tv <= env + 3.0 * est.se + est.bias
-        pts.append(TvCurvePoint(n=int(n), tv=est.tv, se=est.se, envelope=env, passed=ok))
+        pts.append(TvCurvePoint(n=int(n), tv=est.tv, se=est.se, envelope=env, passed=ok,
+                                vacuous=env + bias >= 1.0))
     return TvCurve(
         points=pts,
         rho=report.rho,

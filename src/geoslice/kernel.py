@@ -183,11 +183,21 @@ def run_chain(
         record.states.append(Point(xa))
         record.diagnostics.append(diag)
         if sink is not None:
-            sink.write(json.dumps({
-                "i": i, "x": [float(c) for c in xa], "t": diag.level,
-                "w_int": diag.interval_width, "k_shrink": diag.shrink_iterations,
-            }) + "\n")
+            sink.write(_record_line(i, xa, diag))
     return record
+
+
+def _record_line(i: int, xa: np.ndarray, diag: StepDiagnostics) -> str:
+    """The JSONL record of state xa at step i: ``json.dumps`` of it plus a newline, byte for byte.
+
+    ``json`` writes a finite float as ``float.__repr__``.  A NaN or an infinity (or, harmlessly,
+    a sum of xs that overflows) takes ``json.dumps``, which spells NaN and Infinity.
+    """
+    xs, t, w, k = xa.tolist(), diag.level, diag.interval_width, diag.shrink_iterations
+    if not (math.isfinite(t) and math.isfinite(w) and math.isfinite(sum(xs))):
+        return json.dumps({"i": i, "x": xs, "t": t, "w_int": w, "k_shrink": k}) + "\n"
+    return '{"i": %d, "x": [%s], "t": %s, "w_int": %s, "k_shrink": %d}\n' % (
+        i, ", ".join(map(float.__repr__, xs)), float.__repr__(t), float.__repr__(w), k)
 
 
 def endpoint_ensemble(

@@ -220,16 +220,8 @@ def sample_intervals(
 # wrapped-interval shrinkage
 # ---------------------------------------------------------------------------
 
-def wrap_angle(theta: float, lo: float, hi: float) -> float:
-    """Map the interval parameter onto the circle: (2 pi / (hi-lo)) * theta mod 2 pi."""
-    if not hi > lo:
-        raise ValueError(f"degenerate interval ({lo}, {hi})")
-    a = (TWO_PI / (hi - lo) * theta) % TWO_PI
-    return 0.0 if a >= TWO_PI else a
-
-
 def unwrap_angle(alpha: float, lo: float, hi: float) -> float:
-    """Unique theta in [lo, hi) with wrap_angle(theta, lo, hi) == alpha."""
+    """Unique theta in [lo, hi) at angle alpha when [lo, hi) is wrapped once round the circle."""
     if not hi > lo:
         raise ValueError(f"degenerate interval ({lo}, {hi})")
     if not 0.0 <= alpha < TWO_PI:

@@ -32,6 +32,17 @@ def sphere_geodesic_ode(x, v, theta: float) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
+def wrap_angle(theta: float, lo: float, hi: float) -> float:
+    """Map the interval parameter onto the circle: (2 pi / (hi-lo)) * theta mod 2 pi.
+
+    The inverse of ``slice1d.unwrap_angle``, which the round-trip tests check.
+    """
+    if not hi > lo:
+        raise ValueError(f"degenerate interval ({lo}, {hi})")
+    a = (2.0 * math.pi / (hi - lo) * theta) % (2.0 * math.pi)
+    return 0.0 if a >= 2.0 * math.pi else a
+
+
 def torus_lattice_distance(x, y, period: float, k_range: int = 3) -> float:
     """Distance on the flat torus by direct minimisation over lattice shifts."""
     x = np.asarray(x, float)

@@ -334,6 +334,21 @@ def test_threads_default_from_environment(monkeypatch, tmp_path):
         assert cli.parse_config(["verify", "--config", str(cfgfile)]).threads == 3
 
 
+def test_verify_marks_vacuous_verdicts(capsys):
+    # at 1,000 replicates on the disk rho + bias = 1.240 >= 1, so n = 1 cannot fail
+    code, out, _ = run_cli(
+        ["verify", "--target", "convex-uniform:ball:2:r=1.0", "--m", "inf", "--w", "1.0",
+         "--seed", "9", "--n-list", "1,5", "--replicates", "1000"],
+        capsys,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(",")[4] for line in lines if line[:2] in ("1,", "5,")] == ["1", "1"]
+    per_n = [line for line in lines if line.startswith("  n=")]
+    assert per_n[0].startswith("  n=1:") and per_n[0].endswith(" vacuous")
+    assert per_n[1].startswith("  n=5:") and per_n[1].endswith(" ok ")
+
+
 def test_verify_advisory_epsilon_exits_nonzero(capsys):
     code, out, _ = run_cli(
         ["verify", "--target", "convex-uniform:ball:2:r=1.0", "--m", "inf", "--w", "1.0",

@@ -284,6 +284,33 @@ def test_verify_rejects_a_bias_no_estimate_can_exceed(monkeypatch):
         assert harness._null_bias(make_binning(targets.from_spec(spec)).masses, 1000) < 0.4
 
 
+def test_verify_rejects_too_few_replicates_before_any_chain(monkeypatch):
+    t = targets.from_spec("cap:sphere:2:psi=1.5707963267948966")
+    cfg = kernel.GssConfig(target=t, w=TWO_PI, m=1, seed=23)
+    monkeypatch.setattr(kernel, "endpoint_ensemble", None)
+    with pytest.raises(harness.slice1d.ApplicabilityError, match="at least 1000 replicates, got 999"):
+        verify_uniform_ergodicity(t, cfg, worst_start(t), [20], 999)
+
+
+def test_vacuous_verdicts_are_marked():
+    # with 1,000 replicates rho^n + bias reaches 1 at cap n = 1 and disk n = 1, 3; a TV
+    # estimate never exceeds 1, so those checks cannot fail
+    cap = targets.from_spec("cap:sphere:2:psi=1.5707963267948966")
+    disk = targets.from_spec("convex-uniform:ball:2:r=1.0")
+    cases = (
+        (kernel.GssConfig(target=cap, w=TWO_PI, m=1, seed=26), "corollary", [1, 5], [1.122]),
+        (kernel.GssConfig(target=disk, w=1.0, m=math.inf, seed=27), "auto", [1, 3, 5], [1.240, 1.035]),
+    )
+    for cfg, mode, n_list, vacuous_sums in cases:
+        t = cfg.target
+        curve = verify_uniform_ergodicity(t, cfg, worst_start(t), n_list, 1000, epsilon_mode=mode)
+        assert curve.certified and curve.passed
+        assert [p.vacuous for p in curve.points] == [True] * len(vacuous_sums) + [False]
+        sums = [p.envelope + curve.bias for p in curve.points]
+        assert sums[:-1] == pytest.approx(vacuous_sums, abs=5e-4) and sums[-1] < 0.9
+        assert [row[4] for row in curve.csv_rows()] == [p.passed for p in curve.points]
+
+
 def test_verify_monte_carlo_epsilon_is_advisory():
     t = targets.from_spec("convex-uniform:ball:2:r=1.0")
     cfg = kernel.GssConfig(target=t, w=1.0, m=math.inf, seed=22)

@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from geoslice import harness, targets
 from geoslice.kernel import (
-    ChainRecord, ConfigError, GssConfig, _step_array, endpoint_ensemble, run_chain,
+    ChainRecord, ConfigError, GssConfig, StepDiagnostics, _record_line, _step_array,
+    endpoint_ensemble, run_chain,
 )
 from geoslice.rng import make_stream
 
@@ -150,6 +153,41 @@ def test_run_chain_jsonl_sink_format():
         assert r["t"] > 0 and r["w_int"] > 0 and r["k_shrink"] >= 1
 
 
+def _json_record(i, coords, diag):
+    """A chain record as ``json.dumps`` writes it: the reference for the record writer."""
+    return json.dumps({
+        "i": i, "x": [float(c) for c in coords], "t": diag.level,
+        "w_int": diag.interval_width, "k_shrink": diag.shrink_iterations,
+    }) + "\n"
+
+
+# 17 significant digits, the extremes of the double range, signed zeros and non-finite values
+_EDGE_FLOATS = (-0.0, 5e-324, 1e308, -1e308, 0.1, 0.30000000000000004, 1.2345678901234567e-300,
+                math.nan, math.inf, -math.inf)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    i=st.integers(min_value=1, max_value=2**80),
+    xs=st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)), min_size=1, max_size=6),
+    t=st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)),
+    w=st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)),
+    k=st.integers(min_value=0, max_value=10**6),
+    numpy_scalars=st.booleans(),
+)
+@example(i=1, xs=[-0.0, 5e-324, 0.1], t=0.30000000000000004, w=1e308, k=1, numpy_scalars=True)
+@example(i=10**15, xs=[1e308, 1e308], t=0.5, w=1.0, k=0, numpy_scalars=False)  # sum overflows
+@example(i=2, xs=[0.5, math.nan], t=0.5, w=1.0, k=3, numpy_scalars=True)
+@example(i=2, xs=[0.5], t=math.inf, w=1.0, k=3, numpy_scalars=False)
+@example(i=2, xs=[0.5] * 6, t=0.25, w=-math.inf, k=3, numpy_scalars=True)
+def test_record_line_matches_json_dumps(i, xs, t, w, k, numpy_scalars):
+    if numpy_scalars:  # the transition may hand over numpy floats
+        t, w = np.float64(t), np.float64(w)
+    diag = StepDiagnostics(t, None, w, k, 0, 1.0)
+    xa = np.array(xs, dtype=float)
+    assert _record_line(i, xa, diag) == _json_record(i, xa, diag)
+
+
 def test_diagnostics_interval_width_capped():
     t = targets.from_spec("vmf:sphere:2:kappa=2.0")
     cfg = GssConfig(target=t, w=2.0, m=3, seed=9)
@@ -272,6 +310,18 @@ _PRESET_SPECS = (
     "convex-uniform:box:2:extents=1,2",
     "ball-gauss:2:sigma=0.5:r=1.0",
 )
+
+
+@pytest.mark.parametrize("spec", _PRESET_SPECS)
+def test_chain_records_are_json_dumps_of_the_chain_record(spec):
+    t = targets.from_spec(spec)
+    sink = io.StringIO()
+    rec = run_chain(harness.worst_start(t), 40, GssConfig(target=t, w=1.3, m=4, seed=40),
+                    burn_in=3, thin=2, sink=sink)
+    lines = sink.getvalue().splitlines(keepends=True)
+    steps = range(3 + 2, 3 + 2 * 40 + 1, 2)
+    assert len(lines) == 1 + len(rec.states) == 1 + len(steps)
+    assert lines[1:] == [_json_record(i, x.coords, d) for i, x, d in zip(steps, rec.states, rec.diagnostics)]
 
 
 @pytest.mark.parametrize("spec,m", [
