@@ -33,6 +33,7 @@ TWO_PI = 2.0 * math.pi
 
 N_BOOTSTRAP = 200  # multinomial resamples behind a TV estimate's standard error
 MIN_TV_POINTS = 1000  # fewest sample points a TV estimate accepts
+ENERGY_BLOCK = 64  # rows of the energy test's distance matrix built and centred at a time
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +204,10 @@ class EnergyTestResult:
 
 
 def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample energy statistic 2 E|A-B| - E|A-A'| - E|B-B'|."""
+    """Two-sample energy statistic 2 E|A-B| - E|A-A'| - E|B-B'|, one matrix live at a time."""
     from scipy.spatial.distance import cdist
 
-    dab = cdist(a, b)
-    daa = cdist(a, a)
-    dbb = cdist(b, b)
-    return 2.0 * float(dab.mean()) - float(daa.mean()) - float(dbb.mean())
+    return 2.0 * float(cdist(a, b).mean()) - float(cdist(a, a).mean()) - float(cdist(b, b).mean())
 
 
 def energy_permutation_test(
@@ -235,9 +233,21 @@ def energy_permutation_test(
     first sample (Szekely & Rizzo 2013).  A is stored in float32 for the
     permutation matmul; its entries are centred and small, so the sums do
     not cancel and stay accurate to well under 1e-5 relative.
+
+    A is built and centred in ``ENERGY_BLOCK``-row float64 blocks, so 4 n^2
+    bytes (the float32 A of n pooled points) plus one block are live, not
+    12 n^2.  Every row mean is needed before any entry is centred, so the
+    distances are computed twice.  Each entry takes the same float64 steps
+    as on the full matrix, so A and every result are bit-identical to it.
     """
     from scipy.spatial.distance import cdist
 
+    if permutations < 2 or subsample < 1:
+        raise ValueError(f"energy test needs permutations >= 2 and subsample >= 1, "
+                         f"got {permutations} and {subsample}")
+    if len(a) == 0 or len(b) == 0 or np.shape(a)[1:] != np.shape(b)[1:]:
+        raise ValueError(f"energy test needs two non-empty samples of one dimension, "
+                         f"got shapes {np.shape(a)} and {np.shape(b)}")
     if len(a) > subsample:
         a = a[rng.choice(len(a), subsample, replace=False)]
     if len(b) > subsample:
@@ -245,12 +255,16 @@ def energy_permutation_test(
     na, nb = len(a), len(b)
     pool = np.vstack([a, b])
     n = na + nb
-    dmat = cdist(pool, pool)
-    rmean = dmat.mean(axis=1)
-    dmat -= rmean[:, None]
-    dmat -= rmean[None, :]
-    dmat += rmean.mean()
-    dmat = dmat.astype(np.float32)
+    blocks = [slice(i, i + ENERGY_BLOCK) for i in range(0, n, ENERGY_BLOCK)]
+    rmean = np.concatenate([cdist(pool[r], pool).mean(axis=1) for r in blocks])
+    grand = rmean.mean()
+    dmat = np.empty((n, n), dtype=np.float32)
+    for r in blocks:
+        blk = cdist(pool[r], pool)
+        blk -= rmean[r, None]
+        blk -= rmean[None, :]
+        blk += grand
+        dmat[r] = blk
     scale = -((1.0 / na + 1.0 / nb) ** 2)
 
     def stats_of(zmat: np.ndarray) -> np.ndarray:

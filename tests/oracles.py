@@ -183,3 +183,52 @@ def classify_regime_grid(diam, delta, lam, n_w: int = 4000) -> str:
     qs = q1[finite]
     has_decrease = bool(np.any(np.diff(qs) < -1e-15 * np.abs(qs[:-1])))
     return "b" if has_decrease else "d"
+
+
+def energy_permutation_test_one_shot(a, b, rng, permutations: int = 500, subsample: int = 1500):
+    """The energy permutation test on the full float64 distance matrix, centred in place.
+
+    This is ``harness.energy_permutation_test`` as it was before the matrix
+    was built in row blocks; the blocked version must reproduce it exactly.
+    Returns (statistic, p_value, p_permutation, n_a, n_b, permutations).
+    """
+    from scipy.spatial.distance import cdist
+
+    if len(a) > subsample:
+        a = a[rng.choice(len(a), subsample, replace=False)]
+    if len(b) > subsample:
+        b = b[rng.choice(len(b), subsample, replace=False)]
+    na, nb = len(a), len(b)
+    pool = np.vstack([a, b])
+    n = na + nb
+    dmat = cdist(pool, pool)
+    rmean = dmat.mean(axis=1)
+    dmat -= rmean[:, None]
+    dmat -= rmean[None, :]
+    dmat += rmean.mean()
+    dmat = dmat.astype(np.float32)
+    scale = -((1.0 / na + 1.0 / nb) ** 2)
+
+    def stats_of(zmat: np.ndarray) -> np.ndarray:
+        g = dmat @ zmat.T  # (n, B)
+        s_aa = np.einsum("bn,nb->b", zmat, g, optimize=True).astype(np.float64)
+        return scale * s_aa
+
+    z0 = np.zeros((1, n), dtype=np.float32)
+    z0[0, :na] = 1.0
+    obs = float(stats_of(z0)[0])
+    zperm = np.zeros((permutations, n), dtype=np.float32)
+    for k in range(permutations):
+        zperm[k, rng.permutation(n)[:na]] = 1.0
+    null = stats_of(zperm)
+    exceed = int(np.sum(null >= obs - 1e-12))
+    p_perm = (1 + exceed) / (permutations + 1)
+    p = p_perm
+    if exceed == 0:
+        mu, sd = float(np.mean(null)), float(np.std(null, ddof=1))
+        if sd > 0:
+            from scipy import special
+
+            # normal upper tail; ndtr(-z) is what scipy.stats.norm.sf(z) computes
+            p = min(p_perm, float(special.ndtr(-(obs - mu) / sd)))
+    return obs, p, p_perm, na, nb, permutations

@@ -1,7 +1,11 @@
+import dataclasses
 import hashlib
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from geoslice import harness, kernel, targets
@@ -243,6 +247,71 @@ def test_energy_distance_direct_matches_matrix_path():
         b = rng.standard_normal((n, 2)) + shift
         res = energy_permutation_test(a, b, make_stream(7, 1), permutations=10, subsample=n)
         assert res.statistic == pytest.approx(energy_distance(a, b), rel=1e-5), n
+
+
+@pytest.mark.parametrize(
+    "na,nb,d,shift,subsample",
+    [
+        # pooled sizes on both sides of the 64-row block boundary
+        (1, 1, 1, 0.0, 1500),
+        (31, 32, 2, 0.0, 1500),
+        (32, 32, 3, 0.8, 1500),
+        (32, 33, 1, 0.0, 1500),
+        # per-side sizes 63, 64, 65
+        (63, 63, 2, 0.0, 1500),
+        (64, 64, 3, 0.0, 1500),
+        (65, 65, 1, 0.6, 1500),
+        (700, 1300, 2, 0.3, 1500),
+        (1500, 1500, 3, 0.0, 1500),
+        # subsampling draws before the test
+        (2000, 900, 2, 0.1, 800),
+    ],
+)
+def test_energy_test_blocked_matrix_equals_one_shot(na, nb, d, shift, subsample):
+    rng = make_stream(11, na + nb)
+    a = rng.standard_normal((na, d))
+    b = rng.standard_normal((nb, d)) + shift
+    res = energy_permutation_test(a, b, make_stream(12, d), permutations=99, subsample=subsample)
+    ref = oracles.energy_permutation_test_one_shot(
+        a, b, make_stream(12, d), permutations=99, subsample=subsample
+    )
+    assert dataclasses.astuple(res) == ref
+
+
+@pytest.mark.parametrize(
+    "shapes,kwargs",
+    [
+        (((10, 2), (10, 2)), {"permutations": 1}),
+        (((10, 2), (10, 2)), {"permutations": 0}),
+        (((10, 2), (10, 2)), {"subsample": 0}),
+        (((0, 2), (10, 2)), {}),
+        (((10, 2), (0, 2)), {}),
+        (((10, 2), (10, 3)), {}),
+    ],
+)
+def test_energy_test_rejects_bad_input_before_any_draw(shapes, kwargs):
+    a, b = (np.ones(s) for s in shapes)
+    rng = make_stream(13, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="energy test needs"):
+        energy_permutation_test(a, b, rng, **kwargs)
+    assert rng.bit_generator.state == state
+
+
+def test_energy_test_peak_memory():
+    # the float32 matrix of 3,000 pooled points is 36 MB; the full float64 path peaked at 108 MB
+    for mod in ("scipy.special", "scipy.spatial.distance"):  # imported outside the traced window
+        importlib.import_module(mod)
+    rng = make_stream(14, 0)
+    a = rng.standard_normal((1500, 2))
+    b = rng.standard_normal((1500, 2))
+    tracemalloc.start()
+    try:
+        energy_permutation_test(a, b, make_stream(14, 1), permutations=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 45e6, peak
 
 
 # -- verify / invariance ----------------------------------------------------------------
