@@ -292,108 +292,100 @@ def estimate_epsilon(
 # ---------------------------------------------------------------------------
 
 EPSILON_MODES = ("auto", "analytic", "corollary", "monte-carlo")
+EPSILON_STREAM = 41  # stream index of a Monte-Carlo epsilon in both `bounds` and `verify`
+
+
+def _fmt(v) -> str:
+    if v is None:
+        return "n/a"
+    if isinstance(v, float) and math.isinf(v):
+        return "inf"
+    return repr(v)
 
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """All constants of the convergence certificate with input provenance."""
+    """The certificate: one (name, value, source) row per input constant, then q and rho."""
 
     target_spec: str
     dim: int
     m: float
     w: float
-    zeta: float
-    kappa: float
-    epsilon: float
-    epsilon_provenance: str
+    inputs: tuple  # (name, value, source) rows in print order
     epsilon_se: Optional[float]
-    lambda_value: float
-    lambda_eff: float
-    sup_t_level: float
-    level_set_analytic: bool
-    p_max: float
-    omega_dm1: float
-    diam_w: float
-    delta: Optional[float]
-    delta_analytic: bool
-    rho: float
     q: Optional[float]
     q_note: str
-    certified: bool
+    rho: float
+    certified: bool  # epsilon is proved and the level-set function is analytic
+
+    def row(self, name: str) -> tuple:
+        """(value, source) of one input constant."""
+        return next((v, s) for n, v, s in self.inputs if n == name)
+
+    epsilon = property(lambda self: self.row("epsilon")[0])
+    sup_t_level = property(lambda self: self.row("sup_t_level")[0])
 
     def lines(self) -> list:
         """Flat key-value rendering, one constant per line with provenance."""
-        def fmt(v):
-            if v is None:
-                return "n/a"
-            if isinstance(v, float) and math.isinf(v):
-                return "inf"
-            return repr(v)
-
-        gap_tag = "analytic" if self.delta_analytic else "statistical lower bound"
+        se = [] if self.epsilon_se is None else [f"epsilon_se = {_fmt(self.epsilon_se)} [monte-carlo]"]
         cert = "certified" if self.certified else "advisory (not certified)"
-        level_tag = "level-set optimiser" if self.level_set_analytic else "monte-carlo level set"
-        out = [
+        return [
             f"target = {self.target_spec}",
             f"dim = {self.dim}",
             f"m = {'inf' if math.isinf(self.m) else int(self.m)}",
-            f"w = {fmt(self.w)}",
-            f"diam_W = {fmt(self.diam_w)} [target metadata]",
-            f"delta = {fmt(self.delta)} [{gap_tag}]",
-            f"lambda = {fmt(self.lambda_value)} [target metadata]",
-            f"lambda_eff = {fmt(self.lambda_eff)} [min(m*w, lambda)]",
-            f"zeta = {fmt(self.zeta)} [manifold metadata]",
-            f"kappa = {fmt(self.kappa)} [volume comparison]",
-            f"omega_dm1 = {fmt(self.omega_dm1)} [unit sphere area]",
-            f"p_max = {fmt(self.p_max)} [target metadata]",
-            f"sup_t_level = {fmt(self.sup_t_level)} [{level_tag}]",
-            f"epsilon = {fmt(self.epsilon)} [{self.epsilon_provenance}]",
+            f"w = {_fmt(self.w)}",
+            *(f"{name} = {_fmt(value)} [{source}]" for name, value, source in self.inputs),
+            *se,
+            f"q = {_fmt(self.q)} [{self.q_note}]",
+            f"rho = {_fmt(self.rho)} [{cert}]",
         ]
-        if self.epsilon_se is not None:
-            out.append(f"epsilon_se = {fmt(self.epsilon_se)} [monte-carlo]")
-        out.append(f"q = {fmt(self.q)}" + (f" [{self.q_note}]" if self.q_note else ""))
-        out.append(f"rho = {fmt(self.rho)} [{cert}]")
-        return out
 
     def to_dict(self) -> dict:
-        d = {
-            "target": self.target_spec,
-            "dim": self.dim,
-            "m": "inf" if math.isinf(self.m) else int(self.m),
-            "w": self.w,
-            "diam_w": self.diam_w,
-            "delta": self.delta,
-            "delta_analytic": self.delta_analytic,
-            "lambda": None if math.isinf(self.lambda_value) else self.lambda_value,
-            "lambda_eff": self.lambda_eff,
-            "zeta": self.zeta,
-            "kappa": self.kappa,
-            "omega_dm1": self.omega_dm1,
-            "p_max": self.p_max,
-            "sup_t_level": self.sup_t_level,
-            "epsilon": self.epsilon,
-            "epsilon_provenance": self.epsilon_provenance,
-            "epsilon_se": self.epsilon_se,
-            "q": self.q,
-            "rho": self.rho,
-            "certified": self.certified,
-        }
+        d = {"target": self.target_spec, "dim": self.dim,
+             "m": "inf" if math.isinf(self.m) else int(self.m), "w": self.w}
+        d.update((name.lower(), value) for name, value, _ in self.inputs)
+        d.update(
+            {"lambda": None if math.isinf(d["lambda"]) else d["lambda"],
+             "delta_analytic": self.row("delta")[1] == "analytic",
+             "sup_t_level_provenance": self.row("sup_t_level")[1],
+             "epsilon_provenance": self.row("epsilon")[1],
+             "epsilon_se": self.epsilon_se, "q": self.q, "rho": self.rho, "certified": self.certified}
+        )
         return d
 
 
-def _analytic_epsilon(target: Target, m: float, w: float):
-    """Exact epsilon = 1 cases: full-winding sphere intervals, convex sections."""
-    if isinstance(target.manifold, Sphere) and m == 1 and abs(w - _TWO_PI) <= 1e-9 * _TWO_PI:
-        # A width-2*pi interval wraps the whole great circle, so the geodesic
-        # section is always swallowed up to periodicity.
-        return 1.0, "analytic: full-winding interval on the sphere"
-    if isinstance(target.manifold, Euclidean) and math.isinf(m) and target.convex_level_sets:
-        # Unlimited expansion always clears a bounded convex section.
-        return 1.0, "analytic: convex geodesic sections, m = inf"
-    raise ApplicabilityError(
-        "no analytic covering probability for this configuration; "
-        "use corollary or monte-carlo mode"
-    )
+def _epsilon(target: Target, m: float, w: float, mode: str, rng: Optional[np.random.Generator],
+             probes: int, runs: int):
+    """The covering probability of one epsilon mode: (epsilon, SE or None, provenance, proved)."""
+    if mode in ("auto", "analytic"):
+        if isinstance(target.manifold, Sphere) and m == 1 and abs(w - _TWO_PI) <= 1e-9 * _TWO_PI:
+            # A width-2*pi interval wraps the whole great circle, so the geodesic
+            # section is always swallowed up to periodicity.
+            return 1.0, None, "analytic: full-winding interval on the sphere", True
+        if isinstance(target.manifold, Euclidean) and math.isinf(m) and target.convex_level_sets:
+            # Unlimited expansion always clears a bounded convex section.
+            return 1.0, None, "analytic: convex geodesic sections, m = inf", True
+        if mode == "analytic":
+            raise ApplicabilityError(
+                "no analytic covering probability for this configuration; "
+                "use corollary or monte-carlo mode"
+            )
+    if mode == "monte-carlo":
+        if rng is None:
+            raise ValueError("monte-carlo epsilon mode needs an rng")
+        eps, se = estimate_epsilon(target, m, w, probes, runs, rng)
+        if eps <= 0.0:
+            raise ValueError("estimated covering probability is zero; bound vacuous")
+        return eps, se, "monte-carlo infimum over probes (statistical, optimistic)", False
+    if target.max_gap is None and m >= 2:  # the gap term vanishes at m = 1
+        raise ApplicabilityError(
+            "corollary epsilon needs the section-gap constant; estimate it first "
+            "(estimate_max_gap) or use monte-carlo mode"
+        )
+    eps = covering_epsilon(target.diam_w, target.max_gap or 0.0, m, w)
+    if m == 1 or target.max_gap_analytic:
+        return eps, None, "corollary formula", True
+    return eps, None, "corollary formula with estimated gap (optimistic)", False
 
 
 def full_report(
@@ -409,80 +401,42 @@ def full_report(
 
     ``epsilon_mode``: "analytic" uses the exact epsilon = 1 special cases;
     "corollary" derives epsilon from (diam W, gap, m, w); "monte-carlo"
-    estimates the covering probability empirically (never certified);
-    "auto" picks analytic when applicable, else corollary.  A Monte-Carlo
-    level-set function makes sup t * vol({p > t}) an estimate, so such a
-    report is never certified either.
+    estimates the covering probability empirically (never proved);
+    "auto" picks analytic when applicable, else corollary.  The report is
+    certified exactly when epsilon is proved and the level-set function is
+    analytic: a Monte-Carlo level set makes sup t * vol({p > t}) an estimate.
     """
     if epsilon_mode not in EPSILON_MODES:
         raise ValueError(f"epsilon_mode must be one of {EPSILON_MODES}")
     info = target.manifold.info
     kappa = volume_comparison_factor(info.ricci_lower, target.diam_w, info.dim)
     sup_tl = targets.sup_t_level(target)
-    gap = target.max_gap
-
-    eps_se = None
-    certified = False
-    if epsilon_mode == "auto":
-        try:
-            eps, prov = _analytic_epsilon(target, m, w)
-            certified = True
-        except ApplicabilityError:
-            epsilon_mode = "corollary"
-    if epsilon_mode == "analytic":
-        eps, prov = _analytic_epsilon(target, m, w)
-        certified = True
-    if epsilon_mode == "corollary":
-        if gap is None:
-            raise ApplicabilityError(
-                "corollary epsilon needs the section-gap constant; estimate it first "
-                "(estimate_max_gap) or use monte-carlo mode"
-            )
-        eps = covering_epsilon(target.diam_w, gap, m, w)
-        if m == 1 or target.max_gap_analytic:
-            prov = "corollary formula"
-            certified = True
-        else:
-            prov = "corollary formula with estimated gap (optimistic)"
-            certified = False
-    if epsilon_mode == "monte-carlo":
-        if rng is None:
-            raise ValueError("monte-carlo epsilon mode needs an rng")
-        eps, eps_se = estimate_epsilon(target, m, w, mc_probes, mc_runs, rng)
-        if eps <= 0.0:
-            raise ValueError("estimated covering probability is zero; bound vacuous")
-        prov = "monte-carlo infimum over probes (statistical, optimistic)"
-        certified = False
-
+    eps, eps_se, eps_source, proved = _epsilon(target, m, w, epsilon_mode, rng, mc_probes, mc_runs)
     rho = convergence_rate(
         eps, m, w, target.lambda_value, kappa, info.omega_dm1, sup_tl, target.p_max
     )
+    gap = target.max_gap
     try:
-        q = hyperparameter_gain(m, w, target.diam_w, 0.0 if gap is None else gap, target.lambda_value)
+        if gap is None and m >= 2:
+            raise ApplicabilityError("section gap unknown")
+        q = hyperparameter_gain(m, w, target.diam_w, gap or 0.0, target.lambda_value)
         q_note = "corollary formula"
     except ApplicabilityError as e:
         q, q_note = None, f"inapplicable: {e}"
-    return BoundsReport(
-        target_spec=target.spec_string,
-        dim=info.dim,
-        m=m,
-        w=w,
-        zeta=info.ricci_lower,
-        kappa=kappa,
-        epsilon=eps,
-        epsilon_provenance=prov,
-        epsilon_se=eps_se,
-        lambda_value=target.lambda_value,
-        lambda_eff=min(m * w, target.lambda_value),
-        sup_t_level=sup_tl,
-        level_set_analytic=target.level_set.analytic,
-        p_max=target.p_max,
-        omega_dm1=info.omega_dm1,
-        diam_w=target.diam_w,
-        delta=gap,
-        delta_analytic=target.max_gap_analytic,
-        rho=rho,
-        q=q,
-        q_note=q_note,
-        certified=certified and target.level_set.analytic,
+    gap_source = ("not supplied" if gap is None else
+                  "analytic" if target.max_gap_analytic else "statistical lower bound")
+    level = target.level_set.analytic
+    inputs = (
+        ("diam_W", target.diam_w, "target metadata"),
+        ("delta", gap, gap_source),
+        ("lambda", target.lambda_value, "target metadata"),
+        ("lambda_eff", min(m * w, target.lambda_value), "min(m*w, lambda)"),
+        ("zeta", info.ricci_lower, "manifold metadata"),
+        ("kappa", kappa, "volume comparison"),
+        ("omega_dm1", info.omega_dm1, "unit sphere area"),
+        ("p_max", target.p_max, "target metadata"),
+        ("sup_t_level", sup_tl, "level-set optimiser" if level else "monte-carlo level set"),
+        ("epsilon", eps, eps_source),
     )
+    return BoundsReport(target.spec_string, info.dim, m, w, inputs, eps_se, q, q_note, rho,
+                        certified=proved and level)

@@ -244,7 +244,7 @@ def dispatch(cfg: argparse.Namespace) -> int:
 
 def _cmd_bounds(cfg: argparse.Namespace) -> int:
     target = _resolve_target(cfg)
-    rng = make_stream(cfg.seed, 0) if cfg.epsilon_mode == "monte-carlo" else None
+    rng = make_stream(cfg.seed, bounds.EPSILON_STREAM) if cfg.epsilon_mode == "monte-carlo" else None
     try:
         report = bounds.full_report(target, cfg.m, cfg.w, cfg.epsilon_mode, rng=rng)
     except (bounds.ApplicabilityError, ValueError) as e:

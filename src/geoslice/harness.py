@@ -348,10 +348,8 @@ def verify_uniform_ergodicity(
         raise slice1d.ApplicabilityError(
             f"a TV estimate needs at least {MIN_TV_POINTS} replicates, got {replicates}")
     try:
-        report = bounds.full_report(
-            target, config.m, config.w, epsilon_mode,
-            rng=make_stream(config.seed, 41) if epsilon_mode == "monte-carlo" else None,
-        )
+        rng = make_stream(config.seed, bounds.EPSILON_STREAM) if epsilon_mode == "monte-carlo" else None
+        report = bounds.full_report(target, config.m, config.w, epsilon_mode, rng=rng)
         binning = make_binning(target, bins)
     except ValueError as e:
         raise slice1d.ApplicabilityError(str(e)) from e

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import itertools
+import json
 import math
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 import oracles
 from geoslice import targets
 from geoslice.bounds import (
+    EPSILON_MODES,
     ApplicabilityError,
     convergence_rate,
     covering_epsilon,
@@ -348,3 +353,83 @@ def test_certificate_table(spec, m, w, mode, rho):
     assert 0.0 <= rep.rho < 1.0
     if rho is not None:
         assert rep.rho == pytest.approx(rho, abs=1e-12)
+
+
+# -- the certificate as a whole ----------------------------------------------------
+
+def _without_gap(spec: str, **kw):
+    """A preset rewrapped as a custom target whose section gap is not supplied."""
+    t = targets.from_spec(spec)
+    return targets.custom_target(
+        t.manifold, t.density, t.p_max, t.diam_w, name=spec, density_batch=t.density_batch,
+        sampler=t.sampler, level_set=t.level_set, **kw,
+    )
+
+
+def _report_text(target, m, w, mode, seed) -> str:
+    try:
+        rep = full_report(target, m, w, mode, rng=make_stream(seed, 0), mc_probes=2, mc_runs=50)
+    except ValueError as e:
+        return f"{type(e).__name__}: {e}\n"
+    return "\n".join(rep.lines()) + "\n" + json.dumps(rep.to_dict(), sort_keys=True) + "\n"
+
+
+def _grid_digest() -> str:
+    """SHA-256 of lines() and to_dict(), error text included, over preset x mode x (m, w)."""
+    cases = [targets.from_spec(spec) for spec, *_ in _CERTIFICATE_TABLE]
+    cases.append(_without_gap("convex-uniform:ball:2:r=1.0", lambda_value=2.0))
+    grid = itertools.product(cases, ((1, TWO_PI), (math.inf, 1.0), (4, 1.0)), EPSILON_MODES)
+    h = hashlib.sha256()
+    for k, (t, (m, w), mode) in enumerate(grid):
+        if mode == "monte-carlo" and math.isinf(m) and math.isinf(t.lambda_value):
+            continue  # stepping-out runs to its 10^6-expansion cap before the rate rejects m = inf
+        h.update(_report_text(t, m, w, mode, k).encode())
+    return h.hexdigest()
+
+
+def test_report_bytes_golden():
+    # Moved once since it was first recorded, by the declared output changes: the
+    # sup_t_level_provenance key, and a custom disk without a gap (no corollary
+    # epsilon demand at m = 1, no q at m >= 2, delta tagged [not supplied]).
+    assert _grid_digest() == "6950b2a6629d5d84c8275368c079be666db16c6c85ed19407dc10c9cc78c92bd"
+
+
+def test_certified_iff_epsilon_proved_and_level_set_analytic():
+    cap = targets.from_spec("cap:sphere:2:psi=1.0")
+    estimated_gap = dataclasses.replace(cap, max_gap=0.1, max_gap_analytic=False)
+    vmf = targets.from_spec("vmf:sphere:2:kappa=2.0")
+    mc_level = targets.custom_target(
+        Sphere(2), vmf.density, p_max=math.exp(2.0), diam_w=math.pi,
+        density_batch=vmf.density_batch, max_gap=0.0, level_samples=20_000,
+    )
+    # (target, m, w, mode, epsilon proved, level set analytic)
+    rows = [(targets.from_spec(s), m, w, mode, True, True) for s, m, w, mode, _ in _CERTIFICATE_TABLE]
+    rows += [
+        (estimated_gap, 1, TWO_PI, "corollary", True, True),  # the gap term vanishes at m = 1
+        (estimated_gap, 4, 1.0, "corollary", False, True),
+        (estimated_gap, 4, 1.0, "auto", False, True),
+        (cap, 4, 1.0, "monte-carlo", False, True),
+        (mc_level, 1, TWO_PI, "auto", True, False),
+        (mc_level, 4, 1.0, "corollary", True, False),
+        (mc_level, 4, 1.0, "monte-carlo", False, False),
+        (_without_gap("convex-uniform:ball:2:r=1.0", lambda_value=2.0), 1, 4.0, "auto", True, True),
+    ]
+    for k, (t, m, w, mode, proved, analytic) in enumerate(rows):
+        rep = full_report(t, m, w, mode, rng=make_stream(60, k), mc_probes=2, mc_runs=50)
+        d = rep.to_dict()
+        assert ("optimistic" not in d["epsilon_provenance"]) == proved, (t.name, m, w, mode)
+        assert (d["sup_t_level_provenance"] == "level-set optimiser") == analytic, (t.name, m, w, mode)
+        assert rep.certified == d["certified"] == (proved and analytic), (t.name, m, w, mode)
+
+
+def test_unknown_gap_is_needed_only_at_m_at_least_2():
+    t = _without_gap("uniform:sphere:2")
+    for mode in ("auto", "corollary"):
+        rep = full_report(t, 1, 7.0, mode)
+        assert rep.epsilon == pytest.approx(1.0 - math.pi / 7.0) and rep.certified
+        assert "delta = n/a [not supplied]" in rep.lines()
+    with pytest.raises(ApplicabilityError, match="section-gap constant"):
+        full_report(t, 3, 2.0, "corollary")
+    rep = full_report(t, 3, 2.0, "monte-carlo", rng=make_stream(61, 0), mc_probes=2, mc_runs=50)
+    assert rep.q is None and "q = n/a [inapplicable: section gap unknown]" in rep.lines()
+    assert rep.to_dict()["delta_analytic"] is False

@@ -358,3 +358,18 @@ def test_verify_advisory_epsilon_exits_nonzero(capsys):
     )
     assert code == 1
     assert "ADVISORY" in out
+
+
+def test_bounds_and_verify_share_the_monte_carlo_epsilon(capsys):
+    common = ["--target", "cap:sphere:2:psi=1.5707963267948966", "--m", "4", "--w", "1.0",
+              "--seed", "5", "--epsilon-mode", "monte-carlo"]
+
+    def rho(out):
+        return float(next(line for line in out.splitlines() if line.startswith("rho = ")).split()[2])
+
+    code, out, _ = run_cli(["bounds", *common], capsys)
+    assert code == 0
+    rho_bounds = rho(out)
+    code, out, _ = run_cli(["verify", *common, "--n-list", "1", "--replicates", "1000", "--bins", "4"], capsys)
+    assert code == 1 and "verify: ADVISORY" in out
+    assert rho(out) == rho_bounds
