@@ -76,6 +76,17 @@ def covering_epsilon(diam_w: float, max_gap: float, m: float, w: float) -> float
     return slice1d.covering_bound(diam_w, 0.0, max_gap, m, w)
 
 
+def _lambda_eff(m: float, w: float, lam: float, error=ValueError) -> float:
+    """min(m w, lambda), which divides epsilon in rho; raises ``error`` unless positive and finite."""
+    lam_eff = min(m * w, lam)
+    if not (lam_eff > 0 and math.isfinite(lam_eff)):
+        raise error(
+            f"min(m w, lambda) must be positive and finite, got {lam_eff}; "
+            "infinite m needs finite lambda"
+        )
+    return lam_eff
+
+
 def convergence_rate(
     epsilon: float,
     m: float,
@@ -89,13 +100,7 @@ def convergence_rate(
     """The per-step total-variation contraction factor rho in [0, 1)."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    mw = m * w
-    lam_eff = min(mw, lam)
-    if not (lam_eff > 0 and math.isfinite(lam_eff)):
-        raise ValueError(
-            f"min(m w, lambda) must be positive and finite, got {lam_eff}; "
-            "infinite m needs finite lambda"
-        )
+    lam_eff = _lambda_eff(m, w, lam)
     for name, v in (("kappa", kappa), ("omega_dm1", omega_dm1), ("sup_tl", sup_tl), ("p_max", p_max)):
         if not v > 0:
             raise ValueError(f"{name} must be positive, got {v}")
@@ -141,12 +146,7 @@ def hyperparameter_gain(m: float, w: float, diam_w: float, max_gap: float, lam: 
     convergence for fixed target geometry.
     """
     eps = covering_epsilon(diam_w, max_gap, m, w)
-    lam_eff = min(m * w, lam)
-    if not (lam_eff > 0 and math.isfinite(lam_eff)):
-        raise ApplicabilityError(
-            f"min(m w, lambda) = {lam_eff}; infinite m needs finite lambda"
-        )
-    return eps / lam_eff
+    return eps / _lambda_eff(m, w, lam, ApplicabilityError)
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def estimate_epsilon(
 
     Each probe scans a random geodesic section at ``targets.SCAN_GRID``
     steps (``targets.scan_section``), draws a level, locates the supremum of the
-    superlevel section before the cut time, and counts stepping-out draws
+    superlevel section within the scan, and counts stepping-out draws
     whose interval clears it.  Returns (min over probes of the per-probe
     estimate, standard error at the argmin).  An infimum over an uncountable
     family cannot be certified this way: treat the result as optimistic.
@@ -373,6 +373,7 @@ def _epsilon(target: Target, m: float, w: float, mode: str, rng: Optional[np.ran
     if mode == "monte-carlo":
         if rng is None:
             raise ValueError("monte-carlo epsilon mode needs an rng")
+        _lambda_eff(m, w, target.lambda_value)  # else stepping-out may expand to its cap
         eps, se = estimate_epsilon(target, m, w, probes, runs, rng)
         if eps <= 0.0:
             raise ValueError("estimated covering probability is zero; bound vacuous")
@@ -430,7 +431,7 @@ def full_report(
         ("diam_W", target.diam_w, "target metadata"),
         ("delta", gap, gap_source),
         ("lambda", target.lambda_value, "target metadata"),
-        ("lambda_eff", min(m * w, target.lambda_value), "min(m*w, lambda)"),
+        ("lambda_eff", _lambda_eff(m, w, target.lambda_value), "min(m*w, lambda)"),
         ("zeta", info.ricci_lower, "manifold metadata"),
         ("kappa", kappa, "volume comparison"),
         ("omega_dm1", info.omega_dm1, "unit sphere area"),

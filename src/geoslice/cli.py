@@ -7,8 +7,8 @@ sample      run one chain, stream it as JSON lines
 bounds      print the convergence certificate for a target/hyperparameter pair
             --target --m --w --seed --out --epsilon-mode
 verify      endpoint-ensemble TV decay against the certified envelope (CSV)
-            --target --m --w --seed --threads --out --n-list --replicates --bins
-            --epsilon-mode --x0 --gnuplot
+            --target --m --w --seed --out --n-list --replicates --bins --epsilon-mode
+            --x0 --gnuplot
 invariance  one-step invariance two-sample test
             --target --m --w --seed --samples
 lemmas      distributional battery for the 1-D procedures
@@ -21,9 +21,8 @@ and range check once.  A flat ``key = value`` config file (``--config``) may
 set only options of its command (``-`` or ``_`` in keys); its lines are parsed
 as ``--key=value`` flags placed right after the command name, so a later flag
 wins.  Boolean options take true/false/yes/no/1/0, or no value for true.
-``--threads`` defaults to the ``GEOSLICE_THREADS`` environment variable,
-checked like the flag and overridden by a file's ``threads``.  Every output file starts with a header carrying the
-tool version, command line and seed; timestamps appear only in that header.
+Every output file starts with a header carrying the tool version, command
+line and seed; timestamps appear only in that header.
 Exit codes: 0 success/PASS, 1 statistical FAIL, 2 usage error, 3 runtime error.
 """
 
@@ -33,7 +32,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -91,10 +89,6 @@ _OPTIONS = {
     # the random streams read a seed modulo 2**64, so a larger one would alias a smaller
     "seed": dict(type=_checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)"),
                  help="64-bit master seed (default: fresh, recorded)"),
-    "threads": dict(
-        type=_checked(int, lambda v: v >= 1, "an integer >= 1 from --threads or GEOSLICE_THREADS"),
-        help="worker threads (default: env GEOSLICE_THREADS or 1)",
-    ),
     "out": dict(help="output file path"),
     "steps": dict(type=_at_least(0), default=1000, help="number of recorded states"),
     "burn-in": dict(type=_at_least(0), default=0, help="discarded initial steps"),
@@ -121,28 +115,27 @@ _OPTIONS = {
 _COMMANDS = {
     "sample": ("target", "m", "w", "seed", "out", "steps", "burn-in", "thin", "x0"),
     "bounds": ("target", "m", "w", "seed", "out", "epsilon-mode"),
-    "verify": ("target", "m", "w", "seed", "threads", "out", "n-list", "replicates", "bins",
-               "epsilon-mode", "x0", "gnuplot"),
+    "verify": ("target", "m", "w", "seed", "out", "n-list", "replicates", "bins", "epsilon-mode",
+               "x0", "gnuplot"),
     "invariance": ("target", "m", "w", "seed", "samples"),
     "lemmas": ("seed", "out", "quick"),
     "hyperopt": ("target", "seed"),
 }
 
 
-def _build_parser(threads: str) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="geoslice",
         description="geodesic slice sampling with explicit convergence certificates",
     )
     parser.add_argument("--version", action="version", version=f"geoslice {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    # defaults read per run; a string default goes through the option's type
-    run_defaults = {"threads": threads, "seed": fresh_seed()}
+    seed = fresh_seed()  # one per parser, so one per run; every command takes --seed
     for cmd, names in _COMMANDS.items():
         sp = subs.add_parser(cmd)
         for name in ("config", *names):
             sp.add_argument(f"--{name}", **_OPTIONS[name])
-        sp.set_defaults(**{k: v for k, v in run_defaults.items() if k in names})
+        sp.set_defaults(seed=seed)
     return parser
 
 
@@ -181,14 +174,14 @@ def _config_tokens(path: str, names) -> list:
 def parse_config(argv=None) -> argparse.Namespace:
     """Parse the command line with the --config file's flags ahead of it; ``argv`` is kept.
 
-    The first pass finds the command and its config file.  GEOSLICE_THREADS
-    enters only the second, so a file's ``threads`` overrides it as a flag does.
+    One parser parses twice: the first pass finds the command and its config
+    file, the second adds the file's flags right after the command name.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
-    first = _build_parser("1").parse_args(argv)
+    parser = _build_parser()
+    first = parser.parse_args(argv)
     at = argv.index(first.command) + 1
     tokens = _config_tokens(first.config, _COMMANDS[first.command]) if first.config else []
-    parser = _build_parser(os.environ.get("GEOSLICE_THREADS") or "1")
     ns = parser.parse_args(argv[:at] + tokens + argv[at:])
     ns.argv = argv
     return ns
@@ -293,8 +286,8 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
     x0 = _start(cfg, target) if cfg.x0 else harness.worst_start(target)
     try:
         curve = harness.verify_uniform_ergodicity(
-            target, gss, x0, cfg.n_list, cfg.replicates,
-            threads=cfg.threads, bins=cfg.bins, epsilon_mode=cfg.epsilon_mode,
+            target, gss, x0, cfg.n_list, cfg.replicates, bins=cfg.bins,
+            epsilon_mode=cfg.epsilon_mode,
         )
     except bounds.ApplicabilityError as e:
         raise UsageError(str(e)) from None

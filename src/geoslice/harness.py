@@ -302,7 +302,7 @@ class TvCurvePoint:
     tv: float
     se: float
     envelope: float
-    passed: bool
+    passed: bool  # tv <= envelope + 3 SE + bias; the curve adds whether rho is certified
     vacuous: bool  # envelope + bias >= 1: a TV estimate never exceeds 1, so this check cannot fail
 
 
@@ -338,9 +338,11 @@ def verify_uniform_ergodicity(
     x0 and its TV distance to the target estimated; the check passes when
     every estimate stays below rho^n + 3 SE + bias.  Only a certified
     covering probability can produce a PASS; with a Monte-Carlo epsilon the
-    whole curve is advisory and ``passed`` is always False.  An inapplicable certificate
-    or binning, fewer than MIN_TV_POINTS replicates, or a bias >= 1 (no check could fail)
-    raises ApplicabilityError before any chain runs.
+    whole curve is advisory and its ``passed`` is always False, while each
+    point's ``passed`` still says whether its estimate is within the envelope.
+    An inapplicable certificate or binning, fewer than MIN_TV_POINTS
+    replicates, or a bias >= 1 (no check could fail) raises ApplicabilityError
+    before any chain runs.
     """
     if not n_list or min(n_list) < 1:
         raise ValueError(f"n_list needs at least one step count, each >= 1, got {list(n_list)}")
@@ -364,8 +366,8 @@ def verify_uniform_ergodicity(
         )
         est = estimate_tv(ens, binning, rng=make_stream(config.seed, 90_000 + n))
         env = report.rho**n
-        ok = report.certified and est.tv <= env + 3.0 * est.se + est.bias
-        pts.append(TvCurvePoint(n=int(n), tv=est.tv, se=est.se, envelope=env, passed=ok,
+        pts.append(TvCurvePoint(n=int(n), tv=est.tv, se=est.se, envelope=env,
+                                passed=est.tv <= env + 3.0 * est.se + est.bias,
                                 vacuous=env + bias >= 1.0))
     return TvCurve(
         points=pts,

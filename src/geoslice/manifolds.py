@@ -1,10 +1,11 @@
 """Built-in state spaces: Euclidean space, the round sphere, and flat tori.
 
 Each manifold provides geodesics through the exponential map, uniform unit
-tangent directions, cut times (a float, which may be a
-lower bound of the true cut time), and the metadata consumed
-by the convergence-bound calculator (dimension, diameter, Ricci lower bound,
-injectivity radius, unit-sphere area of the tangent spaces, total measure).
+tangent directions, and the metadata consumed by the convergence-bound
+calculator (dimension, diameter, Ricci lower bound, injectivity radius,
+unit-sphere area of the tangent spaces, total measure), built once as
+``info``.  The injectivity radius is a lower bound of every cut time, so it
+is what a scan along a geodesic reads.
 
 All operations work on coordinate arrays in the embedding: length d+1 unit
 vectors for the sphere S^d, plain length-d vectors for Euclidean space and
@@ -13,7 +14,7 @@ directions are arrays of the same length.  :class:`Point` is the validated
 state that the chain API hands out.
 
 A user manifold can be plugged in by subclassing :class:`Manifold`; it must
-supply the same operations plus a correct :class:`ManifoldInfo` (there is no
+supply the same operations plus a correct :class:`ManifoldInfo` as ``info`` (there is no
 machinery here to derive curvature or diameters automatically).
 """
 
@@ -67,6 +68,7 @@ class Manifold:
 
     dim: int
     embedding_dim: int
+    info: ManifoldInfo
 
     # -- construction / validation -------------------------------------------------
     def point(self, coords) -> Point:
@@ -82,14 +84,6 @@ class Manifold:
         return c
 
     # -- core operations on coordinate arrays ---------------------------------------
-    def cut_time(self, x: np.ndarray, v: np.ndarray) -> float:
-        """Cut time of the geodesic from x along the unit direction v, or a lower bound."""
-        raise NotImplementedError
-
-    @property
-    def info(self) -> ManifoldInfo:
-        raise NotImplementedError
-
     @property
     def spec(self) -> str:
         raise NotImplementedError
@@ -134,6 +128,14 @@ class Euclidean(Manifold):
             raise ValueError("dimension must be >= 1")
         self.dim = dim
         self.embedding_dim = dim
+        self.info = ManifoldInfo(
+            dim=dim,
+            diameter=math.inf,
+            ricci_lower=0.0,
+            injectivity_radius=math.inf,
+            omega_dm1=unit_sphere_area(dim),
+            total_measure=math.inf,
+        )
 
     @property
     def spec(self) -> str:
@@ -151,20 +153,6 @@ class Euclidean(Manifold):
     def project_tangent(self, x, g):
         return g
 
-    def cut_time(self, x, v) -> float:
-        return math.inf
-
-    @property
-    def info(self) -> ManifoldInfo:
-        return ManifoldInfo(
-            dim=self.dim,
-            diameter=math.inf,
-            ricci_lower=0.0,
-            injectivity_radius=math.inf,
-            omega_dm1=unit_sphere_area(self.dim),
-            total_measure=math.inf,
-        )
-
 
 class Sphere(Manifold):
     """Round unit sphere S^d embedded in R^(d+1); geodesics are great circles.
@@ -178,6 +166,14 @@ class Sphere(Manifold):
             raise ValueError("dimension must be >= 1")
         self.dim = dim
         self.embedding_dim = dim + 1
+        self.info = ManifoldInfo(
+            dim=dim,
+            diameter=math.pi,
+            ricci_lower=1.0 if dim >= 2 else 0.0,
+            injectivity_radius=math.pi,
+            omega_dm1=unit_sphere_area(dim),
+            total_measure=unit_sphere_area(dim + 1),
+        )
 
     @property
     def spec(self) -> str:
@@ -203,20 +199,6 @@ class Sphere(Manifold):
     def project_tangent(self, x, g):
         return g - float(g.dot(x)) * x
 
-    def cut_time(self, x, v) -> float:
-        return math.pi
-
-    @property
-    def info(self) -> ManifoldInfo:
-        return ManifoldInfo(
-            dim=self.dim,
-            diameter=math.pi,
-            ricci_lower=1.0 if self.dim >= 2 else 0.0,
-            injectivity_radius=math.pi,
-            omega_dm1=unit_sphere_area(self.dim),
-            total_measure=unit_sphere_area(self.dim + 1),
-        )
-
     def uniform_points(self, n, rng):
         g = rng.standard_normal((n, self.embedding_dim))
         return g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -233,6 +215,15 @@ class Torus(Manifold):
         self.dim = dim
         self.embedding_dim = dim
         self.period = float(period)
+        # P/2 is the exact cut time along an axis and a lower bound in other directions
+        self.info = ManifoldInfo(
+            dim=dim,
+            diameter=self.period * math.sqrt(dim) / 2.0,
+            ricci_lower=0.0,
+            injectivity_radius=self.period / 2.0,
+            omega_dm1=unit_sphere_area(dim),
+            total_measure=self.period**dim,
+        )
 
     @property
     def spec(self) -> str:
@@ -249,26 +240,6 @@ class Torus(Manifold):
 
     def project_tangent(self, x, g):
         return g
-
-    def cut_time(self, x, v) -> float:
-        """The injectivity radius P/2.
-
-        Exact when v is an axis direction; for generic directions the true cut
-        time needs lattice reduction, so P/2 is a lower bound there (bound
-        consumers stay conservative).
-        """
-        return self.period / 2.0
-
-    @property
-    def info(self) -> ManifoldInfo:
-        return ManifoldInfo(
-            dim=self.dim,
-            diameter=self.period * math.sqrt(self.dim) / 2.0,
-            ricci_lower=0.0,
-            injectivity_radius=self.period / 2.0,
-            omega_dm1=unit_sphere_area(self.dim),
-            total_measure=self.period**self.dim,
-        )
 
     def uniform_points(self, n, rng):
         return rng.uniform(0.0, self.period, size=(n, self.dim))

@@ -799,12 +799,13 @@ def scan_section(target: Target, rng: np.random.Generator, grid: int):
     """Density on a random geodesic section of the support (gap and epsilon probes).
 
     Draws a support point x and a unit direction v; returns (x, v, thetas,
-    densities) at ``grid`` equal steps over [0, min(cut time, diam W)).
+    densities) at ``grid`` equal steps over [0, min(inj, diam W)), where the
+    injectivity radius inj is a lower bound of every cut time.
     """
     man = target.manifold
     x = _support_draw(target, rng)
     v = man.sample_tangent_array(x, rng)
-    horizon = min(man.cut_time(x, v), target.diam_w * (1.0 + 1e-9))
+    horizon = min(man.info.injectivity_radius, target.diam_w * (1.0 + 1e-9))
     thetas = np.linspace(0.0, horizon, grid, endpoint=False)
     return x, v, thetas, target.density_batch(man.exp_batch(x, v, thetas))
 
@@ -818,7 +819,7 @@ def estimate_max_gap(
     """Monte-Carlo estimate of the worst gap inside geodesic superlevel sections.
 
     For random (point, direction, level) probes the geodesic parameter is
-    scanned at SCAN_GRID steps over [0, cut time); the returned value is the
+    scanned at SCAN_GRID steps by ``scan_section``; the returned value is the
     largest observed measure of (convex hull of the section) minus the section.
     A supremum over an uncountable family cannot be certified by sampling, so
     this is a statistical lower bound of the true constant.

@@ -229,21 +229,30 @@ def test_criterion_9_determinism(tmp_path, monkeypatch, capsys):
     ok = ok and same_chain
     details.append(f"chain files identical={same_chain}")
 
-    # (b) identical verify reports across two runs and across thread counts 1 and 8
+    # (b) identical verify reports across two runs, and identical curves from the
+    # library across thread counts 1 and 8
     monkeypatch.chdir(tmp_path)
     outs = {}
-    for tag, threads in [("t1a", 1), ("t1b", 1), ("t8", 8)]:
+    for tag in ("a", "b"):
         out = tmp_path / f"curve_{tag}.csv"
         code = cli.main(
             ["verify", "--target", "uniform:sphere:1", "--m", "1", "--w", str(TWO_PI),
              "--seed", str(SEED + 9), "--n-list", "1,3", "--replicates", "4000",
-             "--threads", str(threads), "--out", str(out)]
+             "--out", str(out)]
         )
         assert code == 0
         outs[tag] = _strip_volatile(out.read_text())
     capsys.readouterr()
-    same_rerun = outs["t1a"] == outs["t1b"]
-    same_threads = outs["t1a"] == outs["t8"]
+    same_rerun = outs["a"] == outs["b"]
+    circle = targets.from_spec("uniform:sphere:1")
+    cfg = kernel.GssConfig(target=circle, w=TWO_PI, m=1, seed=SEED + 9)
+    rows = [
+        list(harness.verify_uniform_ergodicity(
+            circle, cfg, harness.worst_start(circle), [1, 3], 4000, threads=threads
+        ).csv_rows())
+        for threads in (1, 8)
+    ]
+    same_threads = rows[0] == rows[1]
     ok = ok and same_rerun and same_threads
     details.append(f"verify rerun identical={same_rerun}, threads 1 vs 8 identical={same_threads}")
 

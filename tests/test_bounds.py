@@ -382,7 +382,7 @@ def _grid_digest() -> str:
     h = hashlib.sha256()
     for k, (t, (m, w), mode) in enumerate(grid):
         if mode == "monte-carlo" and math.isinf(m) and math.isinf(t.lambda_value):
-            continue  # stepping-out runs to its 10^6-expansion cap before the rate rejects m = inf
+            continue  # not in the recorded digest; rejected before any draw (test_cli)
         h.update(_report_text(t, m, w, mode, k).encode())
     return h.hexdigest()
 

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -64,15 +66,14 @@ def test_config_file_unknown_key_rejected(tmp_path):
 
 # one value per option, none of them its default
 _OPTION_VALUES = {
-    "target": "uniform:sphere:2", "m": "3", "w": "1.5", "seed": "42", "threads": "3",
-    "out": "run.out", "steps": "7", "burn-in": "2", "thin": "2", "x0": "0,1,0",
+    "target": "uniform:sphere:2", "m": "3", "w": "1.5", "seed": "42", "out": "run.out",
+    "steps": "7", "burn-in": "2", "thin": "2", "x0": "0,1,0",
     "epsilon-mode": "analytic", "n-list": "1,2", "replicates": "2000", "bins": "9",
     "samples": "50", "quick": "yes", "gnuplot": "true",
 }
 
 
-def test_config_file_value_parses_like_the_flag(tmp_path, monkeypatch):
-    monkeypatch.delenv("GEOSLICE_THREADS", raising=False)
+def test_config_file_value_parses_like_the_flag(tmp_path):
     empty = tmp_path / "empty.cfg"
     empty.write_text("")
     cfgfile = tmp_path / "run.cfg"
@@ -99,7 +100,7 @@ def test_help_for_every_command(capsys):
         assert capsys.readouterr().out.startswith(f"usage: geoslice {cmd}"), cmd
 
 
-def test_unknown_flag_is_usage_error(capsys, tmp_path, monkeypatch):
+def test_unknown_flag_is_usage_error(capsys, tmp_path):
     assert run_cli(["bounds", "--target", "uniform:sphere:1", "--frob", "1"], capsys)[0] == 2
     # malformed or out-of-range values are usage errors too, caught before any output
     sphere2 = ["--target", "uniform:sphere:2", "--m", "1", "--seed", "1"]
@@ -119,7 +120,6 @@ def test_unknown_flag_is_usage_error(capsys, tmp_path, monkeypatch):
         ["verify", *sphere2, "--bins", "0"],
         ["verify", *sphere2, "--n-list", "0"],
         ["verify", *sphere2, "--n-list", "-3"],
-        ["verify", *sphere2, "--threads", "0"],
         # a bias >= 1 would make every TV check pass
         ["verify", "--target", "uniform:sphere:1", "--m", "1", "--replicates", "1000",
          "--n-list", "1", "--seed", "1", "--bins", "100000"],
@@ -134,7 +134,7 @@ def test_unknown_flag_is_usage_error(capsys, tmp_path, monkeypatch):
     ]
     # options a command does not read are rejected, not ignored
     for cmd, option, value in [
-        ("sample", "threads", "2"), ("bounds", "threads", "2"),
+        ("sample", "threads", "2"), ("bounds", "threads", "2"), ("verify", "threads", "2"),
         ("invariance", "threads", "2"), ("invariance", "out", "x.txt"),
         ("lemmas", "target", "uniform:sphere:2"), ("lemmas", "m", "1"),
         ("lemmas", "w", "1.0"), ("lemmas", "threads", "2"),
@@ -146,7 +146,7 @@ def test_unknown_flag_is_usage_error(capsys, tmp_path, monkeypatch):
     # config-file values are checked like flags, and the error names the file and line
     for cmd, line in [
         ("bounds", "seed = 1.5"), ("bounds", "w = abc"), ("bounds", "m = 2.5"),
-        ("lemmas", "quick = maybe"), ("bounds", "threads = 2"),
+        ("lemmas", "quick = maybe"), ("bounds", "threads = 2"), ("verify", "threads = 2"),
         ("bounds", "epsilon_mode = bogus"),
     ]:
         cfgfile = tmp_path / f"bad{len(cases)}.cfg"
@@ -159,10 +159,6 @@ def test_unknown_flag_is_usage_error(capsys, tmp_path, monkeypatch):
         assert "runtime error" not in err and len(err.splitlines()) == 1, args
         if "--config" in args:
             assert f"{args[-1]}:1" in err, args
-    # the environment default of --threads is checked like the flag
-    monkeypatch.setenv("GEOSLICE_THREADS", "abc")
-    code, out, err = run_cli(["verify", *sphere2], capsys)
-    assert (code, out) == (2, "") and "GEOSLICE_THREADS" in err
 
 
 def test_bounds_stdout_contains_rho(capsys):
@@ -318,20 +314,12 @@ def test_bad_target_spec_is_usage_error(capsys):
             assert code == 2 and word in err and out == "", (cmd, spec)
 
 
-def test_threads_default_from_environment(monkeypatch, tmp_path):
-    monkeypatch.setenv("GEOSLICE_THREADS", "6")
-    cfg = cli.parse_config(["verify", "--target", "uniform:sphere:1", "--seed", "1"])
-    assert cfg.threads == 6
-    cfg2 = cli.parse_config(
-        ["verify", "--target", "uniform:sphere:1", "--seed", "1", "--threads", "2"]
-    )
-    assert cfg2.threads == 2
-    # a config file's threads overrides the environment, even a malformed one
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("threads = 3\n")
-    for env in ("6", "abc"):
-        monkeypatch.setenv("GEOSLICE_THREADS", env)
-        assert cli.parse_config(["verify", "--config", str(cfgfile)]).threads == 3
+def test_threads_environment_variable_is_ignored(monkeypatch):
+    args = ["verify", "--target", "uniform:sphere:1", "--seed", "1"]
+    monkeypatch.delenv("GEOSLICE_THREADS", raising=False)
+    unset = vars(cli.parse_config(args))
+    monkeypatch.setenv("GEOSLICE_THREADS", "abc")
+    assert vars(cli.parse_config(args)) == unset and "threads" not in unset
 
 
 def test_verify_marks_vacuous_verdicts(capsys):
@@ -373,3 +361,27 @@ def test_bounds_and_verify_share_the_monte_carlo_epsilon(capsys):
     code, out, _ = run_cli(["verify", *common, "--n-list", "1", "--replicates", "1000", "--bins", "4"], capsys)
     assert code == 1 and "verify: ADVISORY" in out
     assert rho(out) == rho_bounds
+    # an advisory curve marks each n by its own check: tv = 0.286 is well inside 0.9425
+    assert "  n=1: tv=0.28600 se=0.01463 envelope=0.94250 ok " in out.splitlines()
+    assert [line.split(",")[4] for line in out.splitlines() if line.startswith("1,")] == ["1"]
+
+
+def test_bounds_rejects_infinite_lambda_eff_before_any_epsilon_draw(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("estimate_epsilon called")
+
+    monkeypatch.setattr(cli.bounds, "estimate_epsilon", never)
+    code, out, err = run_cli(
+        ["bounds", "--target", "uniform:sphere:1", "--m", "inf", "--w", "1", "--seed", "1",
+         "--epsilon-mode", "monte-carlo"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert "min(m w, lambda) must be positive and finite" in err
+
+
+def test_readme_option_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `(--[^`]*)` \|$", readme, re.MULTILINE)
+    table = {cmd: tuple(opt.removeprefix("--") for opt in opts.split()) for cmd, opts in rows}
+    assert table == cli._COMMANDS

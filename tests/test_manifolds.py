@@ -108,9 +108,6 @@ class _Ring(manifolds.Manifold):
     def project_tangent(self, x, g):
         return g - (g @ x) * x
 
-    def cut_time(self, x, v):
-        return math.pi
-
     def uniform_points(self, n, rng):
         a = rng.uniform(0.0, 2 * math.pi, n)
         return np.column_stack([np.cos(a), np.sin(a)])
@@ -137,7 +134,7 @@ def test_unit_speed_up_to_cut_time(spec):
     for _ in range(50):
         x = man.point(_random_point(man, rng)).coords
         v = man.sample_tangent_array(x, rng)
-        cut = man.cut_time(x, v)
+        cut = man.info.injectivity_radius  # a lower bound of every cut time
         theta = float(rng.uniform(0.0, min(cut, 10.0) * 0.999))
         y = man.exp_array(x, v, theta)
         assert abs(oracles.geodesic_distance(man.spec, x, y) - theta) < 1e-9
@@ -155,19 +152,17 @@ def test_sphere_periodicity():
 
 
 def test_cut_times():
-    eu = Euclidean(2)
-    x = eu.point([0.0, 0.0]).coords
-    assert math.isinf(eu.cut_time(x, _tangent(eu, x, [1, 0])))
-
-    sp = Sphere(3)
-    xs = sp.point([1.0, 0, 0, 0]).coords
-    assert sp.cut_time(xs, _tangent(sp, xs, [0, 1.0, 0, 0])) == pytest.approx(math.pi)
-
-    # P/2 is exact along an axis and a lower bound (the injectivity radius) otherwise
+    # the injectivity radius: the cut time in every direction on R^d and S^d; on the
+    # torus P/2 is exact along an axis and a lower bound otherwise
+    assert math.isinf(Euclidean(2).info.injectivity_radius)
+    assert Sphere(3).info.injectivity_radius == math.pi
     to = Torus(2, 2 * math.pi)
+    assert to.info.injectivity_radius == math.pi
     xt = to.point([0.3, 0.4]).coords
-    assert to.cut_time(xt, _tangent(to, xt, [1.0, 0.0])) == pytest.approx(math.pi)
-    assert to.cut_time(xt, _tangent(to, xt, [1.0, 1.0])) == pytest.approx(math.pi)
+    v = _tangent(to, xt, [1.0, 0.0])
+    assert np.allclose(to.exp_array(xt, v, 2 * math.pi), xt)  # an axis geodesic closes at P
+    # the manifold's constants are built once, not on every read
+    assert to.info is to.info
 
 
 def test_tangent_sampling_orthogonality_and_norm():
