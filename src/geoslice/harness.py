@@ -173,15 +173,15 @@ def estimate_tv(
         rng = make_stream(0xB007, 0)
     idx = binning.assign(coords)
     counts = np.bincount(idx + 1, minlength=binning.bin_count + 1).astype(float)
-
-    def tv_of(cnt: np.ndarray) -> float:
-        freq = cnt / np.sum(cnt)
-        return 0.5 * float(np.sum(np.abs(freq[1:] - binning.masses)) + freq[0])
-
-    tv = tv_of(counts)
-    boots = rng.multinomial(n, counts / n, size=N_BOOTSTRAP).astype(float)
-    tvs = np.array([tv_of(b) for b in boots])
-    se = float(np.std(tvs, ddof=1))
+    # row 0 is the sample, rows 1.. its bootstrap resamples; column 0 is the overflow bin.
+    # In place, so one (N_BOOTSTRAP + 1) x bins array of frequencies is all that stays live.
+    freq = np.empty((N_BOOTSTRAP + 1, len(counts)))
+    freq[0], freq[1:] = counts, rng.multinomial(n, counts / n, size=N_BOOTSTRAP)
+    freq /= freq.sum(axis=1, keepdims=True)
+    dev = freq[:, 1:]
+    np.abs(np.subtract(dev, binning.masses, out=dev), out=dev)
+    tvs = 0.5 * (dev.sum(axis=1) + freq[:, 0])
+    tv, se = float(tvs[0]), float(np.std(tvs[1:], ddof=1))
     return TvEstimate(tv=tv, se=se, bias=_null_bias(binning.masses, n), n=n)
 
 

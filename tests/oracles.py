@@ -232,3 +232,69 @@ def energy_permutation_test_one_shot(a, b, rng, permutations: int = 500, subsamp
             # normal upper tail; ndtr(-z) is what scipy.stats.norm.sf(z) computes
             p = min(p_perm, float(special.ndtr(-(obs - mu) / sd)))
     return obs, p, p_perm, na, nb, permutations
+
+
+def estimate_tv_loop(coords, binning, rng, n_bootstrap: int = 200):
+    """(tv, se) of ``harness.estimate_tv`` as it was before the bootstrap TVs
+    became one array expression: one ``tv_of`` call per resample."""
+    n = len(coords)
+    counts = np.bincount(binning.assign(coords) + 1, minlength=binning.bin_count + 1).astype(float)
+
+    def tv_of(cnt):
+        freq = cnt / np.sum(cnt)
+        return 0.5 * float(np.sum(np.abs(freq[1:] - binning.masses)) + freq[0])
+
+    boots = rng.multinomial(n, counts / n, size=n_bootstrap).astype(float)
+    return tv_of(counts), float(np.std(np.array([tv_of(b) for b in boots]), ddof=1))
+
+
+def _disk_cell_pieces(r, x0, x1, y0, y1):
+    """The cell's x-cuts: its edges, where its edges meet the circle, and +-r."""
+    cuts = {x0, x1}
+    for y in (y0, y1):
+        if abs(y) < r:
+            xc = math.sqrt(r * r - y * y)
+            cuts |= {s for s in (xc, -xc) if x0 < s < x1}
+    cuts |= {s for s in (-r, r) if x0 < s < x1}
+    xs = sorted(cuts)
+    return list(zip(xs, xs[1:]))
+
+
+def disk_cell_area_exact(r, x0, x1, y0, y1) -> float:
+    """Area of the cell (x0, x1) x (y0, y1) inside the disk of radius r, in closed form.
+
+    On each piece between the cuts the clipped segment (max(y0, -h), min(y1, h)),
+    h = sqrt(r^2 - x^2), keeps one form; its integral is linear in x or uses
+    F(x) = (x sqrt(r^2 - x^2) + r^2 asin(x / r)) / 2, the antiderivative of h.
+    """
+    def F(x):
+        return 0.5 * (x * math.sqrt(max(r * r - x * x, 0.0)) + r * r * math.asin(max(-1.0, min(1.0, x / r))))
+
+    total = 0.0
+    for a, b in _disk_cell_pieces(r, x0, x1, y0, y1):
+        m = a + 0.37 * (b - a)  # off the centre, where h == y1 can hold at one point
+        if abs(m) >= r:
+            continue
+        h = math.sqrt(r * r - m * m)
+        if min(y1, h) <= max(y0, -h):
+            continue
+        arc = F(b) - F(a)
+        total += (arc if h < y1 else y1 * (b - a)) + (arc if -h > y0 else -y0 * (b - a))
+    return total
+
+
+def disk_cell_gauss_quad(r, sigma, x0, x1, y0, y1) -> float:
+    """Mass of exp(-|x|^2 / (2 sigma^2)) in the cell inside the disk, by adaptive
+    quad over each piece at epsabs=1e-14, epsrel=1e-13 (erf in y, quad in x)."""
+    from scipy import integrate
+
+    s2 = sigma * sigma
+    c, g = math.sqrt(2.0 * s2), math.sqrt(math.pi * s2 / 2.0)
+
+    def integrand(x):
+        h = math.sqrt(max(r * r - x * x, 0.0))
+        lo, hi = max(y0, -h), min(y1, h)
+        return math.exp(-x * x / (2.0 * s2)) * g * (math.erf(hi / c) - math.erf(lo / c)) if hi > lo else 0.0
+
+    return sum(integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+               for a, b in _disk_cell_pieces(r, x0, x1, y0, y1))

@@ -80,7 +80,8 @@ def test_binning_rejects_unknown_schemes():
 
 # (spec, explicit bins) -> SHA-256 prefix of the masses and of the assignment of
 # support and off-support draws, at the default bins and at the explicit ones,
-# as the four hand-written binning schemes computed them.
+# as the four hand-written binning schemes computed them; the two 2-D balls
+# since their masses come from a Gauss-Legendre rule instead of quad.
 GOLDEN_BINNING = {
     ("uniform:sphere:1", 48): (
         "758c37e35bdccf0fb235ee99dd28645b",
@@ -119,8 +120,8 @@ GOLDEN_BINNING = {
         "bf2c9d72e2e822bc576ba56c360ed91c",
     ),
     ("convex-uniform:ball:2:r=1.0", 256): (
-        "255b10bce4a0a6a217d7fcce6639a863",
-        "698c2b2a7fbb43a43d209b0228cda905",
+        "175c4c1398d92e399bab9314763360f6",
+        "bf5c9e897acc3eb027ffb9afb21a4a42",
     ),
     ("convex-uniform:box:1:extents=3.0", 50): (
         "9aba3b8da772e017de334406cd34947c",
@@ -135,8 +136,8 @@ GOLDEN_BINNING = {
         "d41aef1c730cf0d35b656b355e32752d",
     ),
     ("ball-gauss:2:sigma=0.5:r=1.0", 256): (
-        "3ce0b3dbffe485455e5d25faf9561feb",
-        "96ad8c7aa3926b1ed81c031fc40cdccf",
+        "84a7a8c8e982c87e9c2b7f6e17bf2c53",
+        "896c1d3f41c3085fc321aa3ad8733c96",
     ),
     ("uniform:torus:1:6.283185307179586", 50): (
         "cef98f6a10c74827ac71621daed8da2e",
@@ -210,6 +211,29 @@ def test_tv_input_validation():
         estimate_tv(np.tile([1.0, 0.0], (100, 1)), b)
     with pytest.raises(ValueError):
         estimate_tv(np.tile([1.0, 0.0, 0.0], (2000, 1)), b)
+
+
+@pytest.mark.parametrize("spec", [
+    "cap:sphere:2:psi=1.5707963267948966",
+    "convex-uniform:ball:2:r=1.0",
+    "uniform:torus:2:6.283185307179586",
+    "vmf:sphere:1:kappa=2.0",
+])
+def test_tv_bootstrap_array_equals_loop(spec):
+    # half target draws, half uniform (on the disk's grid and off it), so the
+    # overflow bin and the TV are nonzero where the binning allows it
+    t = targets.from_spec(spec)
+    man = t.manifold
+    b = make_binning(t)
+    for seed in range(5):
+        rng = make_stream(0x7B, seed)
+        if isinstance(man, Euclidean):
+            other = rng.uniform(-1.5, 1.5, (1500, man.dim))
+        else:
+            other = man.uniform_points(1500, rng)
+        pts = np.concatenate([reference_samples(t, 1500, rng), other])
+        est = estimate_tv(pts, b, rng=make_stream(0x7C, seed))
+        assert (est.tv, est.se) == oracles.estimate_tv_loop(pts, b, make_stream(0x7C, seed))
 
 
 def test_tv_null_calibration_across_seeds():

@@ -4,7 +4,11 @@ no private top-level name in src/ is left without a reader.
 Importing geoslice loads numpy only.  No src/ module imports scipy at module
 level: each function that calls scipy.special, scipy.integrate or
 scipy.spatial imports it in its own body, so a process loads only the scipy
-modules it calls, and a vMF or uniform chain loads none.  src/ never imports
+modules it calls.  A vMF or uniform chain loads none, and neither does a
+verify on the disk, whose bin masses come from a numpy Gauss-Legendre
+rule; scipy.integrate serves only the circle quadrature of
+harness.make_binning.  A test pins which src/ function imports which scipy
+module, the list the README gives.  src/ never imports
 scipy.stats at all, whose import costs about a third of a second; tests may.
 src/ calls instead the two scipy.special functions that scipy.stats itself
 evaluates, and a test here checks that they agree with scipy.stats bit for
@@ -17,6 +21,7 @@ matmul dispatch; an AST check keeps ``@`` out of it."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -193,6 +198,84 @@ def test_vmf_chain_loads_no_scipy():
         "assert len(kernel.run_chain(x0, 100, kernel.GssConfig(t, w=1.0, m=1, seed=1)).states) == 100"
     )
     assert _scipy_modules_loaded_after(code) == "[]"
+
+
+def test_disk_verify_loads_no_scipy():
+    # the disk's bin masses come from a numpy Gauss-Legendre rule and its
+    # certificate is analytic, so the whole verify runs on numpy
+    code = (
+        "import math\n"
+        "from geoslice import harness, kernel, targets\n"
+        "t = targets.from_spec('convex-uniform:ball:2:r=1.0')\n"
+        "cfg = kernel.GssConfig(t, w=1.0, m=math.inf, seed=3)\n"
+        "curve = harness.verify_uniform_ergodicity(t, cfg, harness.worst_start(t), [1], 1000)\n"
+        "assert len(curve.points) == 1"
+    )
+    assert _scipy_modules_loaded_after(code) == "[]"
+
+
+def test_ball_gauss_binning_loads_no_scipy_integrate():
+    code = (
+        "from geoslice import harness, targets\n"
+        "assert harness.make_binning(targets.from_spec('ball-gauss:2:sigma=0.5:r=1.0')).bin_count == 856"
+    )
+    assert "scipy.integrate" not in _scipy_modules_loaded_after(code)
+
+
+def _scipy_users(trees: dict) -> dict:
+    """``module.function`` -> sorted scipy modules its body imports, for every
+    top-level function (nested functions and methods count for their outer one)."""
+    users = {}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            mods = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Import):
+                    mods |= {a.name for a in node.names if _is_scipy(a.name)}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0 and _is_scipy(node.module or ""):
+                    mods |= {f"scipy.{a.name}" for a in node.names} if node.module == "scipy" else {node.module}
+            if mods:
+                users[f"{module}.{stmt.name}"] = sorted(mods)
+    return users
+
+
+def _readme_scipy_users() -> dict:
+    """The same map, read from README's list of which function loads which scipy
+    module (the bullets of "Install and test" that start with a scipy module)."""
+    section = (ROOT / "README.md").read_text().split("## Install and test", 1)[1]
+    users = {}
+    for module, body in re.findall(r"^- `(scipy[.\w]*)`(.*?)(?=\n- |\n\n)", section, re.M | re.S):
+        for name in re.findall(r"`(\w+\.\w+)`", body):
+            users.setdefault(name, []).append(module)
+    return {name: sorted(mods) for name, mods in users.items()}
+
+
+def test_scipy_users_in_src_are_the_ones_the_readme_lists():
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in SRC}
+    assert _scipy_users(trees) == _readme_scipy_users() == {
+        "targets._sin_power_integral": ["scipy.special"],
+        "targets.cap_target": ["scipy.special"],
+        "targets.ball_gaussian_target": ["scipy.special"],
+        "harness.make_binning": ["scipy.integrate"],
+        "harness.energy_distance": ["scipy.spatial.distance"],
+        "harness.energy_permutation_test": ["scipy.spatial.distance", "scipy.special"],
+    }
+
+
+def test_check_maps_functions_to_scipy_modules():
+    tree = ast.parse(
+        "def f():\n    from scipy import special, integrate\n"
+        "def g():\n    def h():\n        import scipy.spatial.distance\n"
+        "class C:\n    def m(self):\n        from scipy.linalg import expm\n"
+        "def k():\n    from .scipy import special\n    import numpy\n"
+    )
+    assert _scipy_users({"m": tree}) == {
+        "m.f": ["scipy.integrate", "scipy.special"],
+        "m.g": ["scipy.spatial.distance"],
+        "m.C": ["scipy.linalg"],
+    }
 
 
 def test_special_functions_match_scipy_stats_bit_for_bit():

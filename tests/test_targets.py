@@ -173,6 +173,52 @@ def test_reference_sampler_cap_support_and_gof(d, psi):
     assert stats.chisquare(counts, f_exp=masses / masses.sum() * len(pts)).pvalue > 0.001
 
 
+@pytest.mark.parametrize("d", [2, 3], ids=["S2", "S3"])
+def test_cap_sampler_resolves_the_colatitude_near_the_pole(d):
+    # cos and sin of the colatitude come from s = sin^2(theta / 2), not from
+    # 1 - cos^2, which took 3 distinct values over 2,000 draws at this psi
+    psi = 2e-8
+    t = cap_target(Sphere(d), psi)
+    pts = reference_samples(t, 2000, make_stream(68, d))
+    sin_col = np.linalg.norm(pts[:, :-1], axis=1)  # the pole is the last axis
+    assert len(np.unique(sin_col / psi)) >= 1900
+    assert np.all(sin_col < psi)
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=["S2", "S3"])
+@pytest.mark.parametrize("psi", [1e-6, math.pi / 2, 2.5], ids=["1e-6", "half-pi", "2.5"])
+def test_cap_sampler_draws_lie_in_the_cap(d, psi):
+    t = cap_target(Sphere(d), psi)
+    pts = reference_samples(t, 2000, make_stream(69, d))
+    assert np.all(t.density_batch(pts) > 0)
+    assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("span", [1.0, 1.3], ids=["grid-on-disk", "grid-past-disk"])
+@pytest.mark.parametrize("n", [7, 16, 32])
+@pytest.mark.parametrize("r", [0.3, 1.0, 2.5])
+def test_disk_cell_masses_match_closed_form(r, n, span):
+    e = np.linspace(-span * r, span * r, n + 1)
+    got = targets._disk_cell_masses(r, [e, e], lambda x, lo, hi: hi - lo)
+    exact = np.array([oracles.disk_cell_area_exact(r, e[i], e[i + 1], e[j], e[j + 1])
+                      for i in range(n) for j in range(n)])
+    assert np.max(np.abs(got - exact)) <= 1e-14
+    # make_binning keeps a cell whose normalised mass exceeds 1e-15
+    assert np.array_equal(got > 1e-15 * got.sum(), exact > 1e-15 * exact.sum())
+
+
+@pytest.mark.parametrize("n", [7, 16, 32])
+def test_ball_gauss_cell_masses_match_quad(n):
+    sigma, r = 0.5, 1.0
+    e = np.linspace(-r, r, n + 1)
+    got = ball_gaussian_target(2, sigma, r).bin_masses([e, e])
+    ref = np.array([oracles.disk_cell_gauss_quad(r, sigma, e[i], e[i + 1], e[j], e[j + 1])
+                    for i in range(n) for j in range(n)])
+    ref /= ref.sum()
+    assert np.max(np.abs(got - ref)) <= 1e-13
+    assert np.array_equal(got > 1e-15, ref > 1e-15)
+
+
 def test_reference_sampler_vmf_resultant_length():
     t = vmf_target(Sphere(2), 2.0)
     pts = reference_samples(t, 100_000, make_stream(63, 0))
