@@ -426,7 +426,7 @@ def full_report(
         q, q_note = None, f"inapplicable: {e}"
     gap_source = ("not supplied" if gap is None else
                   "analytic" if target.max_gap_analytic else "statistical lower bound")
-    level = target.level_set.analytic
+    level = target.level_set_analytic
     inputs = (
         ("diam_W", target.diam_w, "target metadata"),
         ("delta", gap, gap_source),

@@ -76,7 +76,7 @@ def make_binning(target: Target, bins: Optional[int] = None) -> Binning:
     circle, sphere2 = (isinstance(man, Sphere) and man.dim == d for d in (1, 2))
     bounded = isinstance(man, Euclidean)
     if (target.bin_masses is None and not circle) or (bounded and target.grid_half is None):
-        raise ValueError(f"no analytic bin masses for target {target.name!r} on {man.spec}")
+        raise ValueError(f"no analytic bin masses for target {target.spec_string!r} on {man.spec}")
     per_axis = 32 if bins is None else max(2, int(round(bins ** (1.0 / man.dim))))
     if circle:
         axes = [(lambda c: _azimuth(c[:, 0], c[:, 1]), 0.0, TWO_PI, bins or 64)]
@@ -389,7 +389,7 @@ def worst_start(target: Target) -> Point:
     which this reads.
     """
     if target.worst_start is None:
-        raise ValueError(f"no worst-start candidate for target {target.name!r}")
+        raise ValueError(f"no worst-start candidate for target {target.spec_string!r}")
     return target.manifold.point(target.worst_start)
 
 
@@ -434,8 +434,6 @@ def invariance_test(
     and of the ``samples`` fresh draws are computed and never read: 18,500 of
     each at the CLI default of 20,000.
     """
-    if target.sampler is None:
-        raise ValueError(f"target {target.name!r} has no reference sampler")
     if samples < 1:
         raise ValueError(f"invariance test needs samples >= 1, got {samples}")
     base = config.seed if seed is None else seed

@@ -45,7 +45,7 @@ class GssConfig:
         if math.isinf(self.m) and not math.isfinite(self.target.lambda_value):
             raise ConfigError(
                 "m = inf requires every geodesic to meet the support in a bounded "
-                f"parameter set, which fails for target {self.target.name!r} "
+                f"parameter set, which fails for target {self.target.spec_string!r} "
                 "(unbounded geodesic sections); choose a finite m"
             )
 
@@ -66,7 +66,6 @@ class GssConfig:
 
 class StepDiagnostics(NamedTuple):
     level: float
-    direction: np.ndarray
     interval_width: float
     shrink_iterations: int
     expansions: int
@@ -134,7 +133,7 @@ def _step_array(
         ya = config.target.manifold.exp_array(xa, va, res.theta)
         py = float(config.target.density(ya))
     diag = StepDiagnostics(
-        level, va, itv.width, res.iterations, itv.expansions_left + itv.expansions_right, py
+        level, itv.width, res.iterations, itv.expansions_left + itv.expansions_right, py
     )
     return ya, diag
 

@@ -36,6 +36,21 @@ def unit_sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+def _finite_positive(name: str, value) -> float:
+    """``value``, or ``value()`` for a derived quantity (an overflow reads inf), as a float:
+    a ValueError naming ``name`` unless it is finite and positive."""
+    if callable(value):
+        try:
+            with np.errstate(over="ignore"):
+                value = value()
+        except OverflowError:
+            value = math.inf
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Point:
     """Manifold element in embedded coordinates."""
@@ -210,11 +225,9 @@ class Torus(Manifold):
     def __init__(self, dim: int, period: float):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        if not period > 0:
-            raise ValueError("period must be positive")
         self.dim = dim
         self.embedding_dim = dim
-        self.period = float(period)
+        self.period = _finite_positive("torus period", period)
         # P/2 is the exact cut time along an axis and a lower bound in other directions
         self.info = ManifoldInfo(
             dim=dim,
@@ -222,7 +235,8 @@ class Torus(Manifold):
             ricci_lower=0.0,
             injectivity_radius=self.period / 2.0,
             omega_dm1=unit_sphere_area(dim),
-            total_measure=self.period**dim,
+            total_measure=_finite_positive(f"torus volume at period {self.period!r}",
+                                           lambda: self.period**dim),
         )
 
     @property

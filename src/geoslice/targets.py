@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import manifolds
-from .manifolds import Manifold, Sphere, Euclidean, Torus
+from .manifolds import Manifold, Sphere, Euclidean, Torus, _finite_positive
 
 
 # ---------------------------------------------------------------------------
@@ -173,29 +173,10 @@ def _disk_cell_masses(r: float, edges, strip) -> np.ndarray:
 # level-set functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LevelSetFunction:
-    """t -> volume of the strict superlevel set {p > t}.
-
-    ``stderr`` is zero for analytic evaluators; Monte-Carlo evaluators report
-    the binomial standard error of the fixed sample they integrate over.
-    """
-
-    measure: Callable[[float], float]
-    stderr: Callable[[float], float]
-    analytic: bool
-
-    def __call__(self, t: float) -> float:
-        return self.measure(t)
-
-
-def _analytic_level_fn(measure: Callable[[float], float]) -> LevelSetFunction:
-    return LevelSetFunction(measure=measure, stderr=lambda t: 0.0, analytic=True)
-
-
 def _monte_carlo_level_fn(
     manifold: Manifold, density_batch, n_samples: int, seed: int
-) -> LevelSetFunction:
+) -> Callable[[float], float]:
+    """t -> volume({p > t}) from one uniform sample shared by all t, which keeps it monotone in t."""
     total = manifold.info.total_measure
     if not math.isfinite(total):
         raise ValueError(
@@ -204,18 +185,8 @@ def _monte_carlo_level_fn(
         )
     from .rng import make_stream
 
-    # One fixed sample shared across all t keeps the estimate monotone in t.
-    pts = manifold.uniform_points(n_samples, make_stream(seed, 0))
-    vals = density_batch(pts)
-
-    def measure(t: float) -> float:
-        return total * float(np.mean(vals > t))
-
-    def stderr(t: float) -> float:
-        f = float(np.mean(vals > t))
-        return total * math.sqrt(max(f * (1.0 - f), 1e-300) / n_samples)
-
-    return LevelSetFunction(measure=measure, stderr=stderr, analytic=False)
+    vals = density_batch(manifold.uniform_points(n_samples, make_stream(seed, 0)))
+    return lambda t: total * float(np.mean(vals > t))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +198,6 @@ class Target:
     """Unnormalised density with the metadata used by bounds and harness."""
 
     manifold: Manifold
-    name: str
     spec_string: str
     density: Callable[[np.ndarray], float]
     density_batch: Callable[[np.ndarray], np.ndarray]
@@ -236,8 +206,9 @@ class Target:
     max_gap: Optional[float]          # sup gap inside geodesic superlevel sections
     max_gap_analytic: bool
     lambda_value: float               # inf when geodesic chords of W are unbounded
-    level_set: LevelSetFunction
+    level_set: Callable[[float], float]  # t -> volume({p > t})
     sampler: Optional[Callable[[int, np.random.Generator], np.ndarray]]
+    level_set_analytic: bool = True      # False: a Monte-Carlo estimate
     convex_level_sets: bool = False
     is_uniform: bool = False
     params: dict = field(default_factory=dict)
@@ -252,21 +223,13 @@ class Target:
         """Same distribution with density multiplied by c > 0."""
         if not c > 0:
             raise ValueError("scale factor must be positive")
-        base_d, base_b = self.density, self.density_batch
-        base_level = self.level_set
-        level = LevelSetFunction(
-            measure=lambda t: base_level.measure(t / c),
-            stderr=lambda t: base_level.stderr(t / c),
-            analytic=base_level.analytic,
-        )
+        base_d, base_b, base_level = self.density, self.density_batch, self.level_set
         return replace(
             self,
-            name=f"{self.name}*{c}",
-            spec_string=self.spec_string,
             density=lambda x: c * base_d(x),
             density_batch=lambda x: c * base_b(x),
             p_max=c * self.p_max,
-            level_set=level,
+            level_set=lambda t: base_level(t / c),
         )
 
 
@@ -287,10 +250,8 @@ def uniform_target(manifold: Manifold) -> Target:
     def density_batch(x):
         return np.ones(x.shape[0])
 
-    level = _analytic_level_fn(lambda t: total if t < 1.0 else 0.0)
     return Target(
         manifold=manifold,
-        name="uniform",
         spec_string=f"uniform:{manifold.spec}",
         density=density,
         density_batch=density_batch,
@@ -299,7 +260,7 @@ def uniform_target(manifold: Manifold) -> Target:
         max_gap=0.0,
         max_gap_analytic=True,
         lambda_value=math.inf,  # geodesics on compact manifolds wrap through W forever
-        level_set=level,
+        level_set=lambda t: total if t < 1.0 else 0.0,
         sampler=lambda n, rng: manifold.uniform_points(n, rng),
         is_uniform=True,
         worst_start=np.zeros(manifold.dim) if isinstance(manifold, Torus) else np.eye(dim)[0],
@@ -342,7 +303,6 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
 
     start_psi = colatitude * (1.0 - 1e-6)
     perp = _orthonormal_frame(pole_arr)[0]
-    level = _analytic_level_fn(lambda t: area if t < 1.0 else 0.0)
     # Hemispheres and smaller intersect great circles in single arcs inside the
     # cut window -> no gaps.  Larger caps admit a gap of length 2(pi - psi)
     # from sections tangent to the boundary circle.
@@ -352,7 +312,6 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
         spec += ":pole=" + ",".join(repr(float(c)) for c in pole_arr)
     return Target(
         manifold=manifold,
-        name="cap",
         spec_string=spec,
         density=density,
         density_batch=density_batch,
@@ -361,7 +320,7 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
         max_gap=gap,
         max_gap_analytic=True,
         lambda_value=math.inf,
-        level_set=level,
+        level_set=lambda t: area if t < 1.0 else 0.0,
         sampler=sampler,
         is_uniform=True,
         params={"colatitude": colatitude, "pole": pole_arr},
@@ -415,7 +374,6 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
     mu_str = ",".join(repr(float(c)) for c in mu)
     return Target(
         manifold=manifold,
-        name="vmf",
         spec_string=f"vmf:{manifold.spec}:kappa={kap!r}:mu={mu_str}",
         density=density,
         density_batch=density_batch,
@@ -425,7 +383,7 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
         max_gap=math.pi,
         max_gap_analytic=True,
         lambda_value=math.inf,
-        level_set=_analytic_level_fn(level_measure),
+        level_set=level_measure,
         sampler=sampler,
         params={"concentration": kap, "mean": mu},
         worst_start=-mu,
@@ -450,11 +408,9 @@ def _vmf_cosines(embed_dim: int, kap: float, n: int, rng: np.random.Generator) -
 
 def ball_target(dim: int, radius: float) -> Target:
     """Uniform density on the open Euclidean ball of the given radius."""
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    r = _finite_positive("radius", radius)
+    vol = _finite_positive(f"ball volume at r={r!r} in dimension {dim}", lambda: ball_volume(dim, r))
     man = Euclidean(dim)
-    r = float(radius)
-    vol = ball_volume(dim, r)
 
     def density(x):
         return 1.0 if float(x.dot(x)) < r * r else 0.0
@@ -476,7 +432,6 @@ def ball_target(dim: int, radius: float) -> Target:
 
     return Target(
         manifold=man,
-        name="convex-uniform-ball",
         spec_string=f"convex-uniform:ball:{dim}:r={r!r}",
         density=density,
         density_batch=density_batch,
@@ -485,7 +440,7 @@ def ball_target(dim: int, radius: float) -> Target:
         max_gap=0.0,
         max_gap_analytic=True,
         lambda_value=2.0 * r,
-        level_set=_analytic_level_fn(lambda t: vol if t < 1.0 else 0.0),
+        level_set=lambda t: vol if t < 1.0 else 0.0,
         sampler=sampler,
         convex_level_sets=True,
         is_uniform=True,
@@ -498,14 +453,13 @@ def ball_target(dim: int, radius: float) -> Target:
 
 def box_target(extents) -> Target:
     """Uniform density on an open axis-aligned box centred at the origin."""
-    ext = np.asarray(extents, dtype=float)
-    if np.any(ext <= 0):
-        raise ValueError("box extents must be positive")
+    ext = np.array([_finite_positive("box extent", e) for e in extents])
     dim = ext.shape[0]
     man = Euclidean(dim)
     half = ext / 2.0
-    vol = float(np.prod(ext))
-    diam = float(np.linalg.norm(ext))
+    ext_str = ",".join(repr(float(e)) for e in ext)
+    vol = _finite_positive(f"box volume at extents={ext_str}", lambda: np.prod(ext))
+    diam = _finite_positive(f"box diameter at extents={ext_str}", lambda: np.linalg.norm(ext))
 
     def density(x):
         return 1.0 if bool(np.all(np.abs(x) < half)) else 0.0
@@ -516,10 +470,8 @@ def box_target(extents) -> Target:
     def sampler(n, rng):
         return rng.uniform(-half, half, size=(n, dim))
 
-    ext_str = ",".join(repr(float(e)) for e in ext)
     return Target(
         manifold=man,
-        name="convex-uniform-box",
         spec_string=f"convex-uniform:box:{dim}:extents={ext_str}",
         density=density,
         density_batch=density_batch,
@@ -528,7 +480,7 @@ def box_target(extents) -> Target:
         max_gap=0.0,
         max_gap_analytic=True,
         lambda_value=diam,
-        level_set=_analytic_level_fn(lambda t: vol if t < 1.0 else 0.0),
+        level_set=lambda t: vol if t < 1.0 else 0.0,
         sampler=sampler,
         convex_level_sets=True,
         is_uniform=True,
@@ -541,13 +493,12 @@ def box_target(extents) -> Target:
 
 def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
     """exp(-|x|^2 / (2 sigma^2)) truncated to the open ball of given radius."""
-    if not sigma > 0 or not radius > 0:
-        raise ValueError("sigma and radius must be positive")
+    sigma, r = _finite_positive("sigma", sigma), _finite_positive("radius", radius)
+    s2 = _finite_positive(f"sigma^2 at sigma={sigma!r}", lambda: sigma**2)
+    _finite_positive(f"ball volume at r={r!r} in dimension {dim}", lambda: ball_volume(dim, r))
     from scipy import special
 
     man = Euclidean(dim)
-    s2 = float(sigma) ** 2
-    r = float(radius)
 
     def density(x):
         q = float(x.dot(x))
@@ -593,8 +544,7 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
 
     return Target(
         manifold=man,
-        name="ball-gauss",
-        spec_string=f"ball-gauss:{dim}:sigma={float(sigma)!r}:r={r!r}",
+        spec_string=f"ball-gauss:{dim}:sigma={sigma!r}:r={r!r}",
         density=density,
         density_batch=density_batch,
         p_max=1.0,
@@ -602,10 +552,10 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
         max_gap=0.0,  # superlevel sets are balls, so geodesic sections are intervals
         max_gap_analytic=True,
         lambda_value=2.0 * r,
-        level_set=_analytic_level_fn(level_measure),
+        level_set=level_measure,
         sampler=sampler,
         convex_level_sets=True,
-        params={"sigma": float(sigma), "radius": r},
+        params={"sigma": sigma, "radius": r},
         worst_start=np.eye(dim)[0] * (r * (1.0 - 1e-6)),
         bin_masses=cell_masses,
         grid_half=np.full(dim, r),
@@ -623,22 +573,23 @@ def custom_target(
     max_gap: Optional[float] = None,
     lambda_value: float = math.inf,
     sampler=None,
-    level_set: Optional[LevelSetFunction] = None,
+    level_set: Optional[Callable[[float], float]] = None,
     level_samples: int = 200_000,
     level_seed: int = 0,
 ) -> Target:
     """Wrap a user density; metadata not supplied is estimated or left open.
 
-    Without an analytic level-set function, the level-set measure falls back
-    to Monte-Carlo integration over the manifold (finite volume required).
+    ``level_set`` is an exact t -> volume({p > t}).  Without one, the
+    level-set measure falls back to Monte-Carlo integration over the manifold
+    (finite volume required), and only then is it flagged as not analytic.
     """
     if density_batch is None:
         density_batch = lambda x: np.array([density(row) for row in x])
-    if level_set is None:
+    analytic = level_set is not None
+    if not analytic:
         level_set = _monte_carlo_level_fn(manifold, density_batch, level_samples, level_seed)
     return Target(
         manifold=manifold,
-        name=name,
         spec_string=f"custom:{name}",
         density=density,
         density_batch=density_batch,
@@ -649,6 +600,7 @@ def custom_target(
         lambda_value=float(lambda_value),
         level_set=level_set,
         sampler=sampler,
+        level_set_analytic=analytic,
     )
 
 
@@ -777,7 +729,7 @@ def _golden_max(fn, lo: float, hi: float, rel_tol: float) -> float:
 def reference_samples(target: Target, n: int, rng: np.random.Generator) -> np.ndarray:
     """n exact draws from the normalised target, as a coordinate matrix."""
     if target.sampler is None:
-        raise ValueError(f"target {target.name!r} has no reference sampler")
+        raise ValueError(f"target {target.spec_string!r} has no reference sampler")
     return target.sampler(n, rng)
 
 

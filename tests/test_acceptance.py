@@ -185,7 +185,7 @@ def test_criterion_8_invariance_and_mutation():
         cfg = kernel.GssConfig(target=t, w=w, m=m, seed=SEED + 8)
         rep = harness.invariance_test(t, cfg, 100_000, seed=SEED + 8)
         ok = ok and rep.passed
-        details.append(f"{t.name}: p={rep.p_value:.3f}")
+        details.append(f"{t.spec_string}: p={rep.p_value:.3f}")
     t = targets.from_spec("cap:sphere:2:psi=1.5707963267948966")
     cfg = kernel.GssConfig(target=t, w=TWO_PI, m=1, seed=SEED + 8)
     broken = harness.invariance_test(t, cfg, 100_000, seed=SEED + 8, broken=True)

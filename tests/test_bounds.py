@@ -417,9 +417,9 @@ def test_certified_iff_epsilon_proved_and_level_set_analytic():
     for k, (t, m, w, mode, proved, analytic) in enumerate(rows):
         rep = full_report(t, m, w, mode, rng=make_stream(60, k), mc_probes=2, mc_runs=50)
         d = rep.to_dict()
-        assert ("optimistic" not in d["epsilon_provenance"]) == proved, (t.name, m, w, mode)
-        assert (d["sup_t_level_provenance"] == "level-set optimiser") == analytic, (t.name, m, w, mode)
-        assert rep.certified == d["certified"] == (proved and analytic), (t.name, m, w, mode)
+        assert ("optimistic" not in d["epsilon_provenance"]) == proved, (t.spec_string, m, w, mode)
+        assert (d["sup_t_level_provenance"] == "level-set optimiser") == analytic, (t.spec_string, m, w, mode)
+        assert rep.certified == d["certified"] == (proved and analytic), (t.spec_string, m, w, mode)
 
 
 def test_unknown_gap_is_needed_only_at_m_at_least_2():

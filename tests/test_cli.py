@@ -314,6 +314,25 @@ def test_bad_target_spec_is_usage_error(capsys):
             assert code == 2 and word in err and out == "", (cmd, spec)
 
 
+@pytest.mark.parametrize("args,word", [
+    ("bounds --target convex-uniform:ball:2:r=1e200 --m inf --w 1", "r=1e+200"),
+    ("bounds --target convex-uniform:ball:2:r=1e-320 --m inf --w 1", "r=1e-320"),
+    ("verify --target convex-uniform:ball:2:r=inf --m 1 --w 1 --replicates 1000 --n-list 1",
+     "radius"),
+    ("bounds --target ball-gauss:2:sigma=1e-200:r=1 --m inf --w 1", "sigma=1e-200"),
+    ("bounds --target ball-gauss:2:sigma=1e200:r=1 --m inf --w 1", "sigma=1e+200"),
+    ("bounds --target uniform:torus:2:1e300 --m 1 --w 1", "period"),
+    ("invariance --target convex-uniform:box:2:extents=inf,1 --m 1 --w 1 --samples 10", "extent"),
+    ("hyperopt --target convex-uniform:box:2:extents=inf,1", "extent"),
+], ids=lambda v: v.split(" --m")[0] if " " in v else v)
+def test_preset_parameters_out_of_range_are_usage_errors(args, word, capsys):
+    # infinite, overflowing or underflowing radii, widths, periods and extents
+    code, out, err = run_cli([*args.split(), "--seed", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("geoslice: error:") and len(err.splitlines()) == 1, err
+    assert word in err and "Traceback" not in err
+
+
 def test_threads_environment_variable_is_ignored(monkeypatch):
     args = ["verify", "--target", "uniform:sphere:1", "--seed", "1"]
     monkeypatch.delenv("GEOSLICE_THREADS", raising=False)

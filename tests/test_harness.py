@@ -464,14 +464,14 @@ def test_broken_kernel_is_the_kernel_where_every_draw_is_accepted(spec):
 
 def test_invariance_needs_reference_sampler():
     from geoslice.manifolds import Sphere
-    from geoslice.targets import custom_target, _analytic_level_fn
+    from geoslice.targets import custom_target
 
     t = custom_target(
         Sphere(2),
         density=lambda x: 1.0,
         p_max=1.0,
         diam_w=math.pi,
-        level_set=_analytic_level_fn(lambda lev: 4 * math.pi if lev < 1 else 0.0),
+        level_set=lambda lev: 4 * math.pi if lev < 1 else 0.0,
     )
     cfg = kernel.GssConfig(target=t, w=TWO_PI, m=1, seed=1)
     with pytest.raises(ValueError):

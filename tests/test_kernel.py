@@ -15,6 +15,7 @@ from geoslice.kernel import (
     ChainRecord, ConfigError, GssConfig, StepDiagnostics, _record_line, _step_array,
     endpoint_ensemble, run_chain,
 )
+from geoslice.manifolds import Sphere
 from geoslice.rng import make_stream
 
 TWO_PI = 2 * math.pi
@@ -183,7 +184,7 @@ _EDGE_FLOATS = (-0.0, 5e-324, 1e308, -1e308, 0.1, 0.30000000000000004, 1.2345678
 def test_record_line_matches_json_dumps(i, xs, t, w, k, numpy_scalars):
     if numpy_scalars:  # the transition may hand over numpy floats
         t, w = np.float64(t), np.float64(w)
-    diag = StepDiagnostics(t, None, w, k, 0, 1.0)
+    diag = StepDiagnostics(t, w, k, 0, 1.0)
     xa = np.array(xs, dtype=float)
     assert _record_line(i, xa, diag) == _json_record(i, xa, diag)
 
@@ -342,7 +343,6 @@ def test_carried_density_matches_recomputed(spec, m):
         xc, dc = _step_array(xc, cfg, rng_carry, px)
         xf, df = _step_array(xf, cfg, rng_fresh)
         assert np.array_equal(xc, xf)
-        assert np.array_equal(dc.direction, df.direction)
         assert (dc.level, dc.interval_width, dc.shrink_iterations, dc.expansions, dc.density) == (
             df.level, df.interval_width, df.shrink_iterations, df.expansions, df.density
         )
@@ -421,3 +421,48 @@ LAYER_CALLS = {
 @pytest.mark.parametrize("case", sorted(LAYER_CALLS))
 def test_layer_call_counts(case, monkeypatch):
     assert _layer_calls(case, monkeypatch) == LAYER_CALLS[case]
+
+
+# -- exact moments of the transition ------------------------------------------------
+# At m = inf on the uniform d-ball the interval covers the whole chord through x along
+# v, and the move is uniform on it, so E[x' | x, v] = x - (x.v) v and E[x' | x] =
+# (1 - 1/d) x.  At m = 1, w = 2 pi on uniform S^d the interval is the whole great
+# circle, so E[x' | x] = 0.  Both hold exactly from every start.
+
+def _moment_starts(t):
+    """worst_start, a generic point, and the centre (on a sphere, the pole)."""
+    dim = t.manifold.embedding_dim
+    if isinstance(t.manifold, Sphere):
+        generic = np.arange(1.0, dim + 1.0)
+        return [harness.worst_start(t).coords, generic / np.linalg.norm(generic), np.eye(dim)[-1]]
+    return [harness.worst_start(t).coords, np.linspace(0.3, -0.4, dim), np.zeros(dim)]
+
+
+@pytest.mark.parametrize("spec,m,w,shrink", [
+    ("convex-uniform:ball:2:r=1.0", math.inf, 1.0, 1 - 1 / 2),
+    ("convex-uniform:ball:3:r=1.0", math.inf, 1.0, 1 - 1 / 3),
+    ("uniform:sphere:2", 1, TWO_PI, 0.0),
+    ("uniform:sphere:3", 1, TWO_PI, 0.0),
+], ids=["ball:2", "ball:3", "sphere:2", "sphere:3"])
+def test_one_step_conditional_mean_is_exact(spec, m, w, shrink):
+    t = targets.from_spec(spec)
+    cfg = GssConfig(target=t, w=w, m=m, seed=71)
+    for k, x in enumerate(_moment_starts(t)):
+        rng = make_stream(71, k)
+        ys = np.array([_step_array(x, cfg, rng)[0] for _ in range(20_000)])
+        z = (ys.mean(axis=0) - shrink * x) / (ys.std(axis=0) / math.sqrt(len(ys)))
+        assert np.all(np.abs(z) <= 4.5), (x, z)
+
+
+def test_run_chain_autocorrelation_matches_the_disk_eigenvalue():
+    # by the conditional mean above, x1 and x2 are eigenfunctions with eigenvalue 1/2
+    # on the uniform disk at m = inf: from stationarity, the lag-k autocorrelation is 2^-k
+    t = targets.from_spec("convex-uniform:ball:2:r=1.0")
+    x0 = t.manifold.point(targets.reference_samples(t, 1, make_stream(72, 1))[0])
+    rec = run_chain(x0, 50_000, GssConfig(target=t, w=1.0, m=math.inf, seed=72))
+    xs = np.array([p.coords for p in rec.states])
+    xs -= xs.mean(axis=0)
+    var = (xs * xs).sum(axis=0)
+    for k in (1, 2, 3):
+        acf = (xs[:-k] * xs[k:]).sum(axis=0) / var
+        assert np.all(np.abs(acf - 0.5**k) <= 0.03), (k, acf)
