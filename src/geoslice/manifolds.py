@@ -33,7 +33,10 @@ def unit_sphere_area(d: int) -> float:
     """Surface area of the unit (d-1)-sphere in R^d: 2 pi^(d/2) / Gamma(d/2)."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    try:
+        return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    except OverflowError:  # d past about 340: the same value in logs
+        return math.exp(math.log(2.0) + d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0))
 
 
 def _finite_positive(name: str, value) -> float:

@@ -68,7 +68,7 @@ def sphere_cap_area(d: int, colatitude: float) -> float:
 
 
 def ball_volume(d: int, radius: float) -> float:
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius**d
+    return manifolds.unit_sphere_area(d) / d * radius**d
 
 
 def _orthonormal_frame(pole: np.ndarray) -> np.ndarray:
@@ -204,13 +204,10 @@ class Target:
     p_max: float
     diam_w: float
     max_gap: Optional[float]          # sup gap inside geodesic superlevel sections
-    max_gap_analytic: bool
     lambda_value: float               # inf when geodesic chords of W are unbounded
     level_set: Callable[[float], float]  # t -> volume({p > t})
     sampler: Optional[Callable[[int, np.random.Generator], np.ndarray]]
     level_set_analytic: bool = True      # False: a Monte-Carlo estimate
-    convex_level_sets: bool = False
-    is_uniform: bool = False
     params: dict = field(default_factory=dict)
     # Harness facts (see the module docstring).  bin_masses maps one edge
     # array per grid axis (S^1: angles, S^2: heights on the symmetry axis,
@@ -258,11 +255,9 @@ def uniform_target(manifold: Manifold) -> Target:
         p_max=1.0,
         diam_w=manifold.info.diameter,
         max_gap=0.0,
-        max_gap_analytic=True,
         lambda_value=math.inf,  # geodesics on compact manifolds wrap through W forever
         level_set=lambda t: total if t < 1.0 else 0.0,
         sampler=lambda n, rng: manifold.uniform_points(n, rng),
-        is_uniform=True,
         worst_start=np.zeros(manifold.dim) if isinstance(manifold, Torus) else np.eye(dim)[0],
         bin_masses=_equal_masses,
     )
@@ -275,8 +270,6 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
     if not 0.0 < colatitude <= math.pi:
         raise ValueError(f"cap colatitude must lie in (0, pi], got {colatitude}")
     cos_psi = math.cos(colatitude)
-    if cos_psi == 1.0:  # no unit x has x @ pole > 1: the density would be 0 everywhere
-        raise ValueError(f"cap colatitude {colatitude} is too small: its cosine rounds to 1")
     from scipy import special
 
     d = manifold.dim
@@ -292,10 +285,23 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
         return (x @ pole_arr > cos_psi).astype(float)
 
     def sampler(n, rng):
-        s = special.betaincinv(d / 2.0, d / 2.0, rng.random(n) * s_max)
-        cos_t, sin_t = 1.0 - 2.0 * s, 2.0 * np.sqrt(s * (1.0 - s))
-        perp = _unit_orthogonal(pole_arr, n, rng)
-        return cos_t[:, None] * pole_arr + sin_t[:, None] * perp
+        # near a small cap's edge a draw can round to density 0: keep what the density accepts
+        tally = [0, 0]  # proposed, kept
+        def batch(k):
+            s = special.betaincinv(d / 2.0, d / 2.0, rng.random(k) * s_max)
+            cos_t, sin_t = 1.0 - 2.0 * s, 2.0 * np.sqrt(s * (1.0 - s))
+            x = cos_t[:, None] * pole_arr + sin_t[:, None] * _unit_orthogonal(pole_arr, k, rng)
+            good = x[density_batch(x) > 0]
+            tally[:] = tally[0] + k, tally[1] + len(good)
+            if tally[0] >= 1000 and 4 * tally[1] < tally[0]:
+                raise ValueError(f"cap colatitude {colatitude} is too small: its density keeps "
+                                 f"only {tally[1]} of {tally[0]} exact draws")
+            return good
+
+        return _accepted(n, batch, (d + 1,))
+
+    if colatitude < 1e-6:  # edge rounding can drop draws: fail here, not mid-run
+        sampler(1000, np.random.default_rng(0))
 
     def band_masses(edges):
         over = np.clip(edges[0][1:], cos_psi, 1.0) - np.clip(edges[0][:-1], cos_psi, 1.0)
@@ -318,11 +324,9 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
         p_max=1.0,
         diam_w=min(2.0 * colatitude, math.pi),
         max_gap=gap,
-        max_gap_analytic=True,
         lambda_value=math.inf,
         level_set=lambda t: area if t < 1.0 else 0.0,
         sampler=sampler,
-        is_uniform=True,
         params={"colatitude": colatitude, "pole": pole_arr},
         worst_start=math.cos(start_psi) * pole_arr + math.sin(start_psi) * perp,
         bin_masses=band_masses if d == 2 else None,
@@ -381,7 +385,6 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
         diam_w=math.pi,
         # Superlevel caps larger than a hemisphere leave gaps approaching pi.
         max_gap=math.pi,
-        max_gap_analytic=True,
         lambda_value=math.inf,
         level_set=level_measure,
         sampler=sampler,
@@ -438,12 +441,9 @@ def ball_target(dim: int, radius: float) -> Target:
         p_max=1.0,
         diam_w=2.0 * r,
         max_gap=0.0,
-        max_gap_analytic=True,
         lambda_value=2.0 * r,
         level_set=lambda t: vol if t < 1.0 else 0.0,
         sampler=sampler,
-        convex_level_sets=True,
-        is_uniform=True,
         params={"radius": r},
         worst_start=np.eye(dim)[0] * (r * (1.0 - 1e-6)),
         bin_masses=cell_masses,
@@ -478,12 +478,9 @@ def box_target(extents) -> Target:
         p_max=1.0,
         diam_w=diam,
         max_gap=0.0,
-        max_gap_analytic=True,
         lambda_value=diam,
         level_set=lambda t: vol if t < 1.0 else 0.0,
         sampler=sampler,
-        convex_level_sets=True,
-        is_uniform=True,
         params={"extents": ext},
         worst_start=half * (1.0 - 1e-6),
         bin_masses=lambda edges: _normalised(reduce(np.multiply.outer, map(np.diff, edges)).ravel()),
@@ -550,11 +547,9 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
         p_max=1.0,
         diam_w=2.0 * r,
         max_gap=0.0,  # superlevel sets are balls, so geodesic sections are intervals
-        max_gap_analytic=True,
         lambda_value=2.0 * r,
         level_set=level_measure,
         sampler=sampler,
-        convex_level_sets=True,
         params={"sigma": sigma, "radius": r},
         worst_start=np.eye(dim)[0] * (r * (1.0 - 1e-6)),
         bin_masses=cell_masses,
@@ -596,7 +591,6 @@ def custom_target(
         p_max=float(p_max),
         diam_w=float(diam_w),
         max_gap=max_gap,
-        max_gap_analytic=max_gap is not None,
         lambda_value=float(lambda_value),
         level_set=level_set,
         sampler=sampler,
@@ -636,16 +630,6 @@ _PRESETS.update({
 })
 
 
-def _parse_kv(tokens) -> dict:
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ValueError(f"expected key=value, got {tok!r}")
-        k, v = tok.split("=", 1)
-        out[k] = v
-    return out
-
-
 def from_spec(spec: str) -> Target:
     """Build a target from a specification string.
 
@@ -669,7 +653,10 @@ def from_spec(spec: str) -> Target:
     n_pos, keys, build = _PRESETS[name]
     rest = parts[name.count(":") + 1 :]
     n_pos = len(rest) if n_pos is None else n_pos
-    kv = _parse_kv(rest[n_pos:])
+    bad = [tok for tok in rest[n_pos:] if "=" not in tok]
+    if bad:
+        raise ValueError(f"expected key=value, got {bad[0]!r}")
+    kv = dict(tok.split("=", 1) for tok in rest[n_pos:])
     unknown = sorted(set(kv) - set(keys))
     if unknown:
         raise ValueError(f"unknown field(s) {unknown} for target preset {name!r} in {spec!r}")
@@ -686,14 +673,11 @@ def from_spec(spec: str) -> Target:
 def sup_t_level(target: Target) -> float:
     """sup over t of t * volume({p > t}).
 
-    Uniform presets are exact: every level below p_max has all of W as its
-    superlevel set, so the sup is p_max times the volume at any such level.
-    Otherwise a
-    1024-point log-uniform grid over (p_max * 1e-6, p_max) locates the peak
-    and golden-section refinement sharpens it to 1e-6 relative in t.
+    A 1024-point log-uniform grid over (p_max * 1e-6, p_max) locates the peak
+    and golden-section refinement sharpens it to 1e-6 relative in t.  The left
+    limit at p_max, p_max * volume({p >= p_max}), is one more candidate; it is
+    exact where the level set is a step, as for uniform densities.
     """
-    if target.is_uniform:
-        return target.p_max * target.level_set(0.5 * target.p_max)
     pm = target.p_max
     grid = np.geomspace(pm * 1e-6, pm, 1024)
     vals = np.array([t * target.level_set(t) for t in grid])
@@ -701,12 +685,11 @@ def sup_t_level(target: Target) -> float:
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     best = _golden_max(lambda t: t * target.level_set(t), lo, hi, rel_tol=1e-6)
-    return float(max(vals[i], best))
+    return float(max(vals[i], best, pm * target.level_set(math.nextafter(pm, 0.0))))
 
 
-def _golden_max(fn, lo: float, hi: float, rel_tol: float) -> float:
+def _golden_max(fn, a: float, b: float, rel_tol: float) -> float:
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = fn(c), fn(d)
@@ -767,7 +750,9 @@ def estimate_max_gap(
     scanned at SCAN_GRID steps by ``scan_section``; the returned value is the
     largest observed measure of (convex hull of the section) minus the section.
     A supremum over an uncountable family cannot be certified by sampling, so
-    this is a statistical lower bound of the true constant.
+    this is a statistical lower bound of the true constant.  A supplied
+    ``max_gap`` is target metadata: passing this estimate as ``max_gap`` makes
+    the certificate rest on an estimate.
     """
     best = 0.0
     for _ in range(n_geodesics):
@@ -779,9 +764,7 @@ def estimate_max_gap(
             if not hits[0]:
                 continue  # grid artefact at the start point; skip probe
             last = int(np.max(np.nonzero(hits)[0]))
-            gap = float(np.sum(~hits[: last + 1])) * float(thetas[1])
-            if gap > best:
-                best = gap
+            best = max(best, float(np.sum(~hits[: last + 1])) * float(thetas[1]))
     return best
 
 

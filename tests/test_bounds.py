@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -98,6 +97,17 @@ def test_rate_input_validation():
     with pytest.raises(ValueError):
         # inconsistent inputs push the subtrahend above one
         convergence_rate(1.0, 1, 1.0, math.inf, 0.01, 0.1, 100.0, 1.0)
+
+
+@pytest.mark.parametrize("kappa,omega,sup_tl,name", [
+    (1.0, 5e-323, 1.0, "omega_dm1"),  # a subnormal input
+    (1.0, 2.0, 3e-310, "sup_tl"),
+    (1e-200, 1e-120, 1.0, "kappa \\* omega_dm1"),  # normal inputs, subnormal product
+    (1.0, 2.0, 1e-300, "sup_tl / p_max"),  # normal over p_max = 1e10, subnormal quotient
+], ids=["subnormal-omega", "subnormal-sup_tl", "subnormal-product", "subnormal-ratio"])
+def test_rate_refuses_subnormal_terms(kappa, omega, sup_tl, name):
+    with pytest.raises(ValueError, match=f"^{name}[^=]* = .* is not a positive normal float"):
+        convergence_rate(1.0, 1, TWO_PI, math.inf, kappa, omega, sup_tl, 1e10)
 
 
 def test_rate_monotone_in_epsilon_and_level_mass():
@@ -388,15 +398,21 @@ def _grid_digest() -> str:
 
 
 def test_report_bytes_golden():
-    # Moved once since it was first recorded, by the declared output changes: the
+    # Moved twice since it was first recorded, by declared output changes: first the
     # sup_t_level_provenance key, and a custom disk without a gap (no corollary
-    # epsilon demand at m = 1, no q at m >= 2, delta tagged [not supplied]).
-    assert _grid_digest() == "6950b2a6629d5d84c8275368c079be666db16c6c85ed19407dc10c9cc78c92bd"
+    # epsilon demand at m = 1, no q at m >= 2, delta tagged [not supplied]); then
+    # supplied gaps tagged [target metadata] with no delta_analytic key, the m = inf
+    # epsilon retagged "gap-free bounded sections", the custom disk's exact sup = pi,
+    # and the reworded missing-gap error.
+    assert _grid_digest() == "372dbcef00a2fa2ff3f1c7d26a0f6b5a67c0154c29b8f8598163152a64f7aeeb"
 
 
 def test_certified_iff_epsilon_proved_and_level_set_analytic():
     cap = targets.from_spec("cap:sphere:2:psi=1.0")
-    estimated_gap = dataclasses.replace(cap, max_gap=0.1, max_gap_analytic=False)
+    supplied_gap = targets.custom_target(
+        cap.manifold, cap.density, cap.p_max, cap.diam_w, name="cap-gap",
+        density_batch=cap.density_batch, sampler=cap.sampler, level_set=cap.level_set, max_gap=0.1,
+    )
     vmf = targets.from_spec("vmf:sphere:2:kappa=2.0")
     mc_level = targets.custom_target(
         Sphere(2), vmf.density, p_max=math.exp(2.0), diam_w=math.pi,
@@ -405,9 +421,9 @@ def test_certified_iff_epsilon_proved_and_level_set_analytic():
     # (target, m, w, mode, epsilon proved, level set analytic)
     rows = [(targets.from_spec(s), m, w, mode, True, True) for s, m, w, mode, _ in _CERTIFICATE_TABLE]
     rows += [
-        (estimated_gap, 1, TWO_PI, "corollary", True, True),  # the gap term vanishes at m = 1
-        (estimated_gap, 4, 1.0, "corollary", False, True),
-        (estimated_gap, 4, 1.0, "auto", False, True),
+        (supplied_gap, 1, TWO_PI, "corollary", True, True),  # the gap term vanishes at m = 1
+        (supplied_gap, 4, 1.0, "corollary", True, True),  # a supplied gap is target metadata
+        (supplied_gap, 4, 1.0, "auto", True, True),
         (cap, 4, 1.0, "monte-carlo", False, True),
         (mc_level, 1, TWO_PI, "auto", True, False),
         (mc_level, 4, 1.0, "corollary", True, False),
@@ -420,6 +436,8 @@ def test_certified_iff_epsilon_proved_and_level_set_analytic():
         assert ("optimistic" not in d["epsilon_provenance"]) == proved, (t.spec_string, m, w, mode)
         assert (d["sup_t_level_provenance"] == "level-set optimiser") == analytic, (t.spec_string, m, w, mode)
         assert rep.certified == d["certified"] == (proved and analytic), (t.spec_string, m, w, mode)
+        if t is supplied_gap:
+            assert "delta = 0.1 [target metadata]" in rep.lines()
 
 
 def test_unknown_gap_is_needed_only_at_m_at_least_2():
@@ -428,8 +446,24 @@ def test_unknown_gap_is_needed_only_at_m_at_least_2():
         rep = full_report(t, 1, 7.0, mode)
         assert rep.epsilon == pytest.approx(1.0 - math.pi / 7.0) and rep.certified
         assert "delta = n/a [not supplied]" in rep.lines()
-    with pytest.raises(ApplicabilityError, match="section-gap constant"):
+    with pytest.raises(ApplicabilityError, match="section-gap constant; supply the target's max_gap"):
         full_report(t, 3, 2.0, "corollary")
     rep = full_report(t, 3, 2.0, "monte-carlo", rng=make_stream(61, 0), mc_probes=2, mc_runs=50)
     assert rep.q is None and "q = n/a [inapplicable: section gap unknown]" in rep.lines()
-    assert rep.to_dict()["delta_analytic"] is False
+
+
+def test_custom_step_level_set_gets_the_exact_sup():
+    # the left limit at p_max makes a step level set exact, as for the preset
+    preset = targets.from_spec("convex-uniform:ball:2:r=1.0")
+    custom = _without_gap("convex-uniform:ball:2:r=1.0", lambda_value=2.0)
+    assert targets.sup_t_level(custom) == math.pi
+    assert full_report(custom, 1, 4.0, "auto").rho == full_report(preset, 1, 4.0, "auto").rho
+
+
+def test_gap_free_bounded_sections_give_analytic_epsilon_at_m_inf():
+    gap_free = _without_gap("convex-uniform:ball:2:r=1.0", max_gap=0.0, lambda_value=2.0)
+    rep = full_report(gap_free, math.inf, 1.0, "analytic")
+    assert rep.row("epsilon") == (1.0, "analytic: gap-free bounded sections, m = inf") and rep.certified
+    gapped = _without_gap("convex-uniform:ball:2:r=1.0", max_gap=0.1, lambda_value=2.0)
+    with pytest.raises(ApplicabilityError, match="no analytic covering probability"):
+        full_report(gapped, math.inf, 1.0, "analytic")

@@ -333,6 +333,44 @@ def test_preset_parameters_out_of_range_are_usage_errors(args, word, capsys):
     assert word in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    "bounds --target uniform:sphere:400 --m 1 --w 1",
+    "bounds --target cap:sphere:400:psi=1 --m 1 --w 1",
+    "bounds --target vmf:sphere:400:kappa=2 --m 1 --w 1",
+    "bounds --target uniform:torus:400:1 --m 1 --w 1",
+    "hyperopt --target uniform:sphere:400",
+    "bounds --target convex-uniform:ball:400:r=1 --m inf --w 1",
+], ids=lambda v: v.split(" --target ")[1].split(" ")[0])
+def test_large_dimensions_are_not_runtime_errors(args, capsys):
+    # math.gamma overflows past d = 340 or so; areas and volumes fall back to logs
+    code, out, err = run_cli([*args.split(), "--seed", "1"], capsys)
+    assert code in (0, 2), err
+    assert "Traceback" not in err and "runtime error" not in err
+    assert (out == "") == (code == 2) and len(err.splitlines()) == (code == 2)
+
+
+@pytest.mark.parametrize("dim,name", [(438, "sup_tl"), (450, "omega_dm1"), (454, "omega_dm1"), (456, "omega_dm1")])
+def test_underflowing_sphere_areas_are_usage_errors(dim, name, capsys):
+    # past d = 437 an area underflows to a subnormal with too few bits for rho, then to 0
+    args = f"bounds --target uniform:sphere:{dim} --m 1 --w 6.283185307179586 --seed 1"
+    code, out, err = run_cli(args.split(), capsys)
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1, err
+    assert f"geoslice: error: {name} = " in err and "not a positive normal float" in err
+
+
+def test_cap_too_small_for_its_density_is_a_usage_error(capsys):
+    # on S^30 the density keeps almost none of the exact draws at this colatitude
+    args = "invariance --target cap:sphere:30:psi=1.8e-8 --m 1 --samples 2000 --seed 1"
+    code, out, err = run_cli(args.split(), capsys)
+    assert (code, out) == (2, "") and "colatitude 1.8e-08 is too small" in err
+
+
+def test_large_sphere_is_certified_at_full_winding(capsys):
+    args = "bounds --target uniform:sphere:400 --m 1 --w 6.283185307179586 --seed 1"
+    code, out, _ = run_cli(args.split(), capsys)
+    assert code == 0 and "rho = 0.9800404151499265 [certified]" in out.splitlines()
+
+
 def test_threads_environment_variable_is_ignored(monkeypatch):
     args = ["verify", "--target", "uniform:sphere:1", "--seed", "1"]
     monkeypatch.delenv("GEOSLICE_THREADS", raising=False)

@@ -210,6 +210,12 @@ def test_unit_sphere_area_values_and_ratio():
         assert ratio >= math.sqrt(2 * math.pi / d) - 1e-12
 
 
+def test_unit_sphere_area_past_gamma_overflow():
+    # |S^(d+1)| = 2 pi / d * |S^(d-1)| on both sides of d = 344, where math.gamma overflows
+    for d in range(330, 420):
+        assert unit_sphere_area(d + 2) == pytest.approx(2 * math.pi / d * unit_sphere_area(d), rel=1e-12)
+
+
 def test_manifold_info_constants():
     s2 = Sphere(2).info
     assert s2.ricci_lower == 1.0 and s2.diameter == pytest.approx(math.pi)

@@ -29,7 +29,7 @@ def test_uniform_sphere_metadata():
     assert t.p_max == 1.0
     assert t.diam_w == pytest.approx(math.pi)
     assert math.isinf(t.lambda_value)
-    assert t.max_gap == 0.0 and t.max_gap_analytic
+    assert t.max_gap == 0.0
     assert t.level_set(0.5) == pytest.approx(4 * math.pi)
 
 
@@ -39,7 +39,6 @@ def test_ball_metadata():
     assert t.max_gap == 0.0
     assert t.lambda_value == 2.0
     assert t.level_set(0.5) == pytest.approx(math.pi)
-    assert t.convex_level_sets
 
 
 def test_cap_diameter_matches_pairwise_oracle():
@@ -187,12 +186,23 @@ def test_cap_sampler_resolves_the_colatitude_near_the_pole(d):
 
 
 @pytest.mark.parametrize("d", [2, 3], ids=["S2", "S3"])
-@pytest.mark.parametrize("psi", [1e-6, math.pi / 2, 2.5], ids=["1e-6", "half-pi", "2.5"])
+@pytest.mark.parametrize("psi", [2e-8, 1e-7, 1e-6, math.pi / 2, 2.5],
+                         ids=["2e-8", "1e-7", "1e-6", "half-pi", "2.5"])
 def test_cap_sampler_draws_lie_in_the_cap(d, psi):
+    # near a small cap's edge x @ pole and cos(psi) agree to a few ulps; the
+    # sampler keeps only the draws its own density accepts
     t = cap_target(Sphere(d), psi)
     pts = reference_samples(t, 2000, make_stream(69, d))
     assert np.all(t.density_batch(pts) > 0)
     assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("d,psi,kept", [(10, 1.5e-8, 33), (30, 1.8e-8, 0)])
+def test_cap_whose_density_drops_most_draws_is_refused(d, psi, kept):
+    # the rejection loop gives up after 1,000 proposals that keep under a quarter,
+    # and construction runs it once on small caps
+    with pytest.raises(ValueError, match=f"keeps only {kept} of 1000 exact draws"):
+        cap_target(Sphere(d), psi)
 
 
 @pytest.mark.parametrize("span", [1.0, 1.3], ids=["grid-on-disk", "grid-past-disk"])
