@@ -34,6 +34,7 @@ TWO_PI = 2.0 * math.pi
 N_BOOTSTRAP = 200  # multinomial resamples behind a TV estimate's standard error
 MIN_TV_POINTS = 1000  # fewest sample points a TV estimate accepts
 ENERGY_BLOCK = 64  # rows of the energy test's distance matrix built and centred at a time
+ENERGY_PANEL = 512  # rows of the centred matrix, in float32, behind one permutation GEMM
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +235,16 @@ def energy_permutation_test(
     permutation matmul; its entries are centred and small, so the sums do
     not cancel and stay accurate to well under 1e-5 relative.
 
-    A is built and centred in ``ENERGY_BLOCK``-row float64 blocks, so 4 n^2
-    bytes (the float32 A of n pooled points) plus one block are live, not
-    12 n^2.  Every row mean is needed before any entry is centred, so the
-    distances are computed twice.  Each entry takes the same float64 steps
-    as on the full matrix, so A and every result are bit-identical to it.
+    A is never held whole.  It is built and centred in ``ENERGY_BLOCK``-row
+    float64 blocks (every row mean is needed before any entry is centred,
+    so the distances are computed twice) and rounded into one reusable
+    float32 panel of ``ENERGY_PANEL`` rows; each panel fills its rows of
+    ``g = A Z^T`` for the observed and every permuted indicator Z, so the
+    indicators are drawn first.  The panel, ``g`` and ``Z`` (4 n
+    (ENERGY_PANEL + 2 permutations) bytes) plus one block are live, not
+    4 n^2.  At one BLAS thread every result is bit-identical to the whole
+    matrix's; a last panel under ``ENERGY_BLOCK`` rows, which OpenBLAS
+    multiplies along another path, joins the one before it.
     """
     from scipy.spatial.distance import cdist
 
@@ -255,30 +261,41 @@ def energy_permutation_test(
     na, nb = len(a), len(b)
     pool = np.vstack([a, b])
     n = na + nb
-    blocks = [slice(i, i + ENERGY_BLOCK) for i in range(0, n, ENERGY_BLOCK)]
-    rmean = np.concatenate([cdist(pool[r], pool).mean(axis=1) for r in blocks])
+    rmean = np.concatenate([cdist(pool[i : i + ENERGY_BLOCK], pool).mean(axis=1)
+                            for i in range(0, n, ENERGY_BLOCK)])
     grand = rmean.mean()
-    dmat = np.empty((n, n), dtype=np.float32)
-    for r in blocks:
-        blk = cdist(pool[r], pool)
-        blk -= rmean[r, None]
-        blk -= rmean[None, :]
-        blk += grand
-        dmat[r] = blk
-    scale = -((1.0 / na + 1.0 / nb) ** 2)
-
-    def stats_of(zmat: np.ndarray) -> np.ndarray:
-        g = dmat @ zmat.T  # (n, B)
-        s_aa = np.einsum("bn,nb->b", zmat, g, optimize=True).astype(np.float64)
-        return scale * s_aa
-
     z0 = np.zeros((1, n), dtype=np.float32)
     z0[0, :na] = 1.0
-    obs = float(stats_of(z0)[0])
     zperm = np.zeros((permutations, n), dtype=np.float32)
     for k in range(permutations):
         zperm[k, rng.permutation(n)[:na]] = 1.0
-    null = stats_of(zperm)
+
+    starts = list(range(0, n, ENERGY_PANEL))
+    if len(starts) > 1 and n - starts[-1] < ENERGY_BLOCK:
+        starts.pop()
+    panels = list(zip(starts, starts[1:] + [n]))
+    panel = np.empty((max(e - s for s, e in panels), n), dtype=np.float32)
+    g0 = np.empty((n, 1), dtype=np.float32)
+    g = np.empty((n, permutations), dtype=np.float32)
+    for s, e in panels:
+        for i in range(s, e, ENERGY_BLOCK):
+            r = slice(i, min(i + ENERGY_BLOCK, e))
+            blk = cdist(pool[r], pool)
+            blk -= rmean[r, None]
+            blk -= rmean[None, :]
+            blk += grand
+            panel[i - s : r.stop - s] = blk
+        rows = panel[: e - s]
+        g0[s:e] = rows @ z0.T
+        g[s:e] = rows @ zperm.T
+    scale = -((1.0 / na + 1.0 / nb) ** 2)
+
+    def stats_of(zmat: np.ndarray, gmat: np.ndarray) -> np.ndarray:
+        s_aa = np.einsum("bn,nb->b", zmat, gmat, optimize=True).astype(np.float64)
+        return scale * s_aa
+
+    obs = float(stats_of(z0, g0)[0])
+    null = stats_of(zperm, g)
     exceed = int(np.sum(null >= obs - 1e-12))
     p_perm = (1 + exceed) / (permutations + 1)
     p = p_perm

@@ -167,7 +167,10 @@ def _normalize_set(set_spec: IntervalSet):
 
 
 def set_contains(set_spec: IntervalSet, x: float) -> bool:
-    return any(a < x < b for a, b in set_spec)
+    for a, b in set_spec:
+        if a < x < b:
+            return True
+    return False
 
 
 def estimate_covering_probability(
@@ -207,7 +210,15 @@ def sample_intervals(
     set_spec: IntervalSet, theta: float, params: StepOutParams, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """n stepping-out draws started at theta, as rows (lo, hi) in absolute coords."""
-    oracle = lambda s: set_contains(set_spec, theta + s)
+    pairs = _normalize_set(set_spec)
+
+    def oracle(s):
+        x = theta + s
+        for a, b in pairs:
+            if a < x < b:
+                return True
+        return False
+
     out = np.empty((n, 2))
     for i in range(n):
         itv = stepping_out(oracle, params, rng)

@@ -107,6 +107,13 @@ def _unit_orthogonal(pole: np.ndarray, n: int, rng: np.random.Generator) -> np.n
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def _ball_points(k: int, dim: int, r: float, rng: np.random.Generator) -> np.ndarray:
+    """k uniform draws from the ball of radius r: a Gaussian direction times r U^(1/dim)."""
+    g = rng.standard_normal((k, dim))
+    rad = r * rng.random(k) ** (1.0 / dim)
+    return g * (rad / np.linalg.norm(g, axis=1))[:, None]
+
+
 def _accepted(n: int, batch, shape: tuple = ()) -> np.ndarray:
     """n draws, each of shape ``shape``, from a rejection sampler whose ``batch(k)``
     proposes for k more draws and returns the accepted ones (n = 0 calls it never)."""
@@ -423,8 +430,9 @@ def ball_target(dim: int, radius: float) -> Target:
 
     def sampler(n, rng):
         def batch(k):
-            cand = rng.uniform(-r, r, size=(2 * k + 8, dim))
-            return cand[np.einsum("ij,ij->i", cand, cand) < r * r]
+            # a draw can round onto the sphere: keep what the density accepts
+            x = _ball_points(k, dim, r, rng)
+            return x[density_batch(x) > 0]
 
         return _accepted(n, batch, (dim,))
 
@@ -519,8 +527,8 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
             if accept_gauss >= 0.05:
                 cand = rng.standard_normal((int(2 * k / max(accept_gauss, 0.05)) + 8, dim)) * math.sqrt(s2)
                 return cand[np.einsum("ij,ij->i", cand, cand) < r * r]
-            # Narrow ball: uniform-ball proposal with density thinning.
-            cand = rng.uniform(-r, r, size=(4 * k + 8, dim))
+            # Narrow ball: exact uniform-ball draws thinned by the density
+            cand = _ball_points(4 * k + 8, dim, r, rng)
             q = np.einsum("ij,ij->i", cand, cand)
             return cand[(q < r * r) & (rng.random(len(cand)) < np.exp(-q / (2.0 * s2)))]
 

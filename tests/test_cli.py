@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -347,6 +350,18 @@ def test_large_dimensions_are_not_runtime_errors(args, capsys):
     assert code in (0, 2), err
     assert "Traceback" not in err and "runtime error" not in err
     assert (out == "") == (code == 2) and len(err.splitlines()) == (code == 2)
+
+
+def test_invariance_on_a_30_dimensional_ball_finishes():
+    # the ball's reference sampler once proposed from the cube [-1, 1]^30 and
+    # kept about one draw in 5e13; a subprocess bounds the run if that returns
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    args = "invariance --target convex-uniform:ball:30:r=1 --m inf --w 1 --samples 10 --seed 1"
+    proc = subprocess.run([sys.executable, "-m", "geoslice.cli", *args.split()],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "invariance: PASS" in proc.stdout
 
 
 @pytest.mark.parametrize("dim,name", [(438, "sup_tl"), (450, "omega_dm1"), (454, "omega_dm1"), (456, "omega_dm1")])

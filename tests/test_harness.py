@@ -2,7 +2,11 @@ import dataclasses
 import hashlib
 import importlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -24,6 +28,7 @@ from geoslice.rng import make_stream
 from geoslice.targets import reference_samples
 
 TWO_PI = 2 * math.pi
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # -- binning -------------------------------------------------------------------
@@ -81,7 +86,9 @@ def test_binning_rejects_unknown_schemes():
 # (spec, explicit bins) -> SHA-256 prefix of the masses and of the assignment of
 # support and off-support draws, at the default bins and at the explicit ones,
 # as the four hand-written binning schemes computed them; the two 2-D balls
-# since their masses come from a Gauss-Legendre rule instead of quad.
+# since their masses come from a Gauss-Legendre rule instead of quad, and the
+# uniform balls since their support draws are exact ball draws rather than
+# accepted cube draws (their masses, and the bins of fixed points, unchanged).
 GOLDEN_BINNING = {
     ("uniform:sphere:1", 48): (
         "758c37e35bdccf0fb235ee99dd28645b",
@@ -116,12 +123,12 @@ GOLDEN_BINNING = {
         "759b3a586ccced77e733bcbb4e4814f6",
     ),
     ("convex-uniform:ball:1:r=1.5", 50): (
-        "8e694f281fb43b8e82c9871aa43cc03a",
-        "bf2c9d72e2e822bc576ba56c360ed91c",
+        "88ef14e91ea6efdc363c67be00c4e16a",
+        "51bb15050849af7fe0d2588e87dec63b",
     ),
     ("convex-uniform:ball:2:r=1.0", 256): (
-        "175c4c1398d92e399bab9314763360f6",
-        "bf5c9e897acc3eb027ffb9afb21a4a42",
+        "0187692fa27b41d2b0c20857cce40ce9",
+        "b935e0fe7e98477f0d11d5dc3ad14342",
     ),
     ("convex-uniform:box:1:extents=3.0", 50): (
         "9aba3b8da772e017de334406cd34947c",
@@ -322,8 +329,48 @@ def test_energy_test_rejects_bad_input_before_any_draw(shapes, kwargs):
     assert rng.bit_generator.state == state
 
 
-def test_energy_test_peak_memory():
-    # the float32 matrix of 3,000 pooled points is 36 MB; the full float64 path peaked at 108 MB
+_ONE_THREAD_CASE = """
+import dataclasses, sys
+import oracles
+from geoslice.harness import energy_permutation_test
+from geoslice.rng import make_stream
+
+na, nb, d = map(int, sys.argv[1:4])
+shift = float(sys.argv[4])
+rng = make_stream(11, na + nb)
+a = rng.standard_normal((na, d))
+b = rng.standard_normal((nb, d)) + shift
+res = energy_permutation_test(a, b, make_stream(12, d), permutations=99)
+ref = oracles.energy_permutation_test_one_shot(a, b, make_stream(12, d), permutations=99)
+print(dataclasses.astuple(res) == ref, dataclasses.astuple(res), ref)
+"""
+
+
+@pytest.mark.parametrize(
+    "na,nb,d,shift",
+    [
+        (256, 256, 2, 0.3),  # 512 pooled: one full panel
+        (287, 288, 1, 0.3),  # 575: a 63-row tail joins the panel before it
+        (288, 288, 3, 0.3),  # 576: a 64-row tail is a panel of its own
+        (260, 260, 1, 0.3),  # 520: an 8-row panel would change the permutation sums
+        (515, 515, 2, 0.3),  # 1,030: likewise with a 6-row tail after two panels
+        (543, 544, 2, 0.3),  # 1,087
+        (544, 544, 1, 0.0),  # 1,088
+    ],
+)
+def test_energy_test_panels_equal_one_shot_at_one_blas_thread(na, nb, d, shift):
+    # the sgemm's summation order follows the BLAS thread count, so the one-shot
+    # oracle is only reproducible at a pinned thread count; the shifted cases end
+    # in the normal tail, whose p-value reads every permutation sum's bits
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _ONE_THREAD_CASE, str(na), str(nb), str(d), str(shift)],
+                         env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("True "), out.stdout
+
+
+def _energy_test_peak(permutations: int) -> int:
     for mod in ("scipy.special", "scipy.spatial.distance"):  # imported outside the traced window
         importlib.import_module(mod)
     rng = make_stream(14, 0)
@@ -331,11 +378,22 @@ def test_energy_test_peak_memory():
     b = rng.standard_normal((1500, 2))
     tracemalloc.start()
     try:
-        energy_permutation_test(a, b, make_stream(14, 1), permutations=20)
-        _, peak = tracemalloc.get_traced_memory()
+        energy_permutation_test(a, b, make_stream(14, 1), permutations=permutations)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 45e6, peak
+
+
+def test_energy_test_peak_memory():
+    # the whole float32 matrix of 3,000 pooled points was 36 MB; a 512-row panel is 6 MB
+    peak = _energy_test_peak(20)
+    assert peak < 15e6, peak
+
+
+def test_energy_test_peak_memory_at_500_permutations():
+    # g and Z add 12 KB per permutation each: 12 MB at 500
+    peak = _energy_test_peak(500)
+    assert peak < 30e6, peak
 
 
 # -- verify / invariance ----------------------------------------------------------------

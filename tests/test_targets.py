@@ -273,6 +273,41 @@ def test_reference_sampler_ball_and_gauss():
         assert abs(float(np.mean(q < r * r)) - expect) < 0.01
 
 
+@pytest.mark.parametrize("d", [2, 5, 30])
+def test_ball_sampler_radius_law(d):
+    # uniform on the ball of radius r: (|x| / r)^d is U(0, 1)
+    t = ball_target(d, 2.0)
+    pts = reference_samples(t, 2000, make_stream(67, d))
+    assert np.all(t.density_batch(pts) > 0)
+    assert stats.kstest((np.linalg.norm(pts, axis=1) / 2.0) ** d, "uniform").pvalue > 0.001
+
+
+def test_ball_samplers_are_fast_in_high_dimension():
+    # a proposal from the cube [-r, r]^d kept a fraction vol(ball) / 2^d of its
+    # draws: 1,000 draws took 3 s at d = 14 and one outran 10 s at d = 30
+    import time
+
+    for t in (ball_target(30, 1.0), ball_gaussian_target(30, 1.0, 1.0)):
+        start = time.perf_counter()
+        pts = reference_samples(t, 1000, make_stream(70, 30))
+        assert time.perf_counter() - start < 1.0, t.spec_string
+        assert pts.shape == (1000, 30) and np.all(t.density_batch(pts) > 0)
+
+
+def test_narrow_ball_gauss_sampler_radius_law():
+    # the narrow-ball branch thins exact uniform-ball draws; |x|^2 / sigma^2 is
+    # chi-square with d degrees of freedom truncated at r^2 / sigma^2
+    from scipy import special
+
+    d, sigma, r = 5, 2.0, 1.0
+    t = ball_gaussian_target(d, sigma, r)
+    pts = reference_samples(t, 2000, make_stream(71, d))
+    top = special.chdtr(d, r * r / sigma**2)
+    assert top < 0.05  # the branch under test
+    cdf = lambda q: special.chdtr(d, q / sigma**2) / top
+    assert stats.kstest(np.einsum("ij,ij->i", pts, pts), cdf).pvalue > 0.001
+
+
 def test_reference_sampler_chisquare_against_analytic_masses():
     from geoslice import harness
 
