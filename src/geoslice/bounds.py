@@ -408,13 +408,14 @@ def full_report(
     """
     if epsilon_mode not in EPSILON_MODES:
         raise ValueError(f"epsilon_mode must be one of {EPSILON_MODES}")
-    info = target.manifold.info
-    kappa = _finite_positive(f"kappa at diam_W={target.diam_w!r} in dimension {info.dim}",
-                             lambda: volume_comparison_factor(info.ricci_lower, target.diam_w, info.dim))
+    info, dim = target.manifold.info, target.manifold.dim
+    kappa = _finite_positive(f"kappa at diam_W={target.diam_w!r} in dimension {dim}",
+                             lambda: volume_comparison_factor(info.ricci_lower, target.diam_w, dim))
+    omega = unit_sphere_area(dim)
     sup_tl = targets.sup_t_level(target)
     eps, eps_se, eps_source, proved = _epsilon(target, m, w, epsilon_mode, rng, mc_probes, mc_runs)
     rho = convergence_rate(
-        eps, m, w, target.lambda_value, kappa, info.omega_dm1, sup_tl, target.p_max
+        eps, m, w, target.lambda_value, kappa, omega, sup_tl, target.p_max
     )
     gap = target.max_gap
     try:
@@ -432,10 +433,10 @@ def full_report(
         ("lambda_eff", _lambda_eff(m, w, target.lambda_value), "min(m*w, lambda)"),
         ("zeta", info.ricci_lower, "manifold metadata"),
         ("kappa", kappa, "volume comparison"),
-        ("omega_dm1", info.omega_dm1, "unit sphere area"),
+        ("omega_dm1", omega, "unit sphere area"),
         ("p_max", target.p_max, "target metadata"),
         ("sup_t_level", sup_tl, "level-set optimiser" if level else "monte-carlo level set"),
         ("epsilon", eps, eps_source),
     )
-    return BoundsReport(target.spec_string, info.dim, m, w, inputs, eps_se, q, q_note, rho,
+    return BoundsReport(target.spec_string, dim, m, w, inputs, eps_se, q, q_note, rho,
                         certified=proved and level)

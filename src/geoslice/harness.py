@@ -1,8 +1,8 @@
 """Statistical verification of the sampler against its certificate.
 
-* total-variation estimation by binning with *analytic* target masses
-  (never two empirical histograms), with bootstrap standard errors and an
-  explicit estimate of the positive null bias;
+* total-variation estimation by binning with the exact bin masses of the
+  target presets (never two empirical histograms), with bootstrap standard
+  errors and an explicit estimate of the positive null bias;
 * endpoint-ensemble TV decay checked against the certified rho^n envelope;
 * one-step invariance tests (energy-distance permutation test between
   evolved and fresh exact samples), including a deliberately broken
@@ -70,22 +70,19 @@ def make_binning(target: Target, bins: Optional[int] = None) -> Binning:
     over [0, P) (default 32 per axis).  Cells are numbered row-major; points
     off a Euclidean grid land in the overflow bin.  Masses are the target's
     ``bin_masses`` (on S^2 of the height bands, split evenly over the
-    sectors); on the circle, a target without ``bin_masses`` is integrated
-    by deterministic quadrature of its density.
+    sectors); a target without them is refused.
     """
     man = target.manifold
     circle, sphere2 = (isinstance(man, Sphere) and man.dim == d for d in (1, 2))
     bounded = isinstance(man, Euclidean)
-    if (target.bin_masses is None and not circle) or (bounded and target.grid_half is None):
+    if target.bin_masses is None or (bounded and target.grid_half is None):
         raise ValueError(f"no analytic bin masses for target {target.spec_string!r} on {man.spec}")
     per_axis = 32 if bins is None else max(2, int(round(bins ** (1.0 / man.dim))))
     if circle:
         axes = [(lambda c: _azimuth(c[:, 0], c[:, 1]), 0.0, TWO_PI, bins or 64)]
     elif sphere2:
         n_bands = max(int(round(math.sqrt((bins or 512) / 2.0))), 2)
-        pole = target.params.get("pole", target.params.get("mean"))
-        if pole is None:
-            pole = np.array([0.0, 0.0, 1.0])
+        pole = target.params.get("pole", target.params.get("mean", np.eye(3)[2]))
         frame = _orthonormal_frame(pole)
         axes = [
             (lambda c: c @ pole, -1.0, 1.0, n_bands),
@@ -108,24 +105,10 @@ def make_binning(target: Target, bins: Optional[int] = None) -> Binning:
         return np.where(inside, flat, -1) if bounded else flat
 
     edges = [np.linspace(lo, hi, n + 1) for _, lo, hi, n in axes]
-    if sphere2:
-        n_sectors = axes[1][3]
-        masses = np.repeat(target.bin_masses(edges[:1]) / n_sectors, n_sectors)
-    elif target.bin_masses is not None:
+    if sphere2:  # the presets state the height bands' masses, which the sectors share evenly
+        masses = np.repeat(target.bin_masses(edges[:1]) / axes[1][3], axes[1][3])
+    else:
         masses = target.bin_masses(edges)
-    else:  # deterministic quadrature of the density over each angle bin
-        from scipy import integrate
-
-        def angle_density(phi: float) -> float:
-            return target.density(np.array([math.cos(phi), math.sin(phi)]))
-
-        grid = edges[0]
-        masses = np.array([integrate.quad(angle_density, a, b, limit=200)[0]
-                           for a, b in zip(grid, grid[1:])])
-        total = float(np.sum(masses))
-        if total <= 0:
-            raise ValueError("target mass vanished on the circle grid")
-        masses = masses / total
 
     keep = masses > (1e-15 if bounded else 0.0)
     lookup = np.full(len(masses) + 1, -1)  # the last slot serves cell index -1

@@ -2,10 +2,10 @@
 
 Each manifold provides geodesics through the exponential map, uniform unit
 tangent directions, and the metadata consumed by the convergence-bound
-calculator (dimension, diameter, Ricci lower bound, injectivity radius,
-unit-sphere area of the tangent spaces, total measure), built once as
-``info``.  The injectivity radius is a lower bound of every cut time, so it
-is what a scan along a geodesic reads.
+calculator that the dimension does not fix (diameter, Ricci lower bound,
+injectivity radius, total measure), built once as ``info``.  The injectivity
+radius is a lower bound of every cut time, so it is what a scan along a
+geodesic reads.
 
 All operations work on coordinate arrays in the embedding: length d+1 unit
 vectors for the sphere S^d, plain length-d vectors for Euclidean space and
@@ -68,16 +68,13 @@ class Point:
 class ManifoldInfo:
     """Geometry constants used by the bound calculator.
 
-    ricci_lower is a number zeta with (d-1)*zeta <= Ric everywhere;
-    omega_dm1 is the area of the Euclidean unit sphere of the tangent space.
+    ricci_lower is a number zeta with (d-1)*zeta <= Ric everywhere.
     Infinite diameter / injectivity radius / total measure are allowed.
     """
 
-    dim: int
     diameter: float
     ricci_lower: float
     injectivity_radius: float
-    omega_dm1: float
     total_measure: float
 
 
@@ -147,11 +144,9 @@ class Euclidean(Manifold):
         self.dim = dim
         self.embedding_dim = dim
         self.info = ManifoldInfo(
-            dim=dim,
             diameter=math.inf,
             ricci_lower=0.0,
             injectivity_radius=math.inf,
-            omega_dm1=unit_sphere_area(dim),
             total_measure=math.inf,
         )
 
@@ -185,11 +180,9 @@ class Sphere(Manifold):
         self.dim = dim
         self.embedding_dim = dim + 1
         self.info = ManifoldInfo(
-            dim=dim,
             diameter=math.pi,
             ricci_lower=1.0 if dim >= 2 else 0.0,
             injectivity_radius=math.pi,
-            omega_dm1=unit_sphere_area(dim),
             total_measure=unit_sphere_area(dim + 1),
         )
 
@@ -233,11 +226,9 @@ class Torus(Manifold):
         self.period = _finite_positive("torus period", period)
         # P/2 is the exact cut time along an axis and a lower bound in other directions
         self.info = ManifoldInfo(
-            dim=dim,
             diameter=self.period * math.sqrt(dim) / 2.0,
             ricci_lower=0.0,
             injectivity_radius=self.period / 2.0,
-            omega_dm1=unit_sphere_area(dim),
             total_measure=_finite_positive(f"torus volume at period {self.period!r}",
                                            lambda: self.period**dim),
         )

@@ -107,11 +107,15 @@ def _unit_orthogonal(pole: np.ndarray, n: int, rng: np.random.Generator) -> np.n
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def _radial_points(k: int, dim: int, radius, rng: np.random.Generator) -> np.ndarray:
+    """k draws of a Gaussian direction times ``radius(U)``, U uniform on [0, 1) per draw."""
+    g = rng.standard_normal((k, dim))
+    return g * (radius(rng.random(k)) / np.linalg.norm(g, axis=1))[:, None]
+
+
 def _ball_points(k: int, dim: int, r: float, rng: np.random.Generator) -> np.ndarray:
     """k uniform draws from the ball of radius r: a Gaussian direction times r U^(1/dim)."""
-    g = rng.standard_normal((k, dim))
-    rad = r * rng.random(k) ** (1.0 / dim)
-    return g * (rad / np.linalg.norm(g, axis=1))[:, None]
+    return _radial_points(k, dim, lambda u: r * u ** (1.0 / dim), rng)
 
 
 def _accepted(n: int, batch, shape: tuple = ()) -> np.ndarray:
@@ -165,15 +169,22 @@ def _disk_cell_masses(r: float, edges, strip) -> np.ndarray:
     a, b = phi[:, :-1].ravel(), phi[:, 1:].ravel()
     live = b > a
     cell = np.repeat(np.arange(len(x0)), cuts.shape[1] - 1)[live]
-    a, b = a[live], b[live]
+
+    def integrand(p):
+        x, h = r * np.sin(p), r * np.cos(p)
+        lo = np.maximum(y0[cell, None], -h)
+        hi = np.maximum(np.minimum(y1[cell, None], h), lo)
+        return strip(x, lo, hi) * h  # dx = h dphi
+
+    return np.bincount(cell, _gauss_legendre(a[live], b[live], integrand), len(x0))
+
+
+def _gauss_legendre(a: np.ndarray, b: np.ndarray, integrand) -> np.ndarray:
+    """Integral over each [a_i, b_i] by a 24-node Gauss-Legendre rule; ``integrand`` maps nodes to values."""
     half = 0.5 * (b - a)
     nodes, weights = np.polynomial.legendre.leggauss(24)
     p = (0.5 * (a + b))[:, None] + half[:, None] * nodes
-    x, h = r * np.sin(p), r * np.cos(p)
-    lo = np.maximum(y0[cell, None], -h)
-    hi = np.maximum(np.minimum(y1[cell, None], h), lo)
-    piece = (strip(x, lo, hi) * h * weights).sum(axis=1) * half  # dx = h dphi
-    return np.bincount(cell, piece, len(x0))
+    return (integrand(p) * weights).sum(axis=1) * half
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +325,11 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
         over = np.clip(edges[0][1:], cos_psi, 1.0) - np.clip(edges[0][:-1], cos_psi, 1.0)
         return over / (1.0 - cos_psi)
 
+    def arc_masses(edges):  # each angle bin's overlap with the arc about c and its copies a turn either side
+        lo, hi, c = edges[0][:-1], edges[0][1:], math.atan2(pole_arr[1], pole_arr[0])
+        return sum(np.clip(np.minimum(hi, c + s + colatitude) - np.maximum(lo, c + s - colatitude), 0.0, None)
+                   for s in (-2.0 * math.pi, 0.0, 2.0 * math.pi)) / (2.0 * colatitude)
+
     start_psi = colatitude * (1.0 - 1e-6)
     perp = _orthonormal_frame(pole_arr)[0]
     # Hemispheres and smaller intersect great circles in single arcs inside the
@@ -336,7 +352,7 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
         sampler=sampler,
         params={"colatitude": colatitude, "pole": pole_arr},
         worst_start=math.cos(start_psi) * pole_arr + math.sin(start_psi) * perp,
-        bin_masses=band_masses if d == 2 else None,
+        bin_masses={1: arc_masses, 2: band_masses}.get(d),
     )
 
 
@@ -382,6 +398,15 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
         e = np.exp(kap * edges[0])
         return (e[1:] - e[:-1]) / (e[-1] - e[0])
 
+    def arc_masses(edges):
+        # e^(kap (cos(phi - c) - 1)) on k equal pieces per bin, none wider than 1 / sqrt(kap) (whole: 7e-9 off)
+        lo, hi, c = edges[0][:-1], edges[0][1:], math.atan2(mu[1], mu[0])
+        k = max(1, math.ceil(float(np.max(hi - lo)) * math.sqrt(kap)))
+        cuts = lo[:, None] + (hi - lo)[:, None] * (np.arange(k + 1) / k)
+        piece = _gauss_legendre(cuts[:, :-1].ravel(), cuts[:, 1:].ravel(),
+                                lambda p: np.exp(kap * (np.cos(p - c) - 1.0)))
+        return _normalised(piece.reshape(len(lo), k).sum(axis=1))
+
     mu_str = ",".join(repr(float(c)) for c in mu)
     return Target(
         manifold=manifold,
@@ -397,7 +422,7 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
         sampler=sampler,
         params={"concentration": kap, "mean": mu},
         worst_start=-mu,
-        bin_masses=band_masses if d == 2 else None,
+        bin_masses={1: arc_masses, 2: band_masses}.get(d),
     )
 
 
@@ -520,17 +545,16 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
         return ball_volume(dim, rad)
 
     # P(|N(0, s2 I)| < r), the chi-square cdf: scipy.stats.chi2.cdf calls chdtr
-    accept_gauss = float(special.chdtr(dim, r * r / s2))
+    top = float(special.chdtr(dim, r * r / s2))
 
     def sampler(n, rng):
         def batch(k):
-            if accept_gauss >= 0.05:
-                cand = rng.standard_normal((int(2 * k / max(accept_gauss, 0.05)) + 8, dim)) * math.sqrt(s2)
-                return cand[np.einsum("ij,ij->i", cand, cand) < r * r]
-            # Narrow ball: exact uniform-ball draws thinned by the density
-            cand = _ball_points(4 * k + 8, dim, r, rng)
-            q = np.einsum("ij,ij->i", cand, cand)
-            return cand[(q < r * r) & (rng.random(len(cand)) < np.exp(-q / (2.0 * s2)))]
+            if top < sys.float_info.min:  # only where r^2 / s2 < 8.5 (a test checks): thinning keeps >= e^-4.25
+                x = _ball_points(4 * k + 8, dim, r, rng)
+                return x[rng.random(len(x)) < density_batch(x)]
+            # inverse cdf: |x|^2 / (2 s2) is Gamma(dim / 2) cut where its cdf reaches top
+            x = _radial_points(k, dim, lambda u: np.sqrt(2.0 * s2 * special.gammaincinv(dim / 2.0, u * top)), rng)
+            return x[density_batch(x) > 0]  # a draw can round onto the sphere
 
         return _accepted(n, batch, (dim,))
 

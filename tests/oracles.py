@@ -298,3 +298,48 @@ def disk_cell_gauss_quad(r, sigma, x0, x1, y0, y1) -> float:
 
     return sum(integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
                for a, b in _disk_cell_pieces(r, x0, x1, y0, y1))
+
+
+def circle_cap_masses(colatitude, pole, edges) -> np.ndarray:
+    """Mass of each angle bin [edges[i], edges[i+1]] under the uniform law on the
+    arc {angle to pole < colatitude} of the circle, in mpmath at 40 digits.
+
+    Each bin is cut where the arc's ends fall (mod 2 pi); a piece counts whole
+    when its midpoint lies within the colatitude of the pole.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        c, psi = mpmath.atan2(pole[1], pole[0]), mpmath.mpf(colatitude)
+        ends = [(c + s) % (2 * mpmath.pi) for s in (-psi, psi)]
+        out = []
+        for a, b in zip(map(mpmath.mpf, edges), map(mpmath.mpf, edges[1:])):
+            xs = sorted({a, b} | {e for e in ends if a < e < b})
+            inside = sum((hi - lo for lo, hi in zip(xs, xs[1:])
+                          if mpmath.cos((lo + hi) / 2 - c) > mpmath.cos(psi)), mpmath.mpf(0))
+            out.append(float(inside / (2 * psi)))
+    return np.array(out)
+
+
+def circle_vmf_masses(kappa, mean, edges) -> np.ndarray:
+    """Mass of each angle bin under the density exp(kappa cos(phi - c)) on the
+    circle, c the angle of ``mean``, in mpmath at 40 digits.
+
+    Termwise integration of the Fourier series exp(kappa cos t) = I_0(kappa) +
+    2 sum_n I_n(kappa) cos(n t) gives each bin's share of the total
+    2 pi I_0(kappa); the series stops once I_n / I_0 falls below 1e-30.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        kap, c = mpmath.mpf(kappa), mpmath.atan2(mean[1], mean[0])
+        i0 = mpmath.besseli(0, kap)
+        ratios = []
+        while not ratios or ratios[-1] > mpmath.mpf("1e-30"):
+            ratios.append(mpmath.besseli(len(ratios) + 1, kap) / i0)
+        out = []
+        for a, b in zip(map(mpmath.mpf, edges), map(mpmath.mpf, edges[1:])):
+            series = sum(r * (mpmath.sin(n * (b - c)) - mpmath.sin(n * (a - c))) / n
+                         for n, r in enumerate(ratios, start=1))
+            out.append(float((b - a) / (2 * mpmath.pi) + series / mpmath.pi))
+    return np.array(out)

@@ -74,11 +74,10 @@ def test_cap_binning_excludes_dead_hemisphere():
 
 
 def test_binning_rejects_unknown_schemes():
-    no_masses = targets.custom_target(
-        Sphere(2), lambda x: 1.0, p_max=1.0, diam_w=math.pi, level_samples=1000
-    )
+    no_masses = [targets.custom_target(man, lambda x: 1.0, p_max=1.0, diam_w=math.pi, level_samples=1000)
+                 for man in (Sphere(1), Sphere(2))]
     for t in [targets.from_spec("vmf:sphere:3:kappa=1.0"),
-              targets.from_spec("convex-uniform:ball:3:r=1"), no_masses]:
+              targets.from_spec("convex-uniform:ball:3:r=1"), *no_masses]:
         with pytest.raises(ValueError):
             make_binning(t)
 
@@ -89,18 +88,23 @@ def test_binning_rejects_unknown_schemes():
 # since their masses come from a Gauss-Legendre rule instead of quad, and the
 # uniform balls since their support draws are exact ball draws rather than
 # accepted cube draws (their masses, and the bins of fixed points, unchanged).
+# Re-recorded since: the circle cap and vMF, whose masses are the presets'
+# closed-form arcs and Gauss-Legendre sums instead of quad of the density
+# (cap masses moved by up to 2.6e-10, to the closed form; the bins of fixed
+# points unchanged), and the 1-D and 2-D ball-Gaussians, whose support draws
+# are inverse-cdf radii instead of accepted Gaussian draws (masses unchanged).
 GOLDEN_BINNING = {
     ("uniform:sphere:1", 48): (
         "758c37e35bdccf0fb235ee99dd28645b",
         "00f732deb0c53f4bb7a69968b3ee02e4",
     ),
     ("cap:sphere:1:psi=2.0", 48): (
-        "341560901fe89f2560928ba50c68a4c8",
-        "82d56698d83125e0be923c6e6b75ee07",
+        "d8b726773d32bad1feadb285f7fe11c4",
+        "4ac1c49d6154acdd7de6aee413426fcf",
     ),
     ("vmf:sphere:1:kappa=2.0", 48): (
-        "89aaecabb8f2c686092d038ead9e82cd",
-        "86d57530d84b2746f0dda3cef2cb5aff",
+        "5fc8083e2280723e85b1587907864acc",
+        "355e8eb971a44ce587e9ad56c33ffab4",
     ),
     ("uniform:sphere:2", 200): (
         "866340aad736e09c44c7e281fbf3eee3",
@@ -139,12 +143,12 @@ GOLDEN_BINNING = {
         "5099817556e8ac8bf20bed9bd41d9321",
     ),
     ("ball-gauss:1:sigma=0.5:r=1.0", 50): (
-        "bf9786d1bca06a2151431b608a3b095b",
-        "d41aef1c730cf0d35b656b355e32752d",
+        "49dbe3ead751d399e953d889a9ef9b7e",
+        "9791b0c24c8675bc0144a9d8924240c4",
     ),
     ("ball-gauss:2:sigma=0.5:r=1.0", 256): (
-        "84a7a8c8e982c87e9c2b7f6e17bf2c53",
-        "896c1d3f41c3085fc321aa3ad8733c96",
+        "2c5ff97f29d0613e9e297afd1ad15ca5",
+        "019437a89881819868a0790b69cff78b",
     ),
     ("uniform:torus:1:6.283185307179586", 50): (
         "cef98f6a10c74827ac71621daed8da2e",

@@ -2,17 +2,16 @@
 no private top-level name in src/ is left without a reader.
 
 Importing geoslice loads numpy only.  No src/ module imports scipy at module
-level: each function that calls scipy.special, scipy.integrate or
-scipy.spatial imports it in its own body, so a process loads only the scipy
-modules it calls.  A vMF or uniform chain loads none, and neither does a
-verify on the disk, whose bin masses come from a numpy Gauss-Legendre
-rule; scipy.integrate serves only the circle quadrature of
-harness.make_binning.  A test pins which src/ function imports which scipy
-module, the list the README gives.  src/ never imports
-scipy.stats at all, whose import costs about a third of a second; tests may.
-src/ calls instead the two scipy.special functions that scipy.stats itself
-evaluates, and a test here checks that they agree with scipy.stats bit for
-bit.
+level: each function that calls scipy.special or scipy.spatial imports it
+in its own body, so a process loads only the scipy modules it calls.  A vMF
+or uniform chain loads none, and neither does a verify on the disk, whose
+bin masses come from a numpy Gauss-Legendre rule.  No src/ function imports
+scipy.integrate: every bin mass comes from the target preset.  A test pins
+which src/ function imports which scipy module, the list the README gives.
+src/ never imports scipy.stats at all, whose import costs about a third of
+a second; tests may.  src/ calls instead the two scipy.special functions
+that scipy.stats itself evaluates, and a test here checks that they agree
+with scipy.stats bit for bit.
 
 The scalar hot path (the manifolds' exp maps, tangent projections and
 tangent draws, and the presets' scalar densities) takes 1-D products with
@@ -215,9 +214,10 @@ def test_disk_verify_loads_no_scipy():
 
 
 def test_ball_gauss_binning_loads_no_scipy_integrate():
-    code = (
-        "from geoslice import harness, targets\n"
-        "assert harness.make_binning(targets.from_spec('ball-gauss:2:sigma=0.5:r=1.0')).bin_count == 856"
+    code = "from geoslice import harness, targets\n" + "".join(
+        f"assert harness.make_binning(targets.from_spec({spec!r})).bin_count == {bins}\n"
+        for spec, bins in [("ball-gauss:2:sigma=0.5:r=1.0", 856),
+                           ("cap:sphere:1:psi=2.0", 42), ("vmf:sphere:1:kappa=2.0", 64)]
     )
     assert "scipy.integrate" not in _scipy_modules_loaded_after(code)
 
@@ -258,7 +258,6 @@ def test_scipy_users_in_src_are_the_ones_the_readme_lists():
         "targets._sin_power_integral": ["scipy.special"],
         "targets.cap_target": ["scipy.special"],
         "targets.ball_gaussian_target": ["scipy.special"],
-        "harness.make_binning": ["scipy.integrate"],
         "harness.energy_distance": ["scipy.spatial.distance"],
         "harness.energy_permutation_test": ["scipy.spatial.distance", "scipy.special"],
     }

@@ -100,7 +100,7 @@ class _Ring(manifolds.Manifold):
     """The unit circle in R^2, written out without the built-in classes."""
 
     dim, embedding_dim, spec = 1, 2, "ring"
-    info = manifolds.ManifoldInfo(1, math.pi, 0.0, math.pi, 2.0, 2 * math.pi)
+    info = manifolds.ManifoldInfo(math.pi, 0.0, math.pi, 2 * math.pi)
 
     def exp_array(self, x, v, theta):
         return math.cos(theta) * x + math.sin(theta) * v

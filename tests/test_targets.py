@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,8 @@ from geoslice.targets import (
     uniform_target,
     vmf_target,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_uniform_sphere_metadata():
@@ -230,6 +236,27 @@ def test_ball_gauss_cell_masses_match_quad(n):
     assert np.array_equal(got > 1e-15, ref > 1e-15)
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 64])
+@pytest.mark.parametrize("psi", [0.3, 2.0, 3.0, math.pi])
+@pytest.mark.parametrize("centre", [0.1, -0.2])
+def test_circle_cap_masses_match_mpmath(centre, psi, n):
+    # both arcs wrap through angle 0, where the bin grid starts
+    t = cap_target(Sphere(1), psi, [math.cos(centre), math.sin(centre)])
+    e = np.linspace(0.0, 2.0 * math.pi, n + 1)
+    ref = oracles.circle_cap_masses(psi, t.params["pole"], e)
+    assert np.max(np.abs(t.bin_masses([e]) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64])
+@pytest.mark.parametrize("kappa", [0.1, 2.0, 50.0, 700.0])
+@pytest.mark.parametrize("mode", [1.5, -0.9])
+def test_circle_vmf_masses_match_mpmath(mode, kappa, n):
+    t = vmf_target(Sphere(1), kappa, [math.cos(mode), math.sin(mode)])
+    e = np.linspace(0.0, 2.0 * math.pi, n + 1)
+    ref = oracles.circle_vmf_masses(kappa, t.params["mean"], e)
+    assert np.max(np.abs(t.bin_masses([e]) - ref)) <= 1e-14
+
+
 def test_reference_sampler_vmf_resultant_length():
     t = vmf_target(Sphere(2), 2.0)
     pts = reference_samples(t, 100_000, make_stream(63, 0))
@@ -294,18 +321,72 @@ def test_ball_samplers_are_fast_in_high_dimension():
         assert pts.shape == (1000, 30) and np.all(t.density_batch(pts) > 0)
 
 
-def test_narrow_ball_gauss_sampler_radius_law():
-    # the narrow-ball branch thins exact uniform-ball draws; |x|^2 / sigma^2 is
-    # chi-square with d degrees of freedom truncated at r^2 / sigma^2
+@pytest.mark.parametrize("d,sigma,r", [(1, 0.5, 1.0), (2, 0.5, 1.0), (5, 2.0, 1.0), (100, 1.0, 9.0)])
+def test_ball_gauss_sampler_radius_law(d, sigma, r):
+    # |x|^2 / sigma^2 is chi-square with d degrees of freedom truncated at r^2 / sigma^2
     from scipy import special
 
-    d, sigma, r = 5, 2.0, 1.0
     t = ball_gaussian_target(d, sigma, r)
     pts = reference_samples(t, 2000, make_stream(71, d))
     top = special.chdtr(d, r * r / sigma**2)
-    assert top < 0.05  # the branch under test
     cdf = lambda q: special.chdtr(d, q / sigma**2) / top
     assert stats.kstest(np.einsum("ij,ij->i", pts, pts), cdf).pvalue > 0.001
+
+
+def test_narrow_ball_gauss_sampler_radius_law():
+    # where the truncated chi-square cdf underflows, the sampler thins exact
+    # uniform-ball draws by the density; the radius law is the same truncated
+    # chi-square, whose cdf mpmath evaluates past the float range
+    import mpmath
+    from scipy import special
+
+    d, sigma, r = 400, 1.0, 2.0
+    t = ball_gaussian_target(d, sigma, r)
+    pts = reference_samples(t, 2000, make_stream(71, d))
+    assert special.chdtr(d, r * r / sigma**2) == 0.0  # the branch under test
+    a = d / 2.0
+    top = mpmath.gammainc(a, 0, r * r / (2 * sigma**2))
+    cdf = np.vectorize(lambda q: float(mpmath.gammainc(a, 0, q / (2 * sigma**2)) / top))
+    assert stats.kstest(np.einsum("ij,ij->i", pts, pts), cdf).pvalue > 0.001
+
+
+def test_ball_gauss_thins_only_with_a_bounded_acceptance_loss():
+    # The sampler thins uniform-ball draws only where P = chdtr(d, r^2 / sigma^2) is
+    # not a positive normal float.  P grows with r^2 / sigma^2, so if it is normal at
+    # 8.5 for every d a target can be built at, thinning keeps at least e^-4.25 = 1.4%.
+    from scipy import special
+
+    dims = np.arange(1, 1000)
+    built = dims[[unit_sphere_area(int(d)) > 0 for d in dims]]  # past them the ball volume is 0
+    top = int(built[-1])
+    assert list(built) == list(range(1, top + 1)) and 440 < top < 470
+    with pytest.raises(ValueError, match="ball volume"):
+        ball_gaussian_target(top + 1, 1.0, 2.0)
+    assert np.all(special.chdtr(built, 8.5) >= sys.float_info.min)
+
+
+def test_ball_gauss_sampler_returns_where_gaussian_proposals_rarely_land():
+    # Gaussian proposals land in this ball with probability 0.0019 and thinned
+    # uniform-ball draws keep about 3e-14 of theirs; inverse-cdf draws need neither.
+    # In a subprocess with a timeout, so that a sampler that never returns fails.
+    code = (
+        "import time\n"
+        "from scipy import special, stats\n"
+        "from geoslice import targets\n"
+        "from geoslice.rng import make_stream\n"
+        "t = targets.from_spec('ball-gauss:100:sigma=0.1:r=0.8')\n"
+        "start = time.perf_counter()\n"
+        "pts = targets.reference_samples(t, 1000, make_stream(1, 0))\n"
+        "elapsed = time.perf_counter() - start\n"
+        "assert pts.shape == (1000, 100) and (t.density_batch(pts) > 0).all()\n"
+        "cdf = lambda q: special.chdtr(100, q / 0.01) / special.chdtr(100, 64.0)\n"
+        "print(elapsed, stats.kstest((pts * pts).sum(axis=1), cdf).pvalue)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    elapsed, pvalue = map(float, out.stdout.split())
+    assert elapsed < 1.0 and pvalue > 0.001
 
 
 def test_reference_sampler_chisquare_against_analytic_masses():
