@@ -197,11 +197,14 @@ def _resolve_target(cfg: argparse.Namespace) -> targets.Target:
 
 
 def _start(cfg: argparse.Namespace, target: targets.Target):
-    """The --x0 point on the target's manifold."""
+    """The --x0 point on the target's manifold, inside the target's support."""
     try:
-        return target.manifold.point([float(s) for s in cfg.x0.split(",")])
+        x0 = target.manifold.point([float(s) for s in cfg.x0.split(",")])
     except ValueError as e:
         raise UsageError(f"bad --x0 {cfg.x0!r}: {e}") from None
+    if not target.density(x0.coords) > 0:
+        raise UsageError(f"bad --x0 {cfg.x0!r}: the target's density is 0 there")
+    return x0
 
 
 def _gss_config(cfg: argparse.Namespace, target: targets.Target) -> kernel.GssConfig:

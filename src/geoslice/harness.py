@@ -67,10 +67,11 @@ def make_binning(target: Target, bins: Optional[int] = None) -> Binning:
     along the target's symmetry axis over [-1, 1] times the azimuth about it,
     equal-area cells (default 16 x 32).  Euclidean (d <= 2): each coordinate
     over [-h, h], h from the target's ``grid_half``; torus: each coordinate
-    over [0, P) (default 32 per axis).  Cells are numbered row-major; points
-    off a Euclidean grid land in the overflow bin.  Masses are the target's
-    ``bin_masses`` (on S^2 of the height bands, split evenly over the
-    sectors); a target without them is refused.
+    over [0, P) (default 32 per axis).  An explicit ``bins`` gives every axis
+    at least 2 cells.  Cells are numbered row-major; points off a Euclidean
+    grid land in the overflow bin.  Masses are the target's ``bin_masses``
+    (on S^2 of the height bands, split evenly over the sectors); a target
+    without them is refused.
     """
     man = target.manifold
     circle, sphere2 = (isinstance(man, Sphere) and man.dim == d for d in (1, 2))
@@ -79,11 +80,11 @@ def make_binning(target: Target, bins: Optional[int] = None) -> Binning:
         raise ValueError(f"no analytic bin masses for target {target.spec_string!r} on {man.spec}")
     per_axis = 32 if bins is None else max(2, int(round(bins ** (1.0 / man.dim))))
     if circle:
-        axes = [(lambda c: _azimuth(c[:, 0], c[:, 1]), 0.0, TWO_PI, bins or 64)]
+        axes = [(lambda c: _azimuth(c[:, 0], c[:, 1]), 0.0, TWO_PI, 64 if bins is None else per_axis)]
     elif sphere2:
         n_bands = max(int(round(math.sqrt((bins or 512) / 2.0))), 2)
         pole = target.params.get("pole", target.params.get("mean", np.eye(3)[2]))
-        frame = _orthonormal_frame(pole)
+        frame = _orthonormal_frame(pole, 2)
         axes = [
             (lambda c: c @ pole, -1.0, 1.0, n_bands),
             (lambda c: _azimuth(c @ frame[0], c @ frame[1]), 0.0, TWO_PI, 2 * n_bands),

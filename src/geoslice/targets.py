@@ -47,44 +47,37 @@ from .manifolds import Manifold, Sphere, Euclidean, Torus, _finite_positive
 # geometry helpers
 # ---------------------------------------------------------------------------
 
-def _sin_power_integral(d: int, psi: float) -> float:
-    """integral_0^psi sin^(d-1)(t) dt via the regularised incomplete beta."""
+def _cap_share(d: int, s: float) -> float:
+    """Share of S^d inside a cap of squared half-chord s = sin^2(psi / 2): I_s(d/2, d/2),
+    since sin^2(theta / 2) of a uniform point's angle theta to the pole is Beta(d/2, d/2)."""
     from scipy import special
 
-    if psi <= 0.0:
-        return 0.0
-    full = special.beta(d / 2.0, 0.5)
-    if psi >= math.pi:
-        return float(full)
-    if psi <= math.pi / 2.0:
-        s2 = math.sin(psi) ** 2
-        return float(0.5 * full * special.betainc(d / 2.0, 0.5, s2))
-    return float(full) - _sin_power_integral(d, math.pi - psi)
-
-
-def sphere_cap_area(d: int, colatitude: float) -> float:
-    """Area of the cap {angle to pole < colatitude} on the unit sphere S^d."""
-    return manifolds.unit_sphere_area(d) * _sin_power_integral(d, colatitude)
+    return float(special.betainc(d / 2.0, d / 2.0, s))
 
 
 def ball_volume(d: int, radius: float) -> float:
     return manifolds.unit_sphere_area(d) / d * radius**d
 
 
-def _orthonormal_frame(pole: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the hyperplane orthogonal to pole."""
+def _one_hot(dim: int, i: int) -> np.ndarray:
+    """The i-th standard basis vector of R^dim."""
+    return np.eye(1, dim, i)[0]
+
+
+def _orthonormal_frame(pole: np.ndarray, k: int) -> np.ndarray:
+    """The first k vectors of a deterministic orthonormal basis of the hyperplane
+    orthogonal to pole (Gram-Schmidt over the standard basis, k <= dim - 1)."""
     dim = pole.shape[0]
     vecs = []
     for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
+        e = _one_hot(dim, i)
         e = e - (e @ pole) * pole
         for v in vecs:
             e = e - (e @ v) * v
         n = np.linalg.norm(e)
         if n > 1e-9:
             vecs.append(e / n)
-        if len(vecs) == dim - 1:
+        if len(vecs) == k:
             break
     return np.array(vecs)
 
@@ -92,7 +85,7 @@ def _orthonormal_frame(pole: np.ndarray) -> np.ndarray:
 def _unit_axis(manifold: Sphere, vec) -> np.ndarray:
     """``vec`` normalised, checked against the sphere's embedding (default: last axis)."""
     if vec is None:
-        return np.eye(manifold.embedding_dim)[-1]
+        return _one_hot(manifold.embedding_dim, manifold.embedding_dim - 1)
     a = np.asarray(vec, dtype=float)
     if a.shape != (manifold.embedding_dim,) or not np.linalg.norm(a) > 0:
         raise ValueError(f"axis {a.tolist()} is not a nonzero vector of length "
@@ -276,62 +269,55 @@ def uniform_target(manifold: Manifold) -> Target:
         lambda_value=math.inf,  # geodesics on compact manifolds wrap through W forever
         level_set=lambda t: total if t < 1.0 else 0.0,
         sampler=lambda n, rng: manifold.uniform_points(n, rng),
-        worst_start=np.zeros(manifold.dim) if isinstance(manifold, Torus) else np.eye(dim)[0],
+        worst_start=np.zeros(manifold.dim) if isinstance(manifold, Torus) else _one_hot(dim, 0),
         bin_masses=_equal_masses,
     )
 
 
 def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
-    """Uniform density on the open cap {angle to pole < colatitude} of S^d."""
+    """Uniform density on the open cap {|x - pole| < 2 sin(colatitude / 2)} of S^d."""
     if not isinstance(manifold, Sphere):
         raise ValueError("cap target is defined on spheres")
-    if not 0.0 < colatitude <= math.pi:
-        raise ValueError(f"cap colatitude must lie in (0, pi], got {colatitude}")
-    cos_psi = math.cos(colatitude)
+    # below 1e-9, coordinates near a generic pole cannot place the worst start inside the cap
+    if not 1e-9 <= colatitude <= math.pi:
+        raise ValueError(f"cap colatitude must lie in [1e-9, pi], got {colatitude}")
     from scipy import special
 
     d = manifold.dim
     pole_arr = _unit_axis(manifold, pole)
-    area = sphere_cap_area(d, colatitude)
-    # s = sin^2(theta / 2) of the colatitude theta is Beta(d/2, d/2); the cap cuts it at s_max
-    s_max = special.betainc(d / 2.0, d / 2.0, math.sin(colatitude / 2.0) ** 2)
+    pole_list = pole_arr.tolist()
+    # density, sampler, area and bands all read the chord: cos(colatitude) cannot resolve a small cap's rim
+    chord = 2.0 * math.sin(colatitude / 2.0)
+    s = (chord / 2.0) ** 2  # the squared half-chord
+    s_max = _cap_share(d, s)  # where the sampler cuts the Beta(d/2, d/2) law of sin^2(theta / 2)
+    area = manifold.info.total_measure * s_max
 
     def density(x):
-        return 1.0 if float(x.dot(pole_arr)) > cos_psi else 0.0
+        return 1.0 if math.dist(x.tolist(), pole_list) < chord else 0.0
 
     def density_batch(x):
-        return (x @ pole_arr > cos_psi).astype(float)
+        return (np.linalg.norm(x - pole_arr, axis=1) < chord).astype(float)
 
     def sampler(n, rng):
-        # near a small cap's edge a draw can round to density 0: keep what the density accepts
-        tally = [0, 0]  # proposed, kept
         def batch(k):
-            s = special.betaincinv(d / 2.0, d / 2.0, rng.random(k) * s_max)
-            cos_t, sin_t = 1.0 - 2.0 * s, 2.0 * np.sqrt(s * (1.0 - s))
+            s_draw = special.betaincinv(d / 2.0, d / 2.0, rng.random(k) * s_max)
+            cos_t, sin_t = 1.0 - 2.0 * s_draw, 2.0 * np.sqrt(s_draw * (1.0 - s_draw))
             x = cos_t[:, None] * pole_arr + sin_t[:, None] * _unit_orthogonal(pole_arr, k, rng)
-            good = x[density_batch(x) > 0]
-            tally[:] = tally[0] + k, tally[1] + len(good)
-            if tally[0] >= 1000 and 4 * tally[1] < tally[0]:
-                raise ValueError(f"cap colatitude {colatitude} is too small: its density keeps "
-                                 f"only {tally[1]} of {tally[0]} exact draws")
-            return good
+            return x[density_batch(x) > 0]  # a draw can round onto the rim
 
         return _accepted(n, batch, (d + 1,))
 
-    if colatitude < 1e-6:  # edge rounding can drop draws: fail here, not mid-run
-        sampler(1000, np.random.default_rng(0))
-
-    def band_masses(edges):
-        over = np.clip(edges[0][1:], cos_psi, 1.0) - np.clip(edges[0][:-1], cos_psi, 1.0)
-        return over / (1.0 - cos_psi)
+    def band_masses(edges):  # each band's overlap with the cap in depth 1 - h below the pole
+        depth = np.clip(1.0 - edges[0], 0.0, 2.0 * s)
+        return (depth[:-1] - depth[1:]) / (2.0 * s)
 
     def arc_masses(edges):  # each angle bin's overlap with the arc about c and its copies a turn either side
         lo, hi, c = edges[0][:-1], edges[0][1:], math.atan2(pole_arr[1], pole_arr[0])
-        return sum(np.clip(np.minimum(hi, c + s + colatitude) - np.maximum(lo, c + s - colatitude), 0.0, None)
-                   for s in (-2.0 * math.pi, 0.0, 2.0 * math.pi)) / (2.0 * colatitude)
+        return sum(np.clip(np.minimum(hi, c + turn + colatitude) - np.maximum(lo, c + turn - colatitude), 0.0, None)
+                   for turn in (-2.0 * math.pi, 0.0, 2.0 * math.pi)) / (2.0 * colatitude)
 
     start_psi = colatitude * (1.0 - 1e-6)
-    perp = _orthonormal_frame(pole_arr)[0]
+    perp = _orthonormal_frame(pole_arr, 1)[0]
     # Hemispheres and smaller intersect great circles in single arcs inside the
     # cut window -> no gaps.  Larger caps admit a gap of length 2(pi - psi)
     # from sections tangent to the boundary circle.
@@ -382,7 +368,7 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
         c = math.log(t) / kap
         if c <= -1.0:
             return total
-        return sphere_cap_area(d, math.acos(min(1.0, c)))
+        return total * _cap_share(d, (1.0 - min(1.0, c)) / 2.0)
 
     def sampler(n, rng):
         if d == 2:
@@ -394,9 +380,9 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
         perp = _unit_orthogonal(mu, n, rng)
         return w[:, None] * mu + sin_t[:, None] * perp
 
-    def band_masses(edges):
-        e = np.exp(kap * edges[0])
-        return (e[1:] - e[:-1]) / (e[-1] - e[0])
+    def band_masses(edges):  # e^(kap h) = e^kap e^(-kap depth) in depth 1 - h below the mean
+        e = np.expm1(-kap * (1.0 - edges[0]))
+        return (e[1:] - e[:-1]) / -math.expm1(-2.0 * kap)
 
     def arc_masses(edges):
         # e^(kap (cos(phi - c) - 1)) on k equal pieces per bin, none wider than 1 / sqrt(kap) (whole: 7e-9 off)
@@ -478,7 +464,7 @@ def ball_target(dim: int, radius: float) -> Target:
         level_set=lambda t: vol if t < 1.0 else 0.0,
         sampler=sampler,
         params={"radius": r},
-        worst_start=np.eye(dim)[0] * (r * (1.0 - 1e-6)),
+        worst_start=_one_hot(dim, 0) * (r * (1.0 - 1e-6)),
         bin_masses=cell_masses,
         grid_half=np.full(dim, r),
     )
@@ -583,7 +569,7 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
         level_set=level_measure,
         sampler=sampler,
         params={"sigma": sigma, "radius": r},
-        worst_start=np.eye(dim)[0] * (r * (1.0 - 1e-6)),
+        worst_start=_one_hot(dim, 0) * (r * (1.0 - 1e-6)),
         bin_masses=cell_masses,
         grid_half=np.full(dim, r),
     )
@@ -688,7 +674,11 @@ def from_spec(spec: str) -> Target:
     bad = [tok for tok in rest[n_pos:] if "=" not in tok]
     if bad:
         raise ValueError(f"expected key=value, got {bad[0]!r}")
-    kv = dict(tok.split("=", 1) for tok in rest[n_pos:])
+    kv = {}
+    for key, value in (tok.split("=", 1) for tok in rest[n_pos:]):
+        if key in kv:
+            raise ValueError(f"field {key!r} given twice in {spec!r}")
+        kv[key] = value
     unknown = sorted(set(kv) - set(keys))
     if unknown:
         raise ValueError(f"unknown field(s) {unknown} for target preset {name!r} in {spec!r}")

@@ -343,3 +343,17 @@ def circle_vmf_masses(kappa, mean, edges) -> np.ndarray:
                          for n, r in enumerate(ratios, start=1))
             out.append(float((b - a) / (2 * mpmath.pi) + series / mpmath.pi))
     return np.array(out)
+
+
+def sphere_vmf_band_masses(kappa, edges) -> np.ndarray:
+    """Mass of each height band [edges[i], edges[i+1]] under the density
+    exp(kappa h) on S^2, in mpmath at 40 digits: on S^2 the height h is uniform
+    under the area, so a band's share is the difference of exp(kappa h) over the
+    difference across [-1, 1]."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        kap = mpmath.mpf(kappa)
+        e = [mpmath.exp(kap * mpmath.mpf(h)) for h in edges]
+        total = mpmath.exp(kap) - mpmath.exp(-kap)
+        return np.array([float((b - a) / total) for a, b in zip(e, e[1:])])

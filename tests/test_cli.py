@@ -263,16 +263,6 @@ def test_verify_circle_uniform_pass_and_csv(tmp_path, capsys):
     assert (tmp_path / "curve.csv.gp").exists()
 
 
-def test_verify_bad_start_is_runtime_error(capsys):
-    code, _, err = run_cli(
-        ["verify", "--target", "cap:sphere:2:psi=1.0", "--m", "1", "--w", str(2 * math.pi),
-         "--seed", "21", "--n-list", "1", "--replicates", "3000", "--x0", "0,0,-1"],
-        capsys,
-    )
-    assert code == 3
-    assert "runtime error" in err
-
-
 def test_invariance_command(capsys):
     code, out, _ = run_cli(
         ["invariance", "--target", "uniform:sphere:1", "--m", "1", "--w", str(2 * math.pi),
@@ -310,8 +300,11 @@ def test_bad_target_spec_is_usage_error(capsys):
     for spec in ["convex-uniform:box:3:extents=1,2", "cap:sphere:2:psi=1.0:pole=1,0"]:
         code, _, err = run_cli(["bounds", "--target", spec, "--seed", "1"], capsys)
         assert code == 2, spec
-    # a cap whose cosine rounds to 1 holds no point; exp(kappa) past ~709.78 overflows
-    for spec, word in [("cap:sphere:2:psi=1e-8", "colatitude"), ("vmf:sphere:2:kappa=800", "concentration")]:
+    # a repeated key would otherwise let the last value win
+    code, out, err = run_cli(["bounds", "--target", "cap:sphere:2:psi=1:psi=2", "--seed", "1"], capsys)
+    assert (code, out) == (2, "") and "'psi' given twice" in err
+    # a cap below the colatitude floor; exp(kappa) past ~709.78 overflows
+    for spec, word in [("cap:sphere:2:psi=1e-10", "colatitude"), ("vmf:sphere:2:kappa=800", "concentration")]:
         for cmd in ("bounds", "sample"):
             code, out, err = run_cli([cmd, "--target", spec, "--m", "1", "--w", "1", "--seed", "1"], capsys)
             assert code == 2 and word in err and out == "", (cmd, spec)
@@ -343,9 +336,11 @@ def test_preset_parameters_out_of_range_are_usage_errors(args, word, capsys):
     "bounds --target uniform:torus:400:1 --m 1 --w 1",
     "hyperopt --target uniform:sphere:400",
     "bounds --target convex-uniform:ball:400:r=1 --m inf --w 1",
+    "bounds --target uniform:sphere:100000 --m 1 --w 6.283185307179586",
 ], ids=lambda v: v.split(" --target ")[1].split(" ")[0])
 def test_large_dimensions_are_not_runtime_errors(args, capsys):
-    # math.gamma overflows past d = 340 or so; areas and volumes fall back to logs
+    # math.gamma overflows past d = 340 or so; areas and volumes fall back to logs.
+    # A worst start is one basis vector, not a row of a d x d identity (75 GiB at d = 1e5)
     code, out, err = run_cli([*args.split(), "--seed", "1"], capsys)
     assert code in (0, 2), err
     assert "Traceback" not in err and "runtime error" not in err
@@ -374,10 +369,30 @@ def test_underflowing_sphere_areas_are_usage_errors(dim, name, capsys):
 
 
 def test_cap_too_small_for_its_density_is_a_usage_error(capsys):
-    # on S^30 the density keeps almost none of the exact draws at this colatitude
-    args = "invariance --target cap:sphere:30:psi=1.8e-8 --m 1 --samples 2000 --seed 1"
+    # below 1e-9 coordinates near a generic pole cannot place a start inside the cap
+    args = "invariance --target cap:sphere:30:psi=9e-10 --m 1 --samples 2000 --seed 1"
     code, out, err = run_cli(args.split(), capsys)
-    assert (code, out) == (2, "") and "colatitude 1.8e-08 is too small" in err
+    assert (code, out) == (2, "") and "cap colatitude must lie in [1e-9, pi], got 9e-10" in err
+
+
+@pytest.mark.parametrize("args", [
+    "sample --target cap:sphere:2:psi=0.5 --m 1 --w 1 --steps 3 --x0=-1,0,0",
+    f"verify --target cap:sphere:2:psi=1.0 --m 1 --w {2 * math.pi!r} --n-list 1 --replicates 3000 --x0 0,0,-1",
+    "verify --target convex-uniform:ball:2:r=1 --m inf --w 1 --x0=5,5",
+], ids=["sample-cap", "verify-cap", "verify-ball"])
+def test_start_outside_the_support_is_a_usage_error(args, capsys):
+    # the chain would refuse it only after the run began, as a runtime error
+    code, out, err = run_cli([*args.split(), "--seed", "21"], capsys)
+    assert (code, out) == (2, "") and err.startswith("geoslice: error: bad --x0 ") and "density is 0" in err
+
+
+def test_verify_on_the_circle_takes_at_least_two_bins(capsys):
+    # one cell holds all the mass, so its TV would read 0 whatever the chain did
+    args = (f"verify --target vmf:sphere:1:kappa=2.0 --m 1 --w {2 * math.pi!r} --n-list 1 "
+            "--replicates 1000 --bins 1 --seed 1")
+    code, out, _ = run_cli(args.split(), capsys)
+    assert code == 0
+    assert "  n=1: tv=0.40495 se=0.01609 envelope=0.93019 ok " in out.splitlines()
 
 
 def test_large_sphere_is_certified_at_full_winding(capsys):

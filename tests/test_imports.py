@@ -255,7 +255,7 @@ def _readme_scipy_users() -> dict:
 def test_scipy_users_in_src_are_the_ones_the_readme_lists():
     trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in SRC}
     assert _scipy_users(trees) == _readme_scipy_users() == {
-        "targets._sin_power_integral": ["scipy.special"],
+        "targets._cap_share": ["scipy.special"],
         "targets.cap_target": ["scipy.special"],
         "targets.ball_gaussian_target": ["scipy.special"],
         "harness.energy_distance": ["scipy.spatial.distance"],

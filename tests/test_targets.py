@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import oracles
 from geoslice import targets
@@ -21,7 +21,6 @@ from geoslice.targets import (
     custom_target,
     estimate_max_gap,
     reference_samples,
-    sphere_cap_area,
     sup_t_level,
     uniform_target,
     vmf_target,
@@ -93,7 +92,7 @@ def test_sup_t_level_uniform_exact():
     for t, volume in [
         (uniform_target(Sphere(1)), 2 * math.pi),
         (uniform_target(Sphere(2)), unit_sphere_area(3)),  # area of S^2 in R^3
-        (cap_target(Sphere(2), math.pi / 2), sphere_cap_area(2, math.pi / 2)),
+        (cap_target(Sphere(2), math.pi / 2), 4 * math.pi * math.sin(math.pi / 4) ** 2),  # 4 pi sin^2(psi / 2)
         (ball_target(2, 1.0), ball_volume(2, 1.0)),
         (box_target([1.0, 2.0]), 1.0 * 2.0),
     ]:
@@ -191,24 +190,57 @@ def test_cap_sampler_resolves_the_colatitude_near_the_pole(d):
     assert np.all(sin_col < psi)
 
 
-@pytest.mark.parametrize("d", [2, 3], ids=["S2", "S3"])
-@pytest.mark.parametrize("psi", [2e-8, 1e-7, 1e-6, math.pi / 2, 2.5],
-                         ids=["2e-8", "1e-7", "1e-6", "half-pi", "2.5"])
-def test_cap_sampler_draws_lie_in_the_cap(d, psi):
-    # near a small cap's edge x @ pole and cos(psi) agree to a few ulps; the
-    # sampler keeps only the draws its own density accepts
-    t = cap_target(Sphere(d), psi)
-    pts = reference_samples(t, 2000, make_stream(69, d))
-    assert np.all(t.density_batch(pts) > 0)
-    assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-15
+@pytest.mark.parametrize("d", [2, 3, 10], ids=["S2", "S3", "S10"])
+@pytest.mark.parametrize("psi", [1e-9, 2e-8, 1e-7, 1e-6, math.pi / 2, 2.5, math.pi],
+                         ids=["1e-9", "2e-8", "1e-7", "1e-6", "half-pi", "2.5", "pi"])
+def test_cap_sampler_draws_lie_in_the_cap(d, psi, monkeypatch):
+    # the density |x - pole| < 2 sin(psi / 2) resolves a small cap's rim, so the
+    # sampler keeps every exact draw, and I_s(d/2, d/2) / s_max of the squared
+    # half-chord s = |x - pole|^2 / 4 of each draw is uniform
+    proposals = []
+    accepted = targets._accepted
+
+    def tallied(n, batch, shape=()):
+        def counted(k):
+            good = batch(k)
+            proposals.append((k, len(good)))
+            return good
+        return accepted(n, counted, shape)
+
+    monkeypatch.setattr(targets, "_accepted", tallied)
+    generic = make_stream(71, d).standard_normal(d + 1)
+    for k, pole in enumerate([None, generic / np.linalg.norm(generic)]):
+        t = cap_target(Sphere(d), psi, pole)
+        assert t.density(t.worst_start) > 0
+        proposals.clear()
+        pts = reference_samples(t, 100_000, make_stream(69, 2 * d + k))
+        assert proposals == [(100_000, 100_000)]
+        assert np.all(t.density_batch(pts) > 0)
+        if pole is None:
+            assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-15
+        s = np.sum((pts - t.params["pole"]) ** 2, axis=1) / 4.0
+        s_max = special.betainc(d / 2.0, d / 2.0, math.sin(psi / 2.0) ** 2)
+        assert stats.kstest(special.betainc(d / 2.0, d / 2.0, s) / s_max, "uniform").pvalue > 0.001
 
 
-@pytest.mark.parametrize("d,psi,kept", [(10, 1.5e-8, 33), (30, 1.8e-8, 0)])
-def test_cap_whose_density_drops_most_draws_is_refused(d, psi, kept):
-    # the rejection loop gives up after 1,000 proposals that keep under a quarter,
-    # and construction runs it once on small caps
-    with pytest.raises(ValueError, match=f"keeps only {kept} of 1000 exact draws"):
+@pytest.mark.parametrize("d,psi", [(10, 1e-10), (30, 9e-10)])
+def test_cap_below_the_colatitude_floor_is_refused(d, psi):
+    # below 1e-9 the coordinates near a generic pole cannot place the worst start inside the cap
+    with pytest.raises(ValueError, match=r"must lie in \[1e-9, pi\]"):
         cap_target(Sphere(d), psi)
+
+
+def test_tiny_s2_cap_puts_all_its_mass_in_the_top_band():
+    masses = cap_target(Sphere(2), 1e-9).bin_masses([np.linspace(-1.0, 1.0, 17)])
+    assert masses.tolist() == [0.0] * 15 + [1.0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 64])
+@pytest.mark.parametrize("kappa", [1e-12, 1e-3, 2.0, 50.0, 709.7])
+def test_sphere_vmf_band_masses_match_mpmath(kappa, n):
+    e = np.linspace(-1.0, 1.0, n + 1)
+    got = vmf_target(Sphere(2), kappa).bin_masses([e])
+    assert np.max(np.abs(got - oracles.sphere_vmf_band_masses(kappa, e))) <= 2e-16
 
 
 @pytest.mark.parametrize("span", [1.0, 1.3], ids=["grid-on-disk", "grid-past-disk"])
