@@ -7,7 +7,9 @@ on the resulting interval, and moves to the accepted geodesic point.
 
 Chains are reproducible: all randomness flows from a 64-bit seed, and
 replicate chains use independent derived streams (seed XOR replicate index
-through a 64-bit mixer), so ensembles are bit-identical for any thread count.
+through a 64-bit mixer).  An ensemble sets those streams in bulk, one block at a
+time, into one reused generator per chunk of replicates, so it is bit-identical
+to building each replicate's generator afresh, for any thread count.
 """
 
 from __future__ import annotations
@@ -22,8 +24,11 @@ import numpy as np
 
 from . import slice1d
 from .manifolds import Point
-from .rng import make_stream, open_uniform
+from .rng import make_stream, open_uniform, stream_states
 from .targets import Target
+
+
+STATE_BLOCK = 256  # streams seeded per bulk call; their state dicts stay live through the block
 
 
 class ConfigError(ValueError):
@@ -212,23 +217,34 @@ def endpoint_ensemble(
     Returns a (replicates, embedding_dim) coordinate array.  Replicate i
     consumes the derived stream (base seed, i), so the result is a
     deterministic function of (x0, n_steps, replicates, seed) no matter how
-    many worker threads are used.
+    many worker threads are used.  Each thread runs one contiguous chunk of
+    replicates through one generator, set to each replicate's stream in turn.
     """
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    if replicates < 0:
+        raise ValueError("replicates must be >= 0")
     base = config.seed if seed is None else seed
     x0a = np.array(x0.coords, dtype=float)
     p0 = float(config.target.density(x0a))
+    out = np.empty((replicates, len(x0a)))
 
-    def one(i: int) -> np.ndarray:
-        rng = make_stream(base, i)
-        xa, px = x0a, p0
-        for _ in range(n_steps):
-            xa, diag = _step_array(xa, config, rng, px)
-            px = diag.density
-        return xa
+    def chunk(lo: int, hi: int) -> None:
+        rng = np.random.Generator(np.random.PCG64(0))  # state overwritten per replicate
+        for block in range(lo, hi, STATE_BLOCK):
+            states = stream_states(base, block, min(block + STATE_BLOCK, hi))
+            for i, state in enumerate(states, block):
+                rng.bit_generator.state = state
+                xa, px = x0a, p0
+                for _ in range(n_steps):
+                    xa, diag = _step_array(xa, config, rng, px)
+                    px = diag.density
+                out[i] = xa
 
     if threads <= 1:
-        finals = [one(i) for i in range(replicates)]
+        chunk(0, replicates)
     else:
+        cuts = [replicates * k // threads for k in range(threads + 1)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            finals = list(pool.map(one, range(replicates)))
-    return np.array(finals).reshape(replicates, len(x0a))
+            list(pool.map(chunk, cuts[:-1], cuts[1:]))
+    return out

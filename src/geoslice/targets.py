@@ -94,8 +94,11 @@ def _unit_axis(manifold: Sphere, vec) -> np.ndarray:
 
 
 def _unit_orthogonal(pole: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n uniform unit vectors orthogonal to pole."""
+    """n uniform unit vectors orthogonal to pole.  A second projection removes what the
+    first leaves along a pole off the axes (up to 1e-14 after normalising; an axis pole's
+    component is exactly 0 after the first)."""
     g = rng.standard_normal((n, pole.shape[0]))
+    g -= np.outer(g @ pole, pole)
     g -= np.outer(g @ pole, pole)
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
@@ -363,6 +366,8 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
         return np.exp(kap * (x @ mu))
 
     def level_measure(t: float) -> float:
+        if t <= 0.0:
+            return total
         if t >= math.exp(kap):
             return 0.0
         c = math.log(t) / kap
@@ -527,7 +532,7 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
     def level_measure(t: float) -> float:
         if t >= 1.0:
             return 0.0
-        rad = min(r, math.sqrt(-2.0 * s2 * math.log(t)))
+        rad = r if t <= 0.0 else min(r, math.sqrt(-2.0 * s2 * math.log(t)))
         return ball_volume(dim, rad)
 
     # P(|N(0, s2 I)| < r), the chi-square cdf: scipy.stats.chi2.cdf calls chdtr

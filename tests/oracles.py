@@ -248,6 +248,26 @@ def estimate_tv_loop(coords, binning, rng, n_bootstrap: int = 200):
     return tv_of(counts), float(np.std(np.array([tv_of(b) for b in boots]), ddof=1))
 
 
+def endpoint_ensemble_loop(x0, n_steps, replicates, config, seed=None):
+    """``kernel.endpoint_ensemble`` as it was before its streams were set in bulk:
+    a fresh ``make_stream(base, i)`` generator for each replicate i."""
+    from geoslice import kernel
+    from geoslice.rng import make_stream
+
+    base = config.seed if seed is None else seed
+    x0a = np.array(x0.coords, dtype=float)
+    p0 = float(config.target.density(x0a))
+    finals = []
+    for i in range(replicates):
+        rng = make_stream(base, i)
+        xa, px = x0a, p0
+        for _ in range(n_steps):
+            xa, diag = kernel._step_array(xa, config, rng, px)
+            px = diag.density
+        finals.append(xa)
+    return np.array(finals).reshape(replicates, len(x0a))
+
+
 def _disk_cell_pieces(r, x0, x1, y0, y1):
     """The cell's x-cuts: its edges, where its edges meet the circle, and +-r."""
     cuts = {x0, x1}

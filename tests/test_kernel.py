@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from geoslice import harness, targets
+import oracles
+from geoslice import harness, kernel, targets
 from geoslice.kernel import (
     ChainRecord, ConfigError, GssConfig, StepDiagnostics, _record_line, _step_array,
     endpoint_ensemble, run_chain,
@@ -19,6 +22,7 @@ from geoslice.manifolds import Sphere
 from geoslice.rng import make_stream
 
 TWO_PI = 2 * math.pi
+HEMISPHERE = "cap:sphere:2:psi=1.5707963267948966"
 
 
 def _circle_uniform_config(seed=100):
@@ -215,6 +219,63 @@ def test_endpoint_ensemble_thread_count_invariance():
     assert a.shape == (64, 3) and np.array_equal(a, b)
 
 
+def test_endpoint_ensemble_rejects_negative_counts():
+    t, cfg = _circle_uniform_config()
+    x0 = t.manifold.point([0.0, 1.0])
+    with pytest.raises(ValueError, match="n_steps"):
+        endpoint_ensemble(x0, -1, 5, cfg)
+    with pytest.raises(ValueError, match="replicates"):
+        endpoint_ensemble(x0, 1, -1, cfg)
+
+
+@pytest.mark.parametrize("spec,w,m", [
+    (HEMISPHERE, TWO_PI, 1),
+    ("convex-uniform:ball:2:r=1.0", 1.0, math.inf),
+    ("vmf:sphere:2:kappa=2.0", 1.0, 4),  # m = 4 draws buffered 32-bit integers
+    ("uniform:torus:2:6.283185307179586", 3.0, 2),
+], ids=["cap", "disk", "vmf-m4", "torus"])
+def test_endpoint_ensemble_equals_the_per_replicate_loop(spec, w, m):
+    # 2,500 replicates cross a STATE_BLOCK boundary at every thread count here
+    t = targets.from_spec(spec)
+    cfg = GssConfig(target=t, w=w, m=m, seed=41)
+    x0 = harness.worst_start(t)
+    ref = oracles.endpoint_ensemble_loop(x0, 2, 2500, cfg, seed=42)
+    assert 2500 > 2 * kernel.STATE_BLOCK
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads hand over often while they fill the one output array
+    try:
+        for threads in (1, 2, 3, 8):
+            assert np.array_equal(endpoint_ensemble(x0, 2, 2500, cfg, seed=42, threads=threads), ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_endpoint_ensemble_builds_no_generator_per_replicate(monkeypatch):
+    def refused(*args):
+        raise AssertionError("endpoint_ensemble built a generator for one replicate")
+
+    monkeypatch.setattr("geoslice.rng.make_stream", refused)
+    monkeypatch.setattr(kernel, "make_stream", refused)
+    t = targets.from_spec(HEMISPHERE)
+    x0 = harness.worst_start(t)
+    ens = endpoint_ensemble(x0, 2, 3_000, GssConfig(target=t, w=TWO_PI, m=1, seed=43))
+    assert ens.shape == (3_000, 3)
+
+
+def test_endpoint_ensemble_memory_is_its_output_and_one_block():
+    # the (replicates, 3) output is 2.4 MB; a list of 100,000 final arrays peaked at 20 MB
+    t = targets.from_spec("uniform:sphere:2")
+    cfg = GssConfig(target=t, w=TWO_PI, m=1, seed=44)
+    x0 = harness.worst_start(t)
+    tracemalloc.start()
+    try:
+        endpoint_ensemble(x0, 1, 100_000, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
 def test_one_step_circle_ensemble_uniform():
     t, cfg = _circle_uniform_config(seed=12)
     x0 = t.manifold.point([1.0, 0.0])
@@ -259,8 +320,6 @@ def test_tv_decreases_along_the_chain():
 
 
 # -- bit identity ---------------------------------------------------------------------
-
-HEMISPHERE = "cap:sphere:2:psi=1.5707963267948966"
 
 # SHA-256 of _golden_outputs() as the transition computed them before it reused
 # the accepted point and its density and drew uniforms through random(); any

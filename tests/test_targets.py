@@ -100,6 +100,27 @@ def test_sup_t_level_uniform_exact():
             assert sup_t_level(target) == target.p_max * volume, target.spec_string
 
 
+@pytest.mark.parametrize("spec,volume", [
+    ("uniform:sphere:1", 2 * math.pi),
+    ("uniform:sphere:2", 4 * math.pi),
+    ("uniform:torus:2:6.0", 36.0),
+    ("cap:sphere:1:psi=1.0", 2.0),
+    ("cap:sphere:2:psi=1.5707963267948966", 2 * math.pi),
+    ("vmf:sphere:1:kappa=2.0", 2 * math.pi),
+    ("vmf:sphere:2:kappa=2.0", 4 * math.pi),
+    ("convex-uniform:ball:2:r=1.0", math.pi),
+    ("convex-uniform:box:2:extents=1.0,2.0", 2.0),
+    ("ball-gauss:2:sigma=0.5:r=1.0", math.pi),
+    ("ball-gauss:3:sigma=0.5:r=1.0", 4 * math.pi / 3),
+])
+def test_level_set_at_or_below_zero_is_the_support_volume(spec, volume):
+    # every point of the support has density > 0 >= t, and log(t) is never taken there
+    for t in (targets.from_spec(spec), targets.from_spec(spec).rescaled(3.0)):
+        assert t.level_set(0.0) == t.level_set(-1.0) == pytest.approx(volume, rel=1e-12)
+        vals = [t.level_set(float(s)) for s in np.linspace(-1.0, t.p_max, 401)]
+        assert all(a >= b for a, b in zip(vals, vals[1:])), spec
+
+
 def test_sup_t_level_vmf_matches_dense_grid_oracle():
     t = vmf_target(Sphere(2), 2.0)
     val = sup_t_level(t)
@@ -216,11 +237,22 @@ def test_cap_sampler_draws_lie_in_the_cap(d, psi, monkeypatch):
         pts = reference_samples(t, 100_000, make_stream(69, 2 * d + k))
         assert proposals == [(100_000, 100_000)]
         assert np.all(t.density_batch(pts) > 0)
-        if pole is None:
-            assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-15
+        assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-15
         s = np.sum((pts - t.params["pole"]) ** 2, axis=1) / 4.0
         s_max = special.betainc(d / 2.0, d / 2.0, math.sin(psi / 2.0) ** 2)
         assert stats.kstest(special.betainc(d / 2.0, d / 2.0, s) / s_max, "uniform").pvalue > 0.001
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10], ids=["S1", "S2", "S3", "S10"])
+@pytest.mark.parametrize("kappa", [1e-3, 2.0, 50.0], ids=["1e-3", "2", "50"])
+def test_vmf_sampler_draws_lie_on_the_sphere(d, kappa):
+    # the tangent part is projected off the mean twice, so a mean off the axes
+    # leaves the draws on the unit sphere as the axis mean does
+    generic = make_stream(73, d).standard_normal(d + 1)
+    for k, mean in enumerate([None, generic / np.linalg.norm(generic)]):
+        t = vmf_target(Sphere(d), kappa, mean)
+        pts = reference_samples(t, 100_000, make_stream(74, 2 * d + k))
+        assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-15
 
 
 @pytest.mark.parametrize("d,psi", [(10, 1e-10), (30, 9e-10)])
