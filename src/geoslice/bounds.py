@@ -11,43 +11,45 @@ Bishop-Gromov volume-comparison constant of the support, and omega_{d-1} is
 the area of the unit sphere of the tangent spaces.  This module computes all
 of these from target metadata, with an auditable provenance tag on every
 input constant, and analyses the hyperparameter dependence of the bound.
+The gap 1 - rho is carried as one sum of logs, ``log_gap``, in any dimension.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import slice1d, targets
-from .manifolds import Sphere, _finite_positive, unit_sphere_area
+from .manifolds import Sphere, log_unit_sphere_area
 from .slice1d import ApplicabilityError
 from .targets import Target
 
 _TWO_PI = 2.0 * math.pi
 
 
-def volume_comparison_factor(ricci_lower: float, diam_w: float, dim: int) -> float:
-    """Bishop-Gromov comparison constant of a support of the given diameter.
+def log_volume_comparison_factor(ricci_lower: float, diam_w: float, dim: int) -> float:
+    """Log of the Bishop-Gromov comparison constant of a support of the given diameter.
 
     With (d-1) * zeta a global Ricci lower bound, radial volume densities up
     to the cut time are dominated by the model-space profile, whose maximum
-    over the support is returned:
+    over the support is returned in logs:
 
         zeta > 0:  zeta^((1-d)/2) * sin^(d-1)(min(sqrt(zeta) diam, pi/2))
         zeta = 0:  diam^(d-1)
         zeta < 0:  |zeta|^((1-d)/2) * sinh^(d-1)(sqrt(|zeta|) diam)
 
     Positive zeta caps the diameter at pi / sqrt(zeta); in dimension 1 the
-    factor is identically 1.
+    factor is identically 1.  log sinh x is x + log(1 - e^(-2x)) - log 2.
     """
     if not diam_w > 0:
         raise ValueError("support diameter must be positive")
     if dim < 1:
         raise ValueError("dimension must be >= 1")
+    if dim == 1:
+        return 0.0
     z = float(ricci_lower)
     if z > 0:
         if math.sqrt(z) * diam_w > math.pi * (1.0 + 1e-12):
@@ -56,11 +58,11 @@ def volume_comparison_factor(ricci_lower: float, diam_w: float, dim: int) -> flo
                 "no manifold realises these inputs"
             )
         ang = min(math.sqrt(z) * diam_w, math.pi / 2.0)
-        return z ** ((1 - dim) / 2.0) * math.sin(ang) ** (dim - 1)
+        return (1 - dim) / 2.0 * math.log(z) + (dim - 1) * math.log(math.sin(ang))
     if z == 0:
-        return diam_w ** (dim - 1)
-    a = math.sqrt(-z)
-    return (-z) ** ((1 - dim) / 2.0) * math.sinh(a * diam_w) ** (dim - 1)
+        return (dim - 1) * math.log(diam_w)
+    x = math.sqrt(-z) * diam_w
+    return (1 - dim) / 2.0 * math.log(-z) + (dim - 1) * (x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0))
 
 
 def covering_epsilon(diam_w: float, max_gap: float, m: float, w: float) -> float:
@@ -88,36 +90,26 @@ def _lambda_eff(m: float, w: float, lam: float, error=ValueError) -> float:
     return lam_eff
 
 
-def convergence_rate(
+def log_gap(
     epsilon: float,
     m: float,
     w: float,
     lam: float,
-    kappa: float,
-    omega_dm1: float,
-    sup_tl: float,
+    log_kappa: float,
+    log_omega_dm1: float,
+    log_sup_tl: float,
     p_max: float,
 ) -> float:
-    """The per-step total-variation contraction factor rho in [0, 1)."""
+    """log(1 - rho) for the rho of the module docstring, as one sum of logs; its one check
+    is -inf < log_gap <= 0, where rho = -expm1(log_gap) lies in [0, 1)."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     lam_eff = _lambda_eff(m, w, lam)
-
-    def normal(name, v):  # a subnormal (an underflow) keeps too few bits for rho's digits
-        if not sys.float_info.min <= v <= sys.float_info.max:
-            raise ValueError(f"{name} = {v!r} is not a positive normal float (zero, infinite or underflowed)")
-        return v
-
-    for name, v in (("kappa", kappa), ("omega_dm1", omega_dm1), ("sup_tl", sup_tl), ("p_max", p_max)):
-        normal(name, v)
-    gain = ((epsilon / lam_eff) * (1.0 / normal("kappa * omega_dm1", kappa * omega_dm1))
-            * normal("sup_tl / p_max", sup_tl / p_max))
-    rho = 1.0 - gain
-    if rho == 1.0:
-        raise ValueError(f"1 - rho = {gain!r} falls below float resolution; the bound is vacuous")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho = {rho} outside [0, 1); inputs are inconsistent")
-    return rho
+    gap = ((math.log(epsilon) - math.log(lam_eff)) - (log_kappa + log_omega_dm1)
+           + (log_sup_tl - math.log(p_max)))
+    if not -math.inf < gap <= 0.0:
+        raise ValueError(f"log(1 - rho) = {gap!r} outside (-inf, 0]; inputs are inconsistent")
+    return gap
 
 
 def hit_and_run_rate(vol_c: float, diam_c: float, dim: int) -> float:
@@ -130,14 +122,14 @@ def hit_and_run_rate(vol_c: float, diam_c: float, dim: int) -> float:
 
     the general rate under the convex substitution (epsilon = 1, m = inf,
     lambda = diam, kappa = diam^(d-1)); acceptance criterion 2 checks that
-    identity on random bodies.
+    identity on random bodies.  The gap is computed in logs, as in ``log_gap``.
     """
     if not (vol_c > 0 and diam_c > 0 and dim >= 1):
         raise ValueError("volume, diameter and dimension must be positive")
-    rho = 1.0 - vol_c / (unit_sphere_area(dim) * diam_c**dim)
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho = {rho} outside [0, 1)")
-    return rho
+    gap = math.log(vol_c) - log_unit_sphere_area(dim) - dim * math.log(diam_c)
+    if not -math.inf < gap <= 0.0:
+        raise ValueError(f"log(1 - rho) = {gap!r} outside (-inf, 0]")
+    return -math.expm1(gap)
 
 
 def hyperparameter_gain(m: float, w: float, diam_w: float, max_gap: float, lam: float) -> float:
@@ -306,7 +298,7 @@ def _fmt(v) -> str:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """The certificate: one (name, value, source) row per input constant, then q and rho."""
+    """The certificate: one (name, value, source) row per input constant, then q, log(1 - rho) and rho."""
 
     target_spec: str
     dim: int
@@ -316,7 +308,7 @@ class BoundsReport:
     epsilon_se: Optional[float]
     q: Optional[float]
     q_note: str
-    rho: float
+    log_gap: float  # log(1 - rho)
     certified: bool  # epsilon is proved and the level-set function is analytic
 
     def row(self, name: str) -> tuple:
@@ -324,7 +316,8 @@ class BoundsReport:
         return next((v, s) for n, v, s in self.inputs if n == name)
 
     epsilon = property(lambda self: self.row("epsilon")[0])
-    sup_t_level = property(lambda self: self.row("sup_t_level")[0])
+    log_sup_t_level = property(lambda self: self.row("log_sup_t_level")[0])
+    rho = property(lambda self: -math.expm1(self.log_gap))
 
     def lines(self) -> list:
         """Flat key-value rendering, one constant per line with provenance."""
@@ -338,6 +331,7 @@ class BoundsReport:
             *(f"{name} = {_fmt(value)} [{source}]" for name, value, source in self.inputs),
             *se,
             f"q = {_fmt(self.q)} [{self.q_note}]",
+            f"log_gap = {_fmt(self.log_gap)} [log(1 - rho)]",
             f"rho = {_fmt(self.rho)} [{cert}]",
         ]
 
@@ -347,9 +341,10 @@ class BoundsReport:
         d.update((name.lower(), value) for name, value, _ in self.inputs)
         d.update(
             {"lambda": None if math.isinf(d["lambda"]) else d["lambda"],
-             "sup_t_level_provenance": self.row("sup_t_level")[1],
+             "log_sup_t_level_provenance": self.row("log_sup_t_level")[1],
              "epsilon_provenance": self.row("epsilon")[1],
-             "epsilon_se": self.epsilon_se, "q": self.q, "rho": self.rho, "certified": self.certified}
+             "epsilon_se": self.epsilon_se, "q": self.q, "log_gap": self.log_gap, "rho": self.rho,
+             "certified": self.certified}
         )
         return d
 
@@ -409,34 +404,31 @@ def full_report(
     if epsilon_mode not in EPSILON_MODES:
         raise ValueError(f"epsilon_mode must be one of {EPSILON_MODES}")
     info, dim = target.manifold.info, target.manifold.dim
-    kappa = _finite_positive(f"kappa at diam_W={target.diam_w!r} in dimension {dim}",
-                             lambda: volume_comparison_factor(info.ricci_lower, target.diam_w, dim))
-    omega = unit_sphere_area(dim)
-    sup_tl = targets.sup_t_level(target)
+    log_kappa = log_volume_comparison_factor(info.ricci_lower, target.diam_w, dim)
+    log_omega = log_unit_sphere_area(dim)
+    log_sup_tl = targets.log_sup_t_level(target)
     eps, eps_se, eps_source, proved = _epsilon(target, m, w, epsilon_mode, rng, mc_probes, mc_runs)
-    rho = convergence_rate(
-        eps, m, w, target.lambda_value, kappa, omega, sup_tl, target.p_max
-    )
-    gap = target.max_gap
+    gap = log_gap(eps, m, w, target.lambda_value, log_kappa, log_omega, log_sup_tl, target.p_max)
+    delta = target.max_gap
     try:
-        if gap is None and m >= 2:
+        if delta is None and m >= 2:
             raise ApplicabilityError("section gap unknown")
-        q = hyperparameter_gain(m, w, target.diam_w, gap or 0.0, target.lambda_value)
+        q = hyperparameter_gain(m, w, target.diam_w, delta or 0.0, target.lambda_value)
         q_note = "corollary formula"
     except ApplicabilityError as e:
         q, q_note = None, f"inapplicable: {e}"
     level = target.level_set_analytic
     inputs = (
         ("diam_W", target.diam_w, "target metadata"),
-        ("delta", gap, "not supplied" if gap is None else "target metadata"),
+        ("delta", delta, "not supplied" if delta is None else "target metadata"),
         ("lambda", target.lambda_value, "target metadata"),
         ("lambda_eff", _lambda_eff(m, w, target.lambda_value), "min(m*w, lambda)"),
         ("zeta", info.ricci_lower, "manifold metadata"),
-        ("kappa", kappa, "volume comparison"),
-        ("omega_dm1", omega, "unit sphere area"),
+        ("log_kappa", log_kappa, "volume comparison"),
+        ("log_omega_dm1", log_omega, "unit sphere area"),
         ("p_max", target.p_max, "target metadata"),
-        ("sup_t_level", sup_tl, "level-set optimiser" if level else "monte-carlo level set"),
+        ("log_sup_t_level", log_sup_tl, "level-set optimiser" if level else "monte-carlo level set"),
         ("epsilon", eps, eps_source),
     )
-    return BoundsReport(target.spec_string, dim, m, w, inputs, eps_se, q, q_note, rho,
+    return BoundsReport(target.spec_string, dim, m, w, inputs, eps_se, q, q_note, gap,
                         certified=proved and level)

@@ -3,7 +3,7 @@
 Each manifold provides geodesics through the exponential map, uniform unit
 tangent directions, and the metadata consumed by the convergence-bound
 calculator that the dimension does not fix (diameter, Ricci lower bound,
-injectivity radius, total measure), built once as ``info``.  The injectivity
+injectivity radius, log total measure), built once as ``info``.  The injectivity
 radius is a lower bound of every cut time, so it is what a scan along a
 geodesic reads.
 
@@ -29,25 +29,19 @@ _NORM_TOL = 1e-12
 _INPUT_TOL = 1e-6
 
 
-def unit_sphere_area(d: int) -> float:
-    """Surface area of the unit (d-1)-sphere in R^d: 2 pi^(d/2) / Gamma(d/2)."""
+def log_unit_sphere_area(d: int) -> float:
+    """Log surface area of the unit (d-1)-sphere in R^d: log(2 pi^(d/2) / Gamma(d/2)), the log of
+    the gamma form while Gamma(d/2) is finite (d <= 343), which keeps small d's bits, else lgamma's."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     try:
-        return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    except OverflowError:  # d past about 340: the same value in logs
-        return math.exp(math.log(2.0) + d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0))
+        return math.log(2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0))
+    except OverflowError:
+        return math.log(2.0) + d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0)
 
 
 def _finite_positive(name: str, value) -> float:
-    """``value``, or ``value()`` for a derived quantity (an overflow reads inf), as a float:
-    a ValueError naming ``name`` unless it is finite and positive."""
-    if callable(value):
-        try:
-            with np.errstate(over="ignore"):
-                value = value()
-        except OverflowError:
-            value = math.inf
+    """``value`` as a float: a ValueError naming ``name`` unless it is finite and positive."""
     value = float(value)
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
@@ -68,14 +62,14 @@ class Point:
 class ManifoldInfo:
     """Geometry constants used by the bound calculator.
 
-    ricci_lower is a number zeta with (d-1)*zeta <= Ric everywhere.
-    Infinite diameter / injectivity radius / total measure are allowed.
+    ricci_lower is a number zeta with (d-1)*zeta <= Ric everywhere.  Infinite
+    diameter / injectivity radius / (log) total measure are allowed.
     """
 
     diameter: float
     ricci_lower: float
     injectivity_radius: float
-    total_measure: float
+    log_total_measure: float
 
 
 class Manifold:
@@ -147,7 +141,7 @@ class Euclidean(Manifold):
             diameter=math.inf,
             ricci_lower=0.0,
             injectivity_radius=math.inf,
-            total_measure=math.inf,
+            log_total_measure=math.inf,
         )
 
     @property
@@ -183,7 +177,7 @@ class Sphere(Manifold):
             diameter=math.pi,
             ricci_lower=1.0 if dim >= 2 else 0.0,
             injectivity_radius=math.pi,
-            total_measure=unit_sphere_area(dim + 1),
+            log_total_measure=log_unit_sphere_area(dim + 1),
         )
 
     @property
@@ -229,8 +223,7 @@ class Torus(Manifold):
             diameter=self.period * math.sqrt(dim) / 2.0,
             ricci_lower=0.0,
             injectivity_radius=self.period / 2.0,
-            total_measure=_finite_positive(f"torus volume at period {self.period!r}",
-                                           lambda: self.period**dim),
+            log_total_measure=dim * math.log(self.period),
         )
 
     @property

@@ -5,7 +5,8 @@ with the metadata the bound calculator needs: the sup norm of p, the diameter
 of the support W = {p > 0}, the worst gap inside geodesic sections of the
 superlevel sets (``max_gap``), the longest chord of the support along a
 geodesic (``lambda_value``, inf when unbounded), and the level-set function
-t -> volume({p > t}), which is also the only record of the support's volume.
+in logs, s -> log volume({p > e^s}), whose value at s = -inf is the only record
+of the support's volume.  No dimension or radius over- or underflows a log.
 
 Superlevel sets are strict throughout ({p > t}, not {p >= t}), matching the
 lower semi-continuity convention of the densities.
@@ -55,8 +56,20 @@ def _cap_share(d: int, s: float) -> float:
     return float(special.betainc(d / 2.0, d / 2.0, s))
 
 
-def ball_volume(d: int, radius: float) -> float:
-    return manifolds.unit_sphere_area(d) / d * radius**d
+def log_ball_volume(d: int, log_radius: float) -> float:
+    """Log volume of the d-ball of radius e^log_radius."""
+    return manifolds.log_unit_sphere_area(d) - math.log(d) + d * log_radius
+
+
+def _log(v: float) -> float:  # -inf at 0
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def _normal(name: str, v: float) -> float:
+    """``v``, which a density or sampler reads: a ValueError naming ``name`` unless it is a positive normal float."""
+    if not sys.float_info.min <= v <= sys.float_info.max:
+        raise ValueError(f"{name} = {v!r} is not a positive normal float")
+    return v
 
 
 def _one_hot(dim: int, i: int) -> np.ndarray:
@@ -190,17 +203,19 @@ def _gauss_legendre(a: np.ndarray, b: np.ndarray, integrand) -> np.ndarray:
 def _monte_carlo_level_fn(
     manifold: Manifold, density_batch, n_samples: int, seed: int
 ) -> Callable[[float], float]:
-    """t -> volume({p > t}) from one uniform sample shared by all t, which keeps it monotone in t."""
-    total = manifold.info.total_measure
-    if not math.isfinite(total):
+    """s -> log volume({p > e^s}) from one uniform sample shared by all s, which keeps it
+    monotone in s; it compares log densities with s."""
+    log_total = manifold.info.log_total_measure
+    if not math.isfinite(log_total):
         raise ValueError(
             "Monte-Carlo level-set evaluation needs a finite-volume manifold; "
             "supply an analytic level-set function instead"
         )
     from .rng import make_stream
 
-    vals = density_batch(manifold.uniform_points(n_samples, make_stream(seed, 0)))
-    return lambda t: total * float(np.mean(vals > t))
+    with np.errstate(divide="ignore"):  # density 0 has log -inf
+        logs = np.log(density_batch(manifold.uniform_points(n_samples, make_stream(seed, 0))))
+    return lambda s: log_total + _log(float(np.mean(logs > s)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +234,7 @@ class Target:
     diam_w: float
     max_gap: Optional[float]          # sup gap inside geodesic superlevel sections
     lambda_value: float               # inf when geodesic chords of W are unbounded
-    level_set: Callable[[float], float]  # t -> volume({p > t})
+    log_level_set: Callable[[float], float]  # s -> log volume({p > e^s}); -inf where empty
     sampler: Optional[Callable[[int, np.random.Generator], np.ndarray]]
     level_set_analytic: bool = True      # False: a Monte-Carlo estimate
     params: dict = field(default_factory=dict)
@@ -234,13 +249,13 @@ class Target:
         """Same distribution with density multiplied by c > 0."""
         if not c > 0:
             raise ValueError("scale factor must be positive")
-        base_d, base_b, base_level = self.density, self.density_batch, self.level_set
+        base_d, base_b, base_level, log_c = self.density, self.density_batch, self.log_level_set, math.log(c)
         return replace(
             self,
             density=lambda x: c * base_d(x),
             density_batch=lambda x: c * base_b(x),
             p_max=c * self.p_max,
-            level_set=lambda t: base_level(t / c),
+            log_level_set=lambda s: base_level(s - log_c),
         )
 
 
@@ -250,8 +265,8 @@ class Target:
 
 def uniform_target(manifold: Manifold) -> Target:
     """Constant density 1 on a finite-volume manifold."""
-    total = manifold.info.total_measure
-    if not math.isfinite(total):
+    log_total = manifold.info.log_total_measure
+    if not math.isfinite(log_total):
         raise ValueError(f"uniform target needs finite volume; {manifold.spec} has infinite measure")
     dim = manifold.embedding_dim
 
@@ -270,7 +285,7 @@ def uniform_target(manifold: Manifold) -> Target:
         diam_w=manifold.info.diameter,
         max_gap=0.0,
         lambda_value=math.inf,  # geodesics on compact manifolds wrap through W forever
-        level_set=lambda t: total if t < 1.0 else 0.0,
+        log_level_set=lambda s: log_total if s < 0.0 else -math.inf,
         sampler=lambda n, rng: manifold.uniform_points(n, rng),
         worst_start=np.zeros(manifold.dim) if isinstance(manifold, Torus) else _one_hot(dim, 0),
         bin_masses=_equal_masses,
@@ -292,8 +307,9 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
     # density, sampler, area and bands all read the chord: cos(colatitude) cannot resolve a small cap's rim
     chord = 2.0 * math.sin(colatitude / 2.0)
     s = (chord / 2.0) ** 2  # the squared half-chord
-    s_max = _cap_share(d, s)  # where the sampler cuts the Beta(d/2, d/2) law of sin^2(theta / 2)
-    area = manifold.info.total_measure * s_max
+    # where the sampler cuts the Beta(d/2, d/2) law of sin^2(theta / 2); at 0 every draw is the pole
+    s_max = _normal(f"cap share I_s(d/2, d/2) at psi={colatitude!r} on S^{d}", _cap_share(d, s))
+    log_area = manifold.info.log_total_measure + math.log(s_max)
 
     def density(x):
         return 1.0 if math.dist(x.tolist(), pole_list) < chord else 0.0
@@ -337,7 +353,7 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
         diam_w=min(2.0 * colatitude, math.pi),
         max_gap=gap,
         lambda_value=math.inf,
-        level_set=lambda t: area if t < 1.0 else 0.0,
+        log_level_set=lambda level: log_area if level < 0.0 else -math.inf,
         sampler=sampler,
         params={"colatitude": colatitude, "pole": pole_arr},
         worst_start=math.cos(start_psi) * pole_arr + math.sin(start_psi) * perp,
@@ -357,7 +373,7 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
     d = manifold.dim
     mu = _unit_axis(manifold, mean)
     kap = float(concentration)
-    total = manifold.info.total_measure
+    log_total = manifold.info.log_total_measure
 
     def density(x):
         return math.exp(kap * float(x.dot(mu)))
@@ -365,15 +381,8 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
     def density_batch(x):
         return np.exp(kap * (x @ mu))
 
-    def level_measure(t: float) -> float:
-        if t <= 0.0:
-            return total
-        if t >= math.exp(kap):
-            return 0.0
-        c = math.log(t) / kap
-        if c <= -1.0:
-            return total
-        return total * _cap_share(d, (1.0 - min(1.0, c)) / 2.0)
+    def log_level_set(s: float) -> float:  # {p > e^s} is the cap {x . mu > s / kap}, empty at c = 1
+        return log_total + _log(_cap_share(d, (1.0 - min(max(s / kap, -1.0), 1.0)) / 2.0))
 
     def sampler(n, rng):
         if d == 2:
@@ -409,7 +418,7 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
         # Superlevel caps larger than a hemisphere leave gaps approaching pi.
         max_gap=math.pi,
         lambda_value=math.inf,
-        level_set=level_measure,
+        log_level_set=log_level_set,
         sampler=sampler,
         params={"concentration": kap, "mean": mu},
         worst_start=-mu,
@@ -435,14 +444,15 @@ def _vmf_cosines(embed_dim: int, kap: float, n: int, rng: np.random.Generator) -
 def ball_target(dim: int, radius: float) -> Target:
     """Uniform density on the open Euclidean ball of the given radius."""
     r = _finite_positive("radius", radius)
-    vol = _finite_positive(f"ball volume at r={r!r} in dimension {dim}", lambda: ball_volume(dim, r))
+    r2 = _normal(f"r^2 at r={r!r}", r * r)  # 0 would make the density 0 everywhere
     man = Euclidean(dim)
+    log_vol = log_ball_volume(dim, math.log(r))
 
     def density(x):
-        return 1.0 if float(x.dot(x)) < r * r else 0.0
+        return 1.0 if float(x.dot(x)) < r2 else 0.0
 
     def density_batch(x):
-        return (np.einsum("ij,ij->i", x, x) < r * r).astype(float)
+        return (np.einsum("ij,ij->i", x, x) < r2).astype(float)
 
     def sampler(n, rng):
         def batch(k):
@@ -466,7 +476,7 @@ def ball_target(dim: int, radius: float) -> Target:
         diam_w=2.0 * r,
         max_gap=0.0,
         lambda_value=2.0 * r,
-        level_set=lambda t: vol if t < 1.0 else 0.0,
+        log_level_set=lambda s: log_vol if s < 0.0 else -math.inf,
         sampler=sampler,
         params={"radius": r},
         worst_start=_one_hot(dim, 0) * (r * (1.0 - 1e-6)),
@@ -482,8 +492,9 @@ def box_target(extents) -> Target:
     man = Euclidean(dim)
     half = ext / 2.0
     ext_str = ",".join(repr(float(e)) for e in ext)
-    vol = _finite_positive(f"box volume at extents={ext_str}", lambda: np.prod(ext))
-    diam = _finite_positive(f"box diameter at extents={ext_str}", lambda: np.linalg.norm(ext))
+    _normal(f"least half-extent at extents={ext_str}", float(np.min(half)))  # 0: the density is 0 everywhere
+    log_vol = float(np.sum(np.log(ext)))
+    diam = _finite_positive(f"box diameter at extents={ext_str}", math.hypot(*ext))
 
     def density(x):
         return 1.0 if bool(np.all(np.abs(x) < half)) else 0.0
@@ -503,7 +514,7 @@ def box_target(extents) -> Target:
         diam_w=diam,
         max_gap=0.0,
         lambda_value=diam,
-        level_set=lambda t: vol if t < 1.0 else 0.0,
+        log_level_set=lambda s: log_vol if s < 0.0 else -math.inf,
         sampler=sampler,
         params={"extents": ext},
         worst_start=half * (1.0 - 1e-6),
@@ -515,32 +526,31 @@ def box_target(extents) -> Target:
 def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
     """exp(-|x|^2 / (2 sigma^2)) truncated to the open ball of given radius."""
     sigma, r = _finite_positive("sigma", sigma), _finite_positive("radius", radius)
-    s2 = _finite_positive(f"sigma^2 at sigma={sigma!r}", lambda: sigma**2)
-    _finite_positive(f"ball volume at r={r!r} in dimension {dim}", lambda: ball_volume(dim, r))
+    s2 = _finite_positive(f"sigma^2 at sigma={sigma!r}", sigma * sigma)
+    r2 = _normal(f"r^2 at r={r!r}", r * r)
     from scipy import special
 
     man = Euclidean(dim)
 
     def density(x):
         q = float(x.dot(x))
-        return math.exp(-q / (2.0 * s2)) if q < r * r else 0.0
+        return math.exp(-q / (2.0 * s2)) if q < r2 else 0.0
 
     def density_batch(x):
         q = np.einsum("ij,ij->i", x, x)
-        return np.where(q < r * r, np.exp(-q / (2.0 * s2)), 0.0)
+        return np.where(q < r2, np.exp(-q / (2.0 * s2)), 0.0)
 
-    def level_measure(t: float) -> float:
-        if t >= 1.0:
-            return 0.0
-        rad = r if t <= 0.0 else min(r, math.sqrt(-2.0 * s2 * math.log(t)))
-        return ball_volume(dim, rad)
+    def log_level_set(s: float) -> float:  # {p > e^s} is the ball of radius sqrt(-2 s2 s), cut at r
+        return log_ball_volume(dim, min(math.log(r), 0.5 * (math.log(2.0 * s2) + _log(-s))))
 
     # P(|N(0, s2 I)| < r), the chi-square cdf: scipy.stats.chi2.cdf calls chdtr
-    top = float(special.chdtr(dim, r * r / s2))
+    top = float(special.chdtr(dim, r2 / s2))
+    if r2 / s2 >= 8.5:  # inverse-cdf draws need P; thinning keeps >= e^-4.25 of its draws only below 8.5
+        _normal(f"P(|N(0, sigma^2 I)| < r) at d={dim}, r^2/sigma^2={r2 / s2!r}", top)
 
     def sampler(n, rng):
         def batch(k):
-            if top < sys.float_info.min:  # only where r^2 / s2 < 8.5 (a test checks): thinning keeps >= e^-4.25
+            if top < sys.float_info.min:  # only where r^2 / s2 < 8.5
                 x = _ball_points(4 * k + 8, dim, r, rng)
                 return x[rng.random(len(x)) < density_batch(x)]
             # inverse cdf: |x|^2 / (2 s2) is Gamma(dim / 2) cut where its cdf reaches top
@@ -571,7 +581,7 @@ def ball_gaussian_target(dim: int, sigma: float, radius: float) -> Target:
         diam_w=2.0 * r,
         max_gap=0.0,  # superlevel sets are balls, so geodesic sections are intervals
         lambda_value=2.0 * r,
-        level_set=level_measure,
+        log_level_set=log_level_set,
         sampler=sampler,
         params={"sigma": sigma, "radius": r},
         worst_start=_one_hot(dim, 0) * (r * (1.0 - 1e-6)),
@@ -597,15 +607,15 @@ def custom_target(
 ) -> Target:
     """Wrap a user density; metadata not supplied is estimated or left open.
 
-    ``level_set`` is an exact t -> volume({p > t}).  Without one, the
-    level-set measure falls back to Monte-Carlo integration over the manifold
-    (finite volume required), and only then is it flagged as not analytic.
+    ``level_set`` is an exact t -> volume({p > t}) for t >= 0, held in log form.
+    Without one, the level-set measure falls back to Monte-Carlo integration over
+    the manifold (finite volume required), and only then is it flagged as not analytic.
     """
     if density_batch is None:
         density_batch = lambda x: np.array([density(row) for row in x])
     analytic = level_set is not None
-    if not analytic:
-        level_set = _monte_carlo_level_fn(manifold, density_batch, level_samples, level_seed)
+    log_level_set = ((lambda s: _log(level_set(math.exp(s)))) if analytic
+                     else _monte_carlo_level_fn(manifold, density_batch, level_samples, level_seed))
     return Target(
         manifold=manifold,
         spec_string=f"custom:{name}",
@@ -615,7 +625,7 @@ def custom_target(
         diam_w=float(diam_w),
         max_gap=max_gap,
         lambda_value=float(lambda_value),
-        level_set=level_set,
+        log_level_set=log_level_set,
         sampler=sampler,
         level_set_analytic=analytic,
     )
@@ -697,30 +707,33 @@ def from_spec(spec: str) -> Target:
 # level-set operations
 # ---------------------------------------------------------------------------
 
-def sup_t_level(target: Target) -> float:
-    """sup over t of t * volume({p > t}).
+def log_sup_t_level(target: Target) -> float:
+    """log sup over t of t * volume({p > t}): the max of f(s) = s + LV(s), LV = ``log_level_set``.
 
-    A 1024-point log-uniform grid over (p_max * 1e-6, p_max) locates the peak
-    and golden-section refinement sharpens it to 1e-6 relative in t.  The left
-    limit at p_max, p_max * volume({p >= p_max}), is one more candidate; it is
-    exact where the level set is a step, as for uniform densities.
+    f(s) <= s + LV(-inf), so the maximiser lies in [F - LV(-inf), log p_max] for any
+    value F of f: here the best of the left limit at p_max (exact for a step level set)
+    and of probes at log p_max - 2^k, k < 14.  1024 grid points over that bracket
+    locate the peak and golden section refines it to about 1e-15 relative in s.
     """
-    pm = target.p_max
-    grid = np.geomspace(pm * 1e-6, pm, 1024)
-    vals = np.array([t * target.level_set(t) for t in grid])
+    lv, top = target.log_level_set, math.log(target.p_max)
+    f = lambda s: s + lv(s)
+    below = min(math.log(math.nextafter(target.p_max, 0.0)), math.nextafter(top, -math.inf))  # < p_max as t and as s
+    best = max(top + lv(below), *(f(top - 2.0**k) for k in range(14)))
+    lo = best - lv(-math.inf)
+    if not math.isfinite(lo):
+        raise ValueError(f"no finite bracket: support log volume {lv(-math.inf)!r}, best probe {best!r}")
+    grid = np.linspace(lo, top, 1024)
+    vals = [f(float(s)) for s in grid]
     i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    best = _golden_max(lambda t: t * target.level_set(t), lo, hi, rel_tol=1e-6)
-    return float(max(vals[i], best, pm * target.level_set(math.nextafter(pm, 0.0))))
+    return max(best, vals[i], _golden_max(f, float(grid[max(i - 1, 0)]), float(grid[min(i + 1, 1023)])))
 
 
-def _golden_max(fn, a: float, b: float, rel_tol: float) -> float:
+def _golden_max(fn, a: float, b: float) -> float:
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = fn(c), fn(d)
-    while (b - a) > rel_tol * abs(b):
+    while (b - a) > 1e-15 * max(1.0, abs(b)):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -799,7 +812,7 @@ def _support_draw(target: Target, rng: np.random.Generator) -> np.ndarray:
     if target.sampler is not None:
         return target.sampler(1, rng)[0]
     man = target.manifold
-    if math.isfinite(man.info.total_measure):
+    if math.isfinite(man.info.log_total_measure):
         for _ in range(100_000):
             x = man.uniform_points(1, rng)[0]
             if target.density(x) > 0:

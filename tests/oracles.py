@@ -377,3 +377,40 @@ def sphere_vmf_band_masses(kappa, edges) -> np.ndarray:
         e = [mpmath.exp(kap * mpmath.mpf(h)) for h in edges]
         total = mpmath.exp(kap) - mpmath.exp(-kap)
         return np.array([float((b - a) / total) for a, b in zip(e, e[1:])])
+
+
+def log_sphere_area(d: int):
+    """mpmath log area of the unit (d-1)-sphere in R^d, log(2 pi^(d/2) / Gamma(d/2))."""
+    import mpmath
+
+    a = mpmath.mpf(d) / 2
+    return mpmath.log(2) + a * mpmath.log(mpmath.pi) - mpmath.loggamma(a)
+
+
+def vmf_log_sup_t_level(d: int, kappa: float, n_scan: int = 2000):
+    """mpmath log sup_t t * area({p > t}) of exp(kappa x.mu) on S^d.
+
+    {p > e^(kappa c)} is the cap {x.mu > c}, whose share of S^d is I_((1-c)/2)(d/2, d/2).
+    A dense scan of c over [-1, 1] brackets the peak, which golden section refines at 30 digits.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        a, kap = mpmath.mpf(d) / 2, mpmath.mpf(kappa)
+        log_total = log_sphere_area(d + 1)
+
+        def f(c):
+            share = mpmath.betainc(a, a, 0, (1 - c) / 2, regularized=True)
+            return kap * c + log_total + mpmath.log(share) if share > 0 else -mpmath.inf
+
+        grid = [-1 + 2 * mpmath.mpf(i) / n_scan for i in range(n_scan)]
+        i = max(range(n_scan), key=lambda j: f(grid[j]))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, n_scan - 1)]
+        phi = (mpmath.sqrt(5) - 1) / 2
+        for _ in range(120):
+            c, e = hi - phi * (hi - lo), lo + phi * (hi - lo)
+            if f(c) >= f(e):
+                hi = e
+            else:
+                lo = c
+        return max(f(grid[i]), f((lo + hi) / 2))

@@ -47,18 +47,18 @@ def test_criterion_2_hit_and_run_constants():
     disk = bounds.hit_and_run_rate(math.pi, 2.0, 2)
     ok = abs(disk - 0.875) <= 1e-14
     # algebraic identity against the general rate on random convex bodies
-    from geoslice.manifolds import unit_sphere_area
+    from geoslice.manifolds import log_unit_sphere_area
 
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(200):
         d = int(rng.integers(1, 6))
         diam = float(rng.uniform(0.2, 5.0))
-        vol = float(rng.uniform(0.02, 0.95)) * unit_sphere_area(d) * diam**d
+        vol = float(rng.uniform(0.02, 0.95)) * math.exp(log_unit_sphere_area(d)) * diam**d
         direct = bounds.hit_and_run_rate(vol, diam, d)
-        general = bounds.convergence_rate(
-            1.0, math.inf, 1.0, diam, diam ** (d - 1), unit_sphere_area(d), vol, 1.0
-        )
+        general = -math.expm1(bounds.log_gap(
+            1.0, math.inf, 1.0, diam, (d - 1) * math.log(diam), log_unit_sphere_area(d), math.log(vol), 1.0
+        ))
         worst = max(worst, abs(direct - general))
     ok = ok and worst <= 1e-14
     _verdict("2 hit-and-run constants", ok, f"rho(disk)={disk!r}, worst identity gap={worst:.2e}")

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,16 +12,16 @@ from geoslice import targets
 from geoslice.bounds import (
     EPSILON_MODES,
     ApplicabilityError,
-    convergence_rate,
     covering_epsilon,
     full_report,
     hit_and_run_rate,
     hyperparameter_gain,
     isoembolic_lower_bound,
+    log_gap,
+    log_volume_comparison_factor,
     optimal_hyperparameters,
-    volume_comparison_factor,
 )
-from geoslice.manifolds import Sphere, unit_sphere_area
+from geoslice.manifolds import Sphere, log_unit_sphere_area
 from geoslice.rng import make_stream
 
 TWO_PI = 2 * math.pi
@@ -29,30 +30,36 @@ TWO_PI = 2 * math.pi
 # -- volume comparison factor ------------------------------------------------
 
 def test_comparison_factor_flat():
-    assert volume_comparison_factor(0.0, 1.0, 5) == 1.0
-    assert volume_comparison_factor(0.0, 2.0, 3) == pytest.approx(4.0)
+    assert log_volume_comparison_factor(0.0, 1.0, 5) == 0.0
+    assert log_volume_comparison_factor(0.0, 2.0, 3) == pytest.approx(math.log(4.0), rel=1e-15)
+    # diam^(d-1) overflows a float here; its log does not
+    assert log_volume_comparison_factor(0.0, 20.0, 800) == pytest.approx(799 * math.log(20.0), rel=1e-15)
 
 
 def test_comparison_factor_positive_curvature_caps_angle():
-    assert volume_comparison_factor(1.0, math.pi, 3) == pytest.approx(1.0)
+    assert log_volume_comparison_factor(1.0, math.pi, 3) == 0.0
     # below the cap the profile is the plain sine power
-    assert volume_comparison_factor(1.0, 1.0, 3) == pytest.approx(math.sin(1.0) ** 2)
+    assert log_volume_comparison_factor(1.0, 1.0, 3) == pytest.approx(2 * math.log(math.sin(1.0)), rel=1e-15)
     with pytest.raises(ApplicabilityError):
-        volume_comparison_factor(1.0, math.pi * 1.01, 3)
+        log_volume_comparison_factor(1.0, math.pi * 1.01, 3)
 
 
 def test_comparison_factor_negative_curvature():
-    v = volume_comparison_factor(-1.0, 1.0, 2)
+    v = math.exp(log_volume_comparison_factor(-1.0, 1.0, 2))
     assert v == pytest.approx(math.sinh(1.0), rel=1e-12)
     # independent series evaluation of sinh
     series = sum(1.0 ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(12))
     assert v == pytest.approx(series, rel=1e-12)
     assert v == pytest.approx(1.17520, abs=1e-5)
+    # log sinh x = x - log 2 + log(1 - e^(-2x)), finite where sinh overflows and accurate near 0
+    assert log_volume_comparison_factor(-1.0, 1000.0, 3) == pytest.approx(2 * (1000.0 - math.log(2.0)), rel=1e-15)
+    assert log_volume_comparison_factor(-1.0, 1e-9, 2) == pytest.approx(math.log(1e-9), rel=1e-15)
+    assert log_volume_comparison_factor(-4.0, 0.5, 4) == pytest.approx(3 * math.log(math.sinh(1.0) / 2.0), rel=1e-14)
 
 
 def test_comparison_factor_dimension_one_is_unity():
     for z in (-3.0, 0.0, 2.5):
-        assert volume_comparison_factor(z, 1.3, 1) == 1.0
+        assert log_volume_comparison_factor(z, 1.3, 1) == 0.0
 
 
 # -- covering epsilon ----------------------------------------------------------
@@ -73,49 +80,60 @@ def test_covering_epsilon_with_gap():
 
 # -- convergence rate ----------------------------------------------------------
 
+def _rho(*args) -> float:
+    return -math.expm1(log_gap(*args))
+
+
 def test_rate_circle_uniform():
-    rho = convergence_rate(1.0, 1, TWO_PI, math.inf, 1.0, 2.0, TWO_PI, 1.0)
+    rho = _rho(1.0, 1, TWO_PI, math.inf, 0.0, math.log(2.0), math.log(TWO_PI), 1.0)
     assert rho == pytest.approx(0.5, abs=1e-15)
 
 
 def test_rate_sphere_uniform():
-    rho = convergence_rate(1.0, 1, TWO_PI, math.inf, 1.0, TWO_PI, 4 * math.pi, 1.0)
+    rho = _rho(1.0, 1, TWO_PI, math.inf, 0.0, math.log(TWO_PI), math.log(4 * math.pi), 1.0)
     assert rho == pytest.approx(1 - 1 / math.pi, abs=1e-12)
 
 
 def test_rate_tiny_epsilon_approaches_one():
-    rho = convergence_rate(1e-12, 1, TWO_PI, math.inf, 1.0, 2.0, TWO_PI, 1.0)
-    assert rho < 1.0
-    assert 1.0 - rho <= 1e-11
+    gap = log_gap(1e-12, 1, TWO_PI, math.inf, 0.0, math.log(2.0), math.log(TWO_PI), 1.0)
+    assert gap == pytest.approx(math.log(0.5e-12), rel=1e-15)
+    assert -math.expm1(gap) < 1.0
+    # below float resolution rho rounds to 1, and log(1 - rho) still states the gap
+    assert -math.expm1(log_gap(1e-12, 1, TWO_PI, math.inf, 0.0, math.log(2.0), math.log(1e-10), 1.0)) == 1.0
 
 
 def test_rate_input_validation():
     with pytest.raises(ValueError):
-        convergence_rate(0.0, 1, 1.0, math.inf, 1.0, 2.0, 1.0, 1.0)
+        log_gap(0.0, 1, 1.0, math.inf, 0.0, math.log(2.0), 0.0, 1.0)
     with pytest.raises(ValueError):
-        convergence_rate(1.0, math.inf, 1.0, math.inf, 1.0, 2.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        # inconsistent inputs push the subtrahend above one
-        convergence_rate(1.0, 1, 1.0, math.inf, 0.01, 0.1, 100.0, 1.0)
+        log_gap(1.0, math.inf, 1.0, math.inf, 0.0, math.log(2.0), 0.0, 1.0)
+    with pytest.raises(ValueError, match="outside"):
+        # inconsistent inputs push the gain above one
+        log_gap(1.0, 1, 1.0, math.inf, math.log(0.01), math.log(0.1), math.log(100.0), 1.0)
+    with pytest.raises(ValueError, match="outside"):  # an empty support
+        log_gap(1.0, 1, 1.0, math.inf, 0.0, math.log(2.0), -math.inf, 1.0)
 
 
-@pytest.mark.parametrize("kappa,omega,sup_tl,name", [
-    (1.0, 5e-323, 1.0, "omega_dm1"),  # a subnormal input
-    (1.0, 2.0, 3e-310, "sup_tl"),
-    (1e-200, 1e-120, 1.0, "kappa \\* omega_dm1"),  # normal inputs, subnormal product
-    (1.0, 2.0, 1e-300, "sup_tl / p_max"),  # normal over p_max = 1e10, subnormal quotient
+@pytest.mark.parametrize("log_kappa,log_omega,log_sup_tl", [
+    (0.0, -744.0, -760.0),  # omega_dm1 = e^-744 is subnormal as a float
+    (0.0, math.log(2.0), -712.0),  # so is sup_tl
+    (math.log(1e-200), math.log(1e-120), -800.0),  # and kappa * omega_dm1
+    (0.0, math.log(2.0), math.log(1e-300)),  # and sup_tl / p_max at p_max = 1e10
 ], ids=["subnormal-omega", "subnormal-sup_tl", "subnormal-product", "subnormal-ratio"])
-def test_rate_refuses_subnormal_terms(kappa, omega, sup_tl, name):
-    with pytest.raises(ValueError, match=f"^{name}[^=]* = .* is not a positive normal float"):
-        convergence_rate(1.0, 1, TWO_PI, math.inf, kappa, omega, sup_tl, 1e10)
+def test_log_gap_takes_terms_past_the_float_range(log_kappa, log_omega, log_sup_tl):
+    gap = log_gap(1.0, 1, TWO_PI, math.inf, log_kappa, log_omega, log_sup_tl, 1e10)
+    exact = -mpmath.log(2 * mpmath.pi) - log_kappa - log_omega + log_sup_tl - mpmath.log(10**10)
+    assert gap == pytest.approx(float(exact), rel=1e-15)
+    assert -math.expm1(gap) == pytest.approx(float(1 - mpmath.exp(exact)), abs=1e-16)
 
 
 def test_rate_monotone_in_epsilon_and_level_mass():
-    base = dict(m=1, w=TWO_PI, lam=math.inf, kappa=1.0, omega_dm1=TWO_PI, sup_tl=4 * math.pi, p_max=1.0)
-    rhos = [convergence_rate(e, **base) for e in np.linspace(0.05, 1.0, 12)]
+    base = dict(m=1, w=TWO_PI, lam=math.inf, log_kappa=0.0, log_omega_dm1=math.log(TWO_PI),
+                log_sup_tl=math.log(4 * math.pi), p_max=1.0)
+    rhos = [-math.expm1(log_gap(e, **base)) for e in np.linspace(0.05, 1.0, 12)]
     assert all(a > b for a, b in zip(rhos, rhos[1:]))
     rhos2 = [
-        convergence_rate(0.5, 1, TWO_PI, math.inf, 1.0, TWO_PI, s, 1.0)
+        _rho(0.5, 1, TWO_PI, math.inf, 0.0, math.log(TWO_PI), math.log(s), 1.0)
         for s in np.linspace(0.5, 4 * math.pi, 12)
     ]
     assert all(a > b for a, b in zip(rhos2, rhos2[1:]))
@@ -134,16 +152,12 @@ def test_hit_and_run_unit_ball_3d():
 
 def test_hit_and_run_matches_general_rate_identity():
     rng = np.random.default_rng(0)
-    from geoslice.manifolds import unit_sphere_area
-
     for _ in range(50):
         d = int(rng.integers(1, 5))
         diam = float(rng.uniform(0.3, 4.0))
-        vol = float(rng.uniform(0.05, 0.9)) * unit_sphere_area(d) * diam**d
+        vol = float(rng.uniform(0.05, 0.9)) * math.exp(log_unit_sphere_area(d)) * diam**d
         direct = hit_and_run_rate(vol, diam, d)
-        general = convergence_rate(
-            1.0, math.inf, 1.0, diam, diam ** (d - 1), unit_sphere_area(d), vol, 1.0
-        )
+        general = _rho(1.0, math.inf, 1.0, diam, (d - 1) * math.log(diam), log_unit_sphere_area(d), math.log(vol), 1.0)
         assert abs(direct - general) <= 1e-14
 
 
@@ -235,8 +249,8 @@ def test_isoembolic_flat_case_value():
 def test_isoembolic_is_a_lower_bound_on_spheres():
     for d in (1, 2):
         info = Sphere(d).info
-        kappa = volume_comparison_factor(info.ricci_lower, info.diameter, d)
-        actual = info.total_measure / (info.diameter * kappa * unit_sphere_area(d))
+        log_kappa = log_volume_comparison_factor(info.ricci_lower, info.diameter, d)
+        actual = math.exp(info.log_total_measure - math.log(info.diameter) - log_kappa - log_unit_sphere_area(d))
         bound = isoembolic_lower_bound(
             info.injectivity_radius, info.diameter, info.ricci_lower, d
         )
@@ -318,7 +332,7 @@ def test_monte_carlo_level_set_is_never_certified():
         assert not rep.certified, mode
         assert "[monte-carlo level set]" in "\n".join(rep.lines())
     # the Monte-Carlo sup overshoots the analytic one: a faster rate than proven
-    assert rep.sup_t_level > full_report(vmf, 1, TWO_PI, "auto").sup_t_level
+    assert rep.log_sup_t_level > full_report(vmf, 1, TWO_PI, "auto").log_sup_t_level
 
 
 def test_full_report_rescaling_leaves_rho_unchanged():
@@ -365,12 +379,17 @@ def test_certificate_table(spec, m, w, mode, rho):
 
 # -- the certificate as a whole ----------------------------------------------------
 
+def _linear_level_set(t):
+    """t -> volume({p > t}) of a target, the form ``custom_target`` takes."""
+    return lambda lev: math.exp(t.log_level_set(math.log(lev) if lev > 0.0 else -math.inf))
+
+
 def _without_gap(spec: str, **kw):
     """A preset rewrapped as a custom target whose section gap is not supplied."""
     t = targets.from_spec(spec)
     return targets.custom_target(
         t.manifold, t.density, t.p_max, t.diam_w, name=spec, density_batch=t.density_batch,
-        sampler=t.sampler, level_set=t.level_set, **kw,
+        sampler=t.sampler, level_set=_linear_level_set(t), **kw,
     )
 
 
@@ -409,15 +428,19 @@ def test_report_bytes_golden():
     # Then the hemisphere's and the vMF's sup_t_level by an ulp or two
     # (6.283185307179585 -> 6.2831853071795845, 8.539734222673562 -> ...564), since
     # both areas read I_s(d/2, d/2) of the squared half-chord s; four rhos moved in
-    # the last digit.
-    assert _grid_digest() == "cbdaebf16efdf8194a327dbffba3b9cb139abfd92c746fe7de03979905139b0b"
+    # the last digit.  Then the certificate went to logs: kappa, omega_dm1 and
+    # sup_t_level became log_kappa, log_omega_dm1 and log_sup_t_level (rows, JSON keys
+    # and the provenance key), a log_gap line and key came in, and rho moved by at most
+    # one ulp (S^1 at m = 4, w = 1 and the hemisphere at w = 2 pi); the vMF's and ball-Gaussian's rhos kept
+    # their bits, and every error text is unchanged.
+    assert _grid_digest() == "9f7b27f7e72f7273adee436f475375ea18c7f73bbd3ed5ae82aaf82df28d5b1e"
 
 
 def test_certified_iff_epsilon_proved_and_level_set_analytic():
     cap = targets.from_spec("cap:sphere:2:psi=1.0")
     supplied_gap = targets.custom_target(
         cap.manifold, cap.density, cap.p_max, cap.diam_w, name="cap-gap",
-        density_batch=cap.density_batch, sampler=cap.sampler, level_set=cap.level_set, max_gap=0.1,
+        density_batch=cap.density_batch, sampler=cap.sampler, level_set=_linear_level_set(cap), max_gap=0.1,
     )
     vmf = targets.from_spec("vmf:sphere:2:kappa=2.0")
     mc_level = targets.custom_target(
@@ -440,7 +463,7 @@ def test_certified_iff_epsilon_proved_and_level_set_analytic():
         rep = full_report(t, m, w, mode, rng=make_stream(60, k), mc_probes=2, mc_runs=50)
         d = rep.to_dict()
         assert ("optimistic" not in d["epsilon_provenance"]) == proved, (t.spec_string, m, w, mode)
-        assert (d["sup_t_level_provenance"] == "level-set optimiser") == analytic, (t.spec_string, m, w, mode)
+        assert (d["log_sup_t_level_provenance"] == "level-set optimiser") == analytic, (t.spec_string, m, w, mode)
         assert rep.certified == d["certified"] == (proved and analytic), (t.spec_string, m, w, mode)
         if t is supplied_gap:
             assert "delta = 0.1 [target metadata]" in rep.lines()
@@ -459,10 +482,15 @@ def test_unknown_gap_is_needed_only_at_m_at_least_2():
 
 
 def test_custom_step_level_set_gets_the_exact_sup():
-    # the left limit at p_max makes a step level set exact, as for the preset
+    # the left limit at p_max makes a step level set exact, as for the preset: its level
+    # just below p_max is below it both in t, which a level set in t reads, and in log t
     preset = targets.from_spec("convex-uniform:ball:2:r=1.0")
     custom = _without_gap("convex-uniform:ball:2:r=1.0", lambda_value=2.0)
-    assert targets.sup_t_level(custom) == math.pi
+    step = targets.custom_target(preset.manifold, preset.density, 1.0, 2.0, lambda_value=2.0,
+                                 level_set=lambda lev: math.pi if lev < 1.0 else 0.0)
+    assert targets.log_sup_t_level(step) == math.log(math.pi)
+    for t in (step, step.rescaled(1e300), custom):
+        assert targets.log_sup_t_level(t) - math.log(t.p_max) == pytest.approx(math.log(math.pi), rel=1e-15)
     assert full_report(custom, 1, 4.0, "auto").rho == full_report(preset, 1, 4.0, "auto").rho
 
 
@@ -473,3 +501,54 @@ def test_gap_free_bounded_sections_give_analytic_epsilon_at_m_inf():
     gapped = _without_gap("convex-uniform:ball:2:r=1.0", max_gap=0.1, lambda_value=2.0)
     with pytest.raises(ApplicabilityError, match="no analytic covering probability"):
         full_report(gapped, math.inf, 1.0, "analytic")
+
+
+# -- exact references in any dimension ----------------------------------------------
+# Each is computed past the float range of the linear terms, or below the level scan
+# that once stopped at 1e-6 p_max.
+
+@pytest.mark.parametrize("d", [1, 2, 3, 300, 343, 344, 437])
+def test_uniform_sphere_gap_is_the_area_ratio(d):
+    # at m = 1, w = 2 pi: 1 - rho = area(S^d) / (2 pi area(S^(d-1))), about (2 pi d)^(-1/2);
+    # both sides of d = 343, the last gamma-form area, and past 437 through the CLI (test_cli)
+    rep = full_report(targets.from_spec(f"uniform:sphere:{d}"), 1, TWO_PI, "auto")
+    exact = mpmath.exp(oracles.log_sphere_area(d + 1) - oracles.log_sphere_area(d)) / (2 * mpmath.pi)
+    assert math.exp(rep.log_gap) == pytest.approx(float(exact), rel=1e-11)
+    assert rep.certified and rep.rho == -math.expm1(rep.log_gap)
+
+
+@pytest.mark.parametrize("d,r", [(300, 1.0), (800, 10.0)])
+def test_ball_gap_at_unlimited_expansions(d, r):
+    # hit-and-run: 1 - rho = vol / (omega_(d-1) (2 r)^d) = 1 / (d 2^d) at every radius
+    rep = full_report(targets.from_spec(f"convex-uniform:ball:{d}:r={r}"), math.inf, 1.0, "auto")
+    assert rep.log_gap == pytest.approx(-math.log(d) - d * math.log(2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.5, 2.0, 50.0, 709.0])
+def test_vmf_gap_on_the_sphere(kappa):
+    # t * area({p > t}) peaks on the cap x.mu > 1 - 1/kappa, or on all of S^2 below kappa = 1/2,
+    # so 1 - rho = 1 / (2 pi e kappa), or e^(-2 kappa) / pi
+    rep = full_report(targets.from_spec(f"vmf:sphere:2:kappa={kappa}"), 1, TWO_PI, "auto")
+    k = mpmath.mpf(kappa)
+    exact = 1 / (2 * mpmath.pi * mpmath.e * k) if kappa >= 0.5 else mpmath.exp(-2 * k) / mpmath.pi
+    assert math.exp(rep.log_gap) == pytest.approx(float(exact), rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 20, 40, 60, 400, 1000])
+@pytest.mark.parametrize("r", [30.0, 2.0])
+def test_ball_gauss_sup_at_its_closed_form(d, r):
+    # with p = e^(-|x|^2 / 2) on the ball of radius r, t * vol({p > t}) peaks at t = e^(-d/2)
+    # while d < r^2, else at the rim, t = e^(-r^2 / 2); past d = 28 both lie below 1e-6
+    t = targets.ball_gaussian_target(d, 1.0, r)
+    a = mpmath.mpf(d) / 2
+    level = -a if d < r * r else -mpmath.mpf(r) ** 2 / 2
+    log_vol = oracles.log_sphere_area(d) - mpmath.log(d) + a * mpmath.log(-2 * level)
+    assert targets.log_sup_t_level(t) == pytest.approx(float(level + log_vol), rel=1e-15, abs=1e-14)
+
+
+@pytest.mark.parametrize("d", [40, 60])
+def test_vmf_sup_in_high_dimension(d):
+    # the peak sits near t = e^(-d/2) p_max, far below the old scan's 1e-6 p_max
+    t = targets.from_spec(f"vmf:sphere:{d}:kappa=500.0")
+    exact = oracles.vmf_log_sup_t_level(d, 500.0)
+    assert targets.log_sup_t_level(t) == pytest.approx(float(exact), rel=1e-15)

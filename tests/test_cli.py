@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
+import oracles
 from geoslice import cli
 
 
@@ -317,7 +319,7 @@ def test_bad_target_spec_is_usage_error(capsys):
      "radius"),
     ("bounds --target ball-gauss:2:sigma=1e-200:r=1 --m inf --w 1", "sigma=1e-200"),
     ("bounds --target ball-gauss:2:sigma=1e200:r=1 --m inf --w 1", "sigma=1e+200"),
-    ("bounds --target uniform:torus:2:1e300 --m 1 --w 1", "period"),
+    ("bounds --target uniform:torus:2:inf --m 1 --w 1", "period"),
     ("invariance --target convex-uniform:box:2:extents=inf,1 --m 1 --w 1 --samples 10", "extent"),
     ("hyperopt --target convex-uniform:box:2:extents=inf,1", "extent"),
 ], ids=lambda v: v.split(" --m")[0] if " " in v else v)
@@ -359,13 +361,64 @@ def test_invariance_on_a_30_dimensional_ball_finishes():
     assert "invariance: PASS" in proc.stdout
 
 
-@pytest.mark.parametrize("dim,name", [(438, "sup_tl"), (450, "omega_dm1"), (454, "omega_dm1"), (456, "omega_dm1")])
-def test_underflowing_sphere_areas_are_usage_errors(dim, name, capsys):
-    # past d = 437 an area underflows to a subnormal with too few bits for rho, then to 0
-    args = f"bounds --target uniform:sphere:{dim} --m 1 --w 6.283185307179586 --seed 1"
-    code, out, err = run_cli(args.split(), capsys)
-    assert (code, out) == (2, "") and len(err.splitlines()) == 1, err
-    assert f"geoslice: error: {name} = " in err and "not a positive normal float" in err
+@pytest.mark.parametrize("args", [
+    "sample --target convex-uniform:ball:2:r=1e-200 --m 1 --w 1 --steps 3",
+    "sample --target convex-uniform:box:2:extents=5e-324,1.0 --m 1 --w 1 --steps 3",
+    "invariance --target ball-gauss:2000:sigma=1.0:r=5 --m inf --w 1 --samples 10",
+], ids=lambda v: v.split(" --target ")[1].split(" ")[0])
+def test_degenerate_targets_are_refused_not_hung(args):
+    # r^2 or a half-extent that underflows makes the density 0 everywhere, and a ball-Gaussian
+    # whose P underflows at r^2 / sigma^2 >= 8.5 could only thin with a vanishing yield: no
+    # exact draw would ever come back, so a subprocess bounds the run if one is attempted
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "geoslice.cli", *args.split(), "--seed", "1"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert "is not a positive normal float" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _printed(out: str, name: str) -> float:
+    return float(next(line for line in out.splitlines() if line.startswith(f"{name} = ")).split()[2])
+
+
+def _certificate(args: str, capsys) -> float:
+    """e^log_gap = 1 - rho of a certified `bounds` run, checked against its printed rho."""
+    code, out, err = run_cli(["bounds", "--target", *args.split(), "--seed", "1"], capsys)
+    assert (code, err) == (0, "") and out.splitlines()[-1].endswith(" [certified]")
+    log_gap = _printed(out, "log_gap")
+    assert _printed(out, "rho") == -math.expm1(log_gap)
+    return math.exp(log_gap)
+
+
+@pytest.mark.parametrize("dim", [438, 440, 450, 454, 456, 700, 10_000])
+def test_sphere_areas_past_the_float_range_print_their_values(dim, capsys):
+    # past d = 437 the level set and then the area underflow a float; their logs do not.
+    # 1 - rho = area(S^d) / (2 pi area(S^(d-1))): 0.01902963619445154 at d = 440
+    gap = _certificate(f"uniform:sphere:{dim} --m 1 --w 6.283185307179586", capsys)
+    exact = mpmath.exp(oracles.log_sphere_area(dim + 1) - oracles.log_sphere_area(dim)) / (2 * mpmath.pi)
+    assert gap == pytest.approx(float(exact), rel=1e-11)
+
+
+_FAR_CERTIFICATES = [
+    ("convex-uniform:ball:300:r=1 --m inf --w 1", math.exp(-213.64793664263979), 1e-12),
+    ("convex-uniform:ball:800:r=10 --m inf --w 1", math.exp(-561.20235617562417), 1e-12),
+    ("ball-gauss:40:sigma=1.0:r=30 --m inf --w 1", 4.238382832172538e-50, 1e-9),
+    ("ball-gauss:60:sigma=1.0:r=30 --m inf --w 1", 7.054671261586005e-69, 1e-9),
+    ("vmf:sphere:60:kappa=500.0 --m 1 --w 6.283185307179586", None, 1e-9),
+    ("vmf:sphere:500:kappa=2.0 --m 1 --w 6.283185307179586", None, 1e-9),
+]
+
+
+@pytest.mark.parametrize("args,gap,rel", _FAR_CERTIFICATES, ids=[a.split(" ")[0] for a, _, _ in _FAR_CERTIFICATES])
+def test_far_certificates_print_their_values(args, gap, rel, capsys):
+    # refused as over- or underflows, or wrong where the level scan stopped at 1e-6 p_max;
+    # the values are mpmath's (1 / (d 2^d) for the balls)
+    if gap is None:  # epsilon = kappa = 1: sup t * area({p > t}) / p_max over 2 pi omega_(d-1)
+        d, kappa = int(args.split(":")[2]), float(args.split("kappa=")[1].split()[0])
+        log_sup = oracles.vmf_log_sup_t_level(d, kappa) - kappa
+        gap = float(mpmath.exp(log_sup - oracles.log_sphere_area(d)) / (2 * mpmath.pi))
+    assert _certificate(args, capsys) == pytest.approx(gap, rel=rel)
 
 
 def test_cap_too_small_for_its_density_is_a_usage_error(capsys):
@@ -373,6 +426,14 @@ def test_cap_too_small_for_its_density_is_a_usage_error(capsys):
     args = "invariance --target cap:sphere:30:psi=9e-10 --m 1 --samples 2000 --seed 1"
     code, out, err = run_cli(args.split(), capsys)
     assert (code, out) == (2, "") and "cap colatitude must lie in [1e-9, pi], got 9e-10" in err
+
+
+@pytest.mark.parametrize("spec", ["cap:sphere:40:psi=1e-9", "cap:sphere:300:psi=0.001"])
+def test_cap_whose_share_underflows_is_a_usage_error(spec, capsys):
+    # its area underflowed to 0 and every exact draw was the pole, so invariance failed a correct kernel
+    code, out, err = run_cli(["invariance", "--target", spec, "--seed", "3", "--samples", "2000"], capsys)
+    d, psi = int(spec.split(":")[2]), float(spec.split("psi=")[1])
+    assert (code, out) == (2, "") and f"psi={psi!r} on S^{d} = 0.0 is not a positive normal float" in err
 
 
 @pytest.mark.parametrize("args", [
@@ -396,9 +457,11 @@ def test_verify_on_the_circle_takes_at_least_two_bins(capsys):
 
 
 def test_large_sphere_is_certified_at_full_winding(capsys):
+    # rho = 0.98004041514992776 from mpmath; lgamma(200)'s rounding leaves 1 - rho
+    # about 1e-13 off, as the exp of the same logs did before the certificate went to logs
     args = "bounds --target uniform:sphere:400 --m 1 --w 6.283185307179586 --seed 1"
     code, out, _ = run_cli(args.split(), capsys)
-    assert code == 0 and "rho = 0.9800404151499265 [certified]" in out.splitlines()
+    assert code == 0 and "rho = 0.9800404151499256 [certified]" in out.splitlines()
 
 
 def test_threads_environment_variable_is_ignored(monkeypatch):

@@ -8,7 +8,7 @@ from scipy import stats
 
 import oracles
 from geoslice import manifolds, targets
-from geoslice.manifolds import Euclidean, Sphere, Torus, from_spec, unit_sphere_area
+from geoslice.manifolds import Euclidean, Sphere, Torus, from_spec, log_unit_sphere_area
 from geoslice.rng import make_stream
 
 BUILT_IN = ["euclidean:3", "sphere:1", "sphere:2", "sphere:3", "torus:2:6.283185307179586"]
@@ -100,7 +100,7 @@ class _Ring(manifolds.Manifold):
     """The unit circle in R^2, written out without the built-in classes."""
 
     dim, embedding_dim, spec = 1, 2, "ring"
-    info = manifolds.ManifoldInfo(math.pi, 0.0, math.pi, 2 * math.pi)
+    info = manifolds.ManifoldInfo(math.pi, 0.0, math.pi, math.log(2 * math.pi))
 
     def exp_array(self, x, v, theta):
         return math.cos(theta) * x + math.sin(theta) * v
@@ -202,29 +202,37 @@ def test_tangent_circle_two_directions():
 
 
 def test_unit_sphere_area_values_and_ratio():
-    assert unit_sphere_area(1) == pytest.approx(2.0)
-    assert unit_sphere_area(2) == pytest.approx(2 * math.pi)
-    assert unit_sphere_area(3) == pytest.approx(4 * math.pi)
+    # small dimensions keep the gamma form's bits
+    assert log_unit_sphere_area(1) == math.log(2.0)
+    assert log_unit_sphere_area(2) == math.log(2 * math.pi)
+    assert log_unit_sphere_area(3) == pytest.approx(math.log(4 * math.pi), rel=1e-15)
     for d in range(1, 21):
-        ratio = unit_sphere_area(d + 1) / unit_sphere_area(d)
-        assert ratio >= math.sqrt(2 * math.pi / d) - 1e-12
+        log_ratio = log_unit_sphere_area(d + 1) - log_unit_sphere_area(d)
+        assert log_ratio >= 0.5 * math.log(2 * math.pi / d) - 1e-12
 
 
 def test_unit_sphere_area_past_gamma_overflow():
-    # |S^(d+1)| = 2 pi / d * |S^(d-1)| on both sides of d = 344, where math.gamma overflows
-    for d in range(330, 420):
-        assert unit_sphere_area(d + 2) == pytest.approx(2 * math.pi / d * unit_sphere_area(d), rel=1e-12)
+    # |S^(d+1)| = 2 pi / d * |S^(d-1)| on both sides of d = 344, where math.gamma overflows,
+    # and past d = 456, where the area itself underflows a float
+    import mpmath
+
+    for d in [*range(330, 420), 437, 438, 440, 456, 700, 10_000, 100_000]:
+        step = log_unit_sphere_area(d + 2) - log_unit_sphere_area(d)
+        assert step == pytest.approx(math.log(2 * math.pi / d), rel=1e-12, abs=1e-10)
+        exact = mpmath.log(2) + d / mpmath.mpf(2) * mpmath.log(mpmath.pi) - mpmath.loggamma(d / mpmath.mpf(2))
+        assert log_unit_sphere_area(d) == pytest.approx(float(exact), rel=1e-15)
 
 
 def test_manifold_info_constants():
     s2 = Sphere(2).info
     assert s2.ricci_lower == 1.0 and s2.diameter == pytest.approx(math.pi)
-    assert s2.total_measure == pytest.approx(4 * math.pi)
+    assert s2.log_total_measure == pytest.approx(math.log(4 * math.pi), rel=1e-15)
     assert Sphere(1).info.ricci_lower == 0.0
     t = Torus(2, 4.0).info
     assert t.ricci_lower == 0.0
     assert t.diameter == pytest.approx(2.0 * math.sqrt(2.0))
-    assert t.total_measure == pytest.approx(16.0)
+    assert t.log_total_measure == pytest.approx(math.log(16.0), rel=1e-15)
+    assert Torus(400, 1e300).info.log_total_measure == pytest.approx(400 * math.log(1e300), rel=1e-15)
     assert math.isinf(Euclidean(2).info.diameter)
 
 

@@ -10,23 +10,28 @@ from scipy import special, stats
 
 import oracles
 from geoslice import targets
-from geoslice.manifolds import Euclidean, Sphere, unit_sphere_area
+from geoslice.manifolds import Euclidean, Sphere, log_unit_sphere_area
 from geoslice.rng import make_stream
 from geoslice.targets import (
     ball_gaussian_target,
     ball_target,
-    ball_volume,
     box_target,
     cap_target,
     custom_target,
     estimate_max_gap,
+    log_ball_volume,
+    log_sup_t_level,
     reference_samples,
-    sup_t_level,
     uniform_target,
     vmf_target,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _volume(t, lev: float) -> float:
+    """volume({p > lev}) from the target's log level set."""
+    return math.exp(t.log_level_set(math.log(lev)))
 
 
 def test_uniform_sphere_metadata():
@@ -35,7 +40,7 @@ def test_uniform_sphere_metadata():
     assert t.diam_w == pytest.approx(math.pi)
     assert math.isinf(t.lambda_value)
     assert t.max_gap == 0.0
-    assert t.level_set(0.5) == pytest.approx(4 * math.pi)
+    assert _volume(t, 0.5) == pytest.approx(4 * math.pi)
 
 
 def test_ball_metadata():
@@ -43,7 +48,7 @@ def test_ball_metadata():
     assert t.diam_w == 2.0
     assert t.max_gap == 0.0
     assert t.lambda_value == 2.0
-    assert t.level_set(0.5) == pytest.approx(math.pi)
+    assert _volume(t, 0.5) == pytest.approx(math.pi)
 
 
 def test_cap_diameter_matches_pairwise_oracle():
@@ -71,13 +76,13 @@ def test_cap_parameter_validation():
 
 def test_level_set_measure_uniform_sphere():
     t = uniform_target(Sphere(2))
-    assert t.level_set(0.5) == pytest.approx(4 * math.pi)
-    assert t.level_set(1.5) == 0.0
+    assert t.log_level_set(math.log(0.5)) == pytest.approx(math.log(4 * math.pi), rel=1e-15)
+    assert t.log_level_set(math.log(1.5)) == -math.inf
 
 
 def test_level_set_measure_vmf_hemisphere_and_monte_carlo():
     t = vmf_target(Sphere(2), 2.0)
-    analytic = t.level_set(1.0)
+    analytic = _volume(t, 1.0)
     assert analytic == pytest.approx(2 * math.pi, rel=1e-12)
     # cross-check by Monte-Carlo integration over the sphere
     rng = make_stream(5150, 0)
@@ -88,16 +93,18 @@ def test_level_set_measure_vmf_hemisphere_and_monte_carlo():
 
 
 def test_sup_t_level_uniform_exact():
-    # every level below p_max has all of W as its superlevel set
-    for t, volume in [
-        (uniform_target(Sphere(1)), 2 * math.pi),
-        (uniform_target(Sphere(2)), unit_sphere_area(3)),  # area of S^2 in R^3
-        (cap_target(Sphere(2), math.pi / 2), 4 * math.pi * math.sin(math.pi / 4) ** 2),  # 4 pi sin^2(psi / 2)
-        (ball_target(2, 1.0), ball_volume(2, 1.0)),
-        (box_target([1.0, 2.0]), 1.0 * 2.0),
+    # every level below p_max has all of W as its superlevel set, so the sup is the left limit
+    for t, log_volume in [
+        (uniform_target(Sphere(1)), math.log(2 * math.pi)),
+        (uniform_target(Sphere(2)), log_unit_sphere_area(3)),  # area of S^2 in R^3
+        (cap_target(Sphere(2), math.pi / 2), math.log(4 * math.pi * math.sin(math.pi / 4) ** 2)),  # 4 pi sin^2(psi / 2)
+        (ball_target(2, 1.0), log_ball_volume(2, 0.0)),
+        (box_target([1.0, 2.0]), math.log(1.0 * 2.0)),
     ]:
         for target in (t, t.rescaled(3.0)):
-            assert sup_t_level(target) == target.p_max * volume, target.spec_string
+            support = target.log_level_set(-math.inf)
+            assert support == pytest.approx(log_volume, rel=1e-15), target.spec_string
+            assert log_sup_t_level(target) == math.log(target.p_max) + support, target.spec_string
 
 
 @pytest.mark.parametrize("spec,volume", [
@@ -114,44 +121,46 @@ def test_sup_t_level_uniform_exact():
     ("ball-gauss:3:sigma=0.5:r=1.0", 4 * math.pi / 3),
 ])
 def test_level_set_at_or_below_zero_is_the_support_volume(spec, volume):
-    # every point of the support has density > 0 >= t, and log(t) is never taken there
+    # every point of the support has density > 0 = e^-inf, as it has at every lower log level
     for t in (targets.from_spec(spec), targets.from_spec(spec).rescaled(3.0)):
-        assert t.level_set(0.0) == t.level_set(-1.0) == pytest.approx(volume, rel=1e-12)
-        vals = [t.level_set(float(s)) for s in np.linspace(-1.0, t.p_max, 401)]
+        top = math.log(t.p_max)
+        assert t.log_level_set(-math.inf) == t.log_level_set(-1e300) == pytest.approx(math.log(volume), rel=1e-12)
+        vals = [t.log_level_set(float(s)) for s in [-math.inf, *np.linspace(top - 50.0, top + 1.0, 401)]]
         assert all(a >= b for a, b in zip(vals, vals[1:])), spec
+        assert vals[-1] == -math.inf
 
 
 def test_sup_t_level_vmf_matches_dense_grid_oracle():
     t = vmf_target(Sphere(2), 2.0)
-    val = sup_t_level(t)
+    val = math.exp(log_sup_t_level(t))
     # dense grid oracle
     ts = np.geomspace(t.p_max * 1e-7, t.p_max, 100_000)
-    grid = max(float(s * t.level_set(float(s))) for s in ts)
+    grid = max(float(s * _volume(t, float(s))) for s in ts)
     assert val == pytest.approx(grid, rel=1e-4)
     # closed form: the peak of t * area(cap(log(t)/kappa)) sits at t = e
-    assert val == pytest.approx(math.pi * math.e, rel=1e-6)
+    assert val == pytest.approx(math.pi * math.e, rel=1e-14)
 
 
 def test_sup_t_level_ball_gauss_matches_grid():
     t = ball_gaussian_target(2, 0.5, 1.0)
-    val = sup_t_level(t)
+    val = math.exp(log_sup_t_level(t))
     ts = np.geomspace(1e-7, 1.0, 100_000)
-    grid = max(float(s * t.level_set(float(s))) for s in ts)
+    grid = max(float(s * _volume(t, float(s))) for s in ts)
     assert val == pytest.approx(grid, rel=1e-4)
 
 
 def test_rescaling_invariance_of_normalised_peak():
     base = vmf_target(Sphere(2), 2.0)
-    ref = sup_t_level(base) / base.p_max
-    for c in (0.1, 7.3):
+    ref = log_sup_t_level(base) - math.log(base.p_max)
+    for c in (0.1, 7.3, 1e-300, 1e300):
         t = base.rescaled(c)
-        assert sup_t_level(t) / t.p_max == pytest.approx(ref, rel=1e-12)
+        assert log_sup_t_level(t) - math.log(t.p_max) == pytest.approx(ref, abs=1e-12)
 
 
 def test_level_function_nonincreasing():
     for t in [vmf_target(Sphere(2), 2.0), ball_gaussian_target(2, 0.7, 1.5)]:
-        ts = np.geomspace(t.p_max * 1e-6, t.p_max, 200)
-        vals = [t.level_set(float(s)) for s in ts]
+        ss = np.linspace(math.log(t.p_max) - 14.0, math.log(t.p_max), 200)
+        vals = [t.log_level_set(float(s)) for s in ss]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -167,13 +176,13 @@ def test_level_function_monte_carlo_path():
     )
     ref = vmf_target(man, 2.0)
     for lev in (0.5, 1.0, 3.0):
-        est = t.level_set(float(lev))
+        est = _volume(t, float(lev))
         f = est / (4 * math.pi)
         se = 4 * math.pi * math.sqrt(f * (1 - f) / 100_000)  # binomial SE of the shared sample
-        assert abs(est - ref.level_set(float(lev))) <= 4 * se
+        assert abs(est - _volume(ref, float(lev))) <= 4 * se
     # shared sample across levels keeps the estimate monotone exactly
-    ts = np.geomspace(0.2, 7.0, 100)
-    vals = [t.level_set(float(s)) for s in ts]
+    ss = np.linspace(math.log(0.2), math.log(7.0), 100)
+    vals = [t.log_level_set(float(s)) for s in ss]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -260,6 +269,22 @@ def test_cap_below_the_colatitude_floor_is_refused(d, psi):
     # below 1e-9 the coordinates near a generic pole cannot place the worst start inside the cap
     with pytest.raises(ValueError, match=r"must lie in \[1e-9, pi\]"):
         cap_target(Sphere(d), psi)
+
+
+@pytest.mark.parametrize("d,psi", [(40, 1e-9), (300, 1e-3)])
+def test_cap_whose_share_underflows_is_refused(d, psi):
+    # I_s(d/2, d/2) of s = sin^2(psi / 2) underflows to 0, where every exact draw would be the pole
+    assert special.betainc(d / 2.0, d / 2.0, math.sin(psi / 2.0) ** 2) < sys.float_info.min
+    with pytest.raises(ValueError, match=f"psi={psi!r} on S\\^{d} = .* is not a positive normal float"):
+        cap_target(Sphere(d), psi)
+
+
+def test_tiny_cap_with_a_normal_share_draws_off_the_pole():
+    t = cap_target(Sphere(30), 1e-9)
+    assert math.exp(t.log_level_set(-math.inf)) == pytest.approx(2.2e-275, rel=0.01)
+    pts = reference_samples(t, 2000, make_stream(75, 30))
+    sin_col = np.linalg.norm(pts[:, :-1], axis=1)  # the pole is the last axis
+    assert np.all((sin_col > 0) & (sin_col < 1e-9)) and len(np.unique(sin_col)) >= 1900
 
 
 def test_tiny_s2_cap_puts_all_its_mass_in_the_top_band():
@@ -415,18 +440,26 @@ def test_narrow_ball_gauss_sampler_radius_law():
 
 
 def test_ball_gauss_thins_only_with_a_bounded_acceptance_loss():
-    # The sampler thins uniform-ball draws only where P = chdtr(d, r^2 / sigma^2) is
-    # not a positive normal float.  P grows with r^2 / sigma^2, so if it is normal at
-    # 8.5 for every d a target can be built at, thinning keeps at least e^-4.25 = 1.4%.
+    # The sampler thins uniform-ball draws only where P = chdtr(d, r^2 / sigma^2) is not a
+    # positive normal float, and such a target is refused unless r^2 / sigma^2 < 8.5, so
+    # thinning keeps at least e^-4.25 = 1.4% of its draws in every dimension.
     from scipy import special
 
     dims = np.arange(1, 1000)
-    built = dims[[unit_sphere_area(int(d)) > 0 for d in dims]]  # past them the ball volume is 0
-    top = int(built[-1])
-    assert list(built) == list(range(1, top + 1)) and 440 < top < 470
-    with pytest.raises(ValueError, match="ball volume"):
-        ball_gaussian_target(top + 1, 1.0, 2.0)
-    assert np.all(special.chdtr(built, 8.5) >= sys.float_info.min)
+    normal = special.chdtr(dims, 8.5) >= sys.float_info.min
+    top = int(dims[normal][-1])
+    assert np.all(normal[:top]) and not np.any(normal[top:]) and 460 < top < 470
+    for d in dims:
+        if normal[d - 1]:
+            ball_gaussian_target(int(d), 1.0, math.sqrt(8.5))
+        else:
+            with pytest.raises(ValueError, match=f"at d={d}, r\\^2/sigma\\^2=8.5.* not a positive normal float"):
+                ball_gaussian_target(int(d), 1.0, math.sqrt(8.5))
+    # below 8.5 every dimension builds, and the thinned draws come back
+    for d in (top + 1, 2000):
+        t = ball_gaussian_target(d, 1.0, 2.0)
+        pts = reference_samples(t, 200, make_stream(72, d))
+        assert pts.shape == (200, d) and np.all(t.density_batch(pts) > 0)
 
 
 def test_ball_gauss_sampler_returns_where_gaussian_proposals_rarely_land():
@@ -497,11 +530,11 @@ def test_density_range_invariant():
 
 def test_sup_t_level_bounded_by_support_mass():
     for t in [uniform_target(Sphere(2)), vmf_target(Sphere(2), 2.0), ball_target(2, 1.0)]:
-        support = t.level_set(1e-300)  # volume of W = {p > 0}
-        assert sup_t_level(t) / t.p_max <= support + 1e-9
-        total = t.manifold.info.total_measure
+        support = t.log_level_set(-math.inf)  # log volume of W = {p > 0}
+        assert log_sup_t_level(t) - math.log(t.p_max) <= support + 1e-12
+        total = t.manifold.info.log_total_measure
         if math.isfinite(total):
-            assert support <= total + 1e-9
+            assert support <= total + 1e-12
 
 
 def test_estimate_max_gap_ball_is_zero():
@@ -570,8 +603,17 @@ def test_spec_strings_round_trip():
 def test_box_target_metadata():
     t = box_target([1.0, 2.0])
     assert t.diam_w == pytest.approx(math.sqrt(5.0))
-    assert t.level_set(0.5) == pytest.approx(2.0)
+    assert _volume(t, 0.5) == pytest.approx(2.0)
     assert t.lambda_value == pytest.approx(math.sqrt(5.0))
+
+
+def test_volumes_past_the_float_range_are_held_as_logs():
+    # both targets were refused as volume overflows (test_cli covers the refusals that stay)
+    assert box_target([1e200, 1e200]).log_level_set(-math.inf) == pytest.approx(2 * math.log(1e200), rel=1e-15)
+    big = ball_target(800, 10.0)
+    assert big.log_level_set(-math.inf) == pytest.approx(float(oracles.log_sphere_area(800) - math.log(800)
+                                                                 + 800 * math.log(10.0)), rel=1e-15)
+    assert big.density(reference_samples(big, 1, make_stream(76, 0))[0]) == 1.0
 
 
 def test_preset_aliases():
