@@ -33,8 +33,7 @@ TWO_PI = 2.0 * math.pi
 
 N_BOOTSTRAP = 200  # multinomial resamples behind a TV estimate's standard error
 MIN_TV_POINTS = 1000  # fewest sample points a TV estimate accepts
-ENERGY_BLOCK = 64  # rows of the energy test's distance matrix built and centred at a time
-ENERGY_PANEL = 512  # rows of the centred matrix, in float32, behind one permutation GEMM
+ENERGY_BLOCK = 64  # rows of the energy test's distance triangle built at a time
 
 
 # ---------------------------------------------------------------------------
@@ -204,31 +203,18 @@ def energy_permutation_test(
 ) -> EnergyTestResult:
     """Permutation test of distributional equality via the energy statistic.
 
-    Large samples are reduced to a seeded subsample before the O(n^2)
-    statistic.  The permutation p-value has resolution 1/(permutations+1);
-    when the observed statistic exceeds every permutation, a normal tail
-    approximation fitted to the permutation null refines the p-value (this
-    is how gross violations can be reported far below the resolution).
+    Samples are cut to ``subsample`` seeded points.  The p-value has
+    resolution 1/(permutations+1); a normal tail fitted to the null refines
+    it when no permutation reaches the observed statistic.
 
-    ``statistic`` is the V-statistic that ``energy_distance`` computes on the
-    (sub)sampled data.  Every statistic is read off the double-centred
-    distance matrix A (row and column means removed, grand mean added back),
-    which leaves the energy statistic unchanged; since the rows of A sum to
-    zero it equals ``-(1/na + 1/nb)**2 * z^T A z`` for the indicator z of the
-    first sample (Szekely & Rizzo 2013).  A is stored in float32 for the
-    permutation matmul; its entries are centred and small, so the sums do
-    not cancel and stay accurate to well under 1e-5 relative.
-
-    A is never held whole.  It is built and centred in ``ENERGY_BLOCK``-row
-    float64 blocks (every row mean is needed before any entry is centred,
-    so the distances are computed twice) and rounded into one reusable
-    float32 panel of ``ENERGY_PANEL`` rows; each panel fills its rows of
-    ``g = A Z^T`` for the observed and every permuted indicator Z, so the
-    indicators are drawn first.  The panel, ``g`` and ``Z`` (4 n
-    (ENERGY_PANEL + 2 permutations) bytes) plus one block are live, not
-    4 n^2.  At one BLAS thread every result is bit-identical to the whole
-    matrix's; a last panel under ``ENERGY_BLOCK`` rows, which OpenBLAS
-    multiplies along another path, joins the one before it.
+    ``statistic`` is ``energy_distance`` of the (sub)sampled data, read as
+    -(1/na + 1/nb)^2 z^T A z for the indicator z of the first sample and the
+    double-centred distances A (Szekely & Rizzo 2013).  Distances are whole
+    multiples of q = diag n^2 / 2^53, diag the pooled bounding box's
+    diagonal, so every sum of them is an integer below 2^53 and exact in any
+    order: results are the same bits at any BLAS thread count.  Each distance
+    is computed once, in ``ENERGY_BLOCK``-row blocks of the upper triangle;
+    the (permutations + 1) x n float64 indicators Z and one block are live.
     """
     from scipy.spatial.distance import cdist
 
@@ -238,51 +224,35 @@ def energy_permutation_test(
     if len(a) == 0 or len(b) == 0 or np.shape(a)[1:] != np.shape(b)[1:]:
         raise ValueError(f"energy test needs two non-empty samples of one dimension, "
                          f"got shapes {np.shape(a)} and {np.shape(b)}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("energy test needs finite samples, got a NaN or infinite coordinate")
     if len(a) > subsample:
         a = a[rng.choice(len(a), subsample, replace=False)]
     if len(b) > subsample:
         b = b[rng.choice(len(b), subsample, replace=False)]
     na, nb = len(a), len(b)
-    pool = np.vstack([a, b])
-    n = na + nb
-    rmean = np.concatenate([cdist(pool[i : i + ENERGY_BLOCK], pool).mean(axis=1)
-                            for i in range(0, n, ENERGY_BLOCK)])
-    grand = rmean.mean()
-    z0 = np.zeros((1, n), dtype=np.float32)
-    z0[0, :na] = 1.0
-    zperm = np.zeros((permutations, n), dtype=np.float32)
-    for k in range(permutations):
-        zperm[k, rng.permutation(n)[:na]] = 1.0
-
-    starts = list(range(0, n, ENERGY_PANEL))
-    if len(starts) > 1 and n - starts[-1] < ENERGY_BLOCK:
-        starts.pop()
-    panels = list(zip(starts, starts[1:] + [n]))
-    panel = np.empty((max(e - s for s, e in panels), n), dtype=np.float32)
-    g0 = np.empty((n, 1), dtype=np.float32)
-    g = np.empty((n, permutations), dtype=np.float32)
-    for s, e in panels:
-        for i in range(s, e, ENERGY_BLOCK):
-            r = slice(i, min(i + ENERGY_BLOCK, e))
-            blk = cdist(pool[r], pool)
-            blk -= rmean[r, None]
-            blk -= rmean[None, :]
-            blk += grand
-            panel[i - s : r.stop - s] = blk
-        rows = panel[: e - s]
-        g0[s:e] = rows @ z0.T
-        g[s:e] = rows @ zperm.T
-    scale = -((1.0 / na + 1.0 / nb) ** 2)
-
-    def stats_of(zmat: np.ndarray, gmat: np.ndarray) -> np.ndarray:
-        s_aa = np.einsum("bn,nb->b", zmat, gmat, optimize=True).astype(np.float64)
-        return scale * s_aa
-
-    obs = float(stats_of(z0, g0)[0])
-    null = stats_of(zperm, g)
-    exceed = int(np.sum(null >= obs - 1e-12))
-    p_perm = (1 + exceed) / (permutations + 1)
-    p = p_perm
+    pool, n = np.vstack([a, b]), na + nb
+    # the grid step; 1 when every point coincides and every distance is 0
+    q = float(np.hypot.reduce(np.ptp(pool, axis=0))) * n * n / 2.0**53 or 1.0
+    z = np.zeros((permutations + 1, n))  # row 0 is the observed split
+    z[0, :na] = 1.0
+    for k in range(1, permutations + 1):
+        z[k, rng.permutation(n)[:na]] = 1.0
+    half = np.zeros(permutations + 1)  # z^T D z / 2, over the upper triangle
+    rsum = np.zeros(n)
+    for i in range(0, n, ENERGY_BLOCK):
+        e = min(i + ENERGY_BLOCK, n)
+        blk = cdist(pool[i:e], pool[i:])
+        np.rint(np.divide(blk, q, out=blk), out=blk)
+        blk[:, : e - i] = np.triu(blk[:, : e - i])
+        rsum[i:e] += blk.sum(axis=1)
+        rsum[i:] += blk.sum(axis=0)
+        half += np.einsum("kb,bk->k", z[:, i:e], blk @ z[:, i:].T)
+    zaz = 2.0 * half - 2.0 * na * (z @ rsum) / n + na * na * rsum.sum() / (n * n)
+    stats = -((1.0 / na + 1.0 / nb) ** 2) * q * zaz
+    obs, null = float(stats[0]), stats[1:]
+    exceed = int(np.sum(null >= obs))
+    p = p_perm = (1 + exceed) / (permutations + 1)
     if exceed == 0:
         mu, sd = float(np.mean(null)), float(np.std(null, ddof=1))
         if sd > 0:

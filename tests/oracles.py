@@ -186,10 +186,12 @@ def classify_regime_grid(diam, delta, lam, n_w: int = 4000) -> str:
 
 
 def energy_permutation_test_one_shot(a, b, rng, permutations: int = 500, subsample: int = 1500):
-    """The energy permutation test on the full float64 distance matrix, centred in place.
+    """The energy permutation test on the full n x n distance matrix, on one grid.
 
-    This is ``harness.energy_permutation_test`` as it was before the matrix
-    was built in row blocks; the blocked version must reproduce it exactly.
+    Every distance is rounded to a whole number of steps q = diag n^2 / 2^53
+    (diag: the pooled bounding box's diagonal), so every sum of entries is an
+    exact integer.  ``harness.energy_permutation_test`` adds up only the upper
+    triangle, one row block at a time, and must reproduce this bit for bit.
     Returns (statistic, p_value, p_permutation, n_a, n_b, permutations).
     """
     from scipy.spatial.distance import cdist
@@ -201,27 +203,19 @@ def energy_permutation_test_one_shot(a, b, rng, permutations: int = 500, subsamp
     na, nb = len(a), len(b)
     pool = np.vstack([a, b])
     n = na + nb
-    dmat = cdist(pool, pool)
-    rmean = dmat.mean(axis=1)
-    dmat -= rmean[:, None]
-    dmat -= rmean[None, :]
-    dmat += rmean.mean()
-    dmat = dmat.astype(np.float32)
-    scale = -((1.0 / na + 1.0 / nb) ** 2)
-
-    def stats_of(zmat: np.ndarray) -> np.ndarray:
-        g = dmat @ zmat.T  # (n, B)
-        s_aa = np.einsum("bn,nb->b", zmat, g, optimize=True).astype(np.float64)
-        return scale * s_aa
-
-    z0 = np.zeros((1, n), dtype=np.float32)
-    z0[0, :na] = 1.0
-    obs = float(stats_of(z0)[0])
-    zperm = np.zeros((permutations, n), dtype=np.float32)
-    for k in range(permutations):
-        zperm[k, rng.permutation(n)[:na]] = 1.0
-    null = stats_of(zperm)
-    exceed = int(np.sum(null >= obs - 1e-12))
+    diag = float(np.hypot.reduce(np.ptp(pool, axis=0)))
+    q = diag * n * n / 2.0**53 if diag > 0 else 1.0
+    dmat = np.rint(cdist(pool, pool) / q)
+    rsum = dmat.sum(axis=1)
+    z = np.zeros((permutations + 1, n))
+    z[0, :na] = 1.0
+    for k in range(1, permutations + 1):
+        z[k, rng.permutation(n)[:na]] = 1.0
+    zdz = np.einsum("kb,bk->k", z, dmat @ z.T)
+    zaz = zdz - 2.0 * na * (z @ rsum) / n + na * na * rsum.sum() / (n * n)
+    stats = -((1.0 / na + 1.0 / nb) ** 2) * q * zaz
+    obs, null = float(stats[0]), stats[1:]
+    exceed = int(np.sum(null >= obs))
     p_perm = (1 + exceed) / (permutations + 1)
     p = p_perm
     if exceed == 0:

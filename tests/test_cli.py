@@ -535,3 +535,17 @@ def test_readme_option_table_matches_the_parser():
     rows = re.findall(r"^\| `(\w+)` \| `(--[^`]*)` \|$", readme, re.MULTILINE)
     table = {cmd: tuple(opt.removeprefix("--") for opt in opts.split()) for cmd, opts in rows}
     assert table == cli._COMMANDS
+
+
+def test_invariance_prints_the_same_bits_at_one_and_two_blas_threads():
+    root = Path(__file__).resolve().parent.parent
+    args = "invariance --target cap:sphere:2:psi=1.5707963267948966 --samples 2000 --seed 3"
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "geoslice.cli", *args.split()],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append([line for line in proc.stdout.splitlines() if not line.startswith("#")])
+    assert outs[0] == outs[1] and "invariance: PASS" in outs[0]

@@ -284,7 +284,7 @@ def test_energy_distance_direct_matches_matrix_path():
         a = rng.standard_normal((n, 2))
         b = rng.standard_normal((n, 2)) + shift
         res = energy_permutation_test(a, b, make_stream(7, 1), permutations=10, subsample=n)
-        assert res.statistic == pytest.approx(energy_distance(a, b), rel=1e-5), n
+        assert res.statistic == pytest.approx(energy_distance(a, b), rel=1e-8), n
 
 
 @pytest.mark.parametrize(
@@ -316,6 +316,17 @@ def test_energy_test_blocked_matrix_equals_one_shot(na, nb, d, shift, subsample)
     assert dataclasses.astuple(res) == ref
 
 
+def test_energy_test_bits_do_not_depend_on_the_block_size(monkeypatch):
+    rng = make_stream(11, 3)
+    a = rng.standard_normal((150, 2))
+    b = rng.standard_normal((140, 2)) + 0.3
+    results = set()
+    for block in (1, 7, 64, 290):
+        monkeypatch.setattr(harness, "ENERGY_BLOCK", block)
+        results.add(dataclasses.astuple(energy_permutation_test(a, b, make_stream(12, 2), permutations=99)))
+    assert len(results) == 1, results
+
+
 @pytest.mark.parametrize(
     "shapes,kwargs",
     [
@@ -325,10 +336,17 @@ def test_energy_test_blocked_matrix_equals_one_shot(na, nb, d, shift, subsample)
         (((0, 2), (10, 2)), {}),
         (((10, 2), (0, 2)), {}),
         (((10, 2), (10, 3)), {}),
+        (((10, 2), (10, 2)), {"bad": np.nan}),
+        (((10, 2), (10, 2)), {"bad": np.inf}),
+        (((10, 2), (10, 2)), {"bad": -np.inf}),
     ],
 )
 def test_energy_test_rejects_bad_input_before_any_draw(shapes, kwargs):
     a, b = (np.ones(s) for s in shapes)
+    kwargs = dict(kwargs)
+    if "bad" in kwargs:  # one non-finite coordinate in samples that plainly differ
+        a[3, 1] = kwargs.pop("bad")
+        b += 5.0
     rng = make_stream(13, 0)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="energy test needs"):
@@ -353,28 +371,48 @@ print(dataclasses.astuple(res) == ref, dataclasses.astuple(res), ref)
 """
 
 
-@pytest.mark.parametrize(
-    "na,nb,d,shift",
-    [
-        (256, 256, 2, 0.3),  # 512 pooled: one full panel
-        (287, 288, 1, 0.3),  # 575: a 63-row tail joins the panel before it
-        (288, 288, 3, 0.3),  # 576: a 64-row tail is a panel of its own
-        (260, 260, 1, 0.3),  # 520: an 8-row panel would change the permutation sums
-        (515, 515, 2, 0.3),  # 1,030: likewise with a 6-row tail after two panels
-        (543, 544, 2, 0.3),  # 1,087
-        (544, 544, 1, 0.0),  # 1,088
-    ],
-)
-def test_energy_test_panels_equal_one_shot_at_one_blas_thread(na, nb, d, shift):
-    # the sgemm's summation order follows the BLAS thread count, so the one-shot
-    # oracle is only reproducible at a pinned thread count; the shifted cases end
-    # in the normal tail, whose p-value reads every permutation sum's bits
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _ONE_THREAD_CASE, str(na), str(nb), str(d), str(shift)],
+# pooled sizes 512 to 1,088, on both sides of multiples of 512 and of the 64-row block;
+# the shifted cases end in the normal tail, whose p-value reads every permutation sum's bits
+_BLAS_SHAPES = [(256, 256, 2, 0.3), (287, 288, 1, 0.3), (288, 288, 3, 0.3), (260, 260, 1, 0.3),
+                (515, 515, 2, 0.3), (543, 544, 2, 0.3), (544, 544, 1, 0.0)]
+
+
+def _run_at_blas_threads(threads: int, script: str, *args: str) -> str:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"),
+                                                        os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script, *args],
                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("True "), out.stdout
+    return out.stdout
+
+
+@pytest.mark.parametrize("na,nb,d,shift", _BLAS_SHAPES)
+def test_energy_test_panels_equal_one_shot_at_one_blas_thread(na, nb, d, shift):
+    # each shape, in a fresh process pinned to one BLAS thread, equals the one-shot oracle
+    out = _run_at_blas_threads(1, _ONE_THREAD_CASE, str(na), str(nb), str(d), str(shift))
+    assert out.startswith("True "), out
+
+
+_DIGEST_CASES = """
+import ast, dataclasses, hashlib, sys
+from geoslice.harness import energy_permutation_test
+from geoslice.rng import make_stream
+
+results = []
+for na, nb, d, shift in ast.literal_eval(sys.argv[1]):
+    rng = make_stream(11, na + nb)
+    a = rng.standard_normal((na, d))
+    b = rng.standard_normal((nb, d)) + shift
+    results.append(dataclasses.astuple(energy_permutation_test(a, b, make_stream(12, d), permutations=99)))
+print(hashlib.sha256(repr(results).encode()).hexdigest())
+"""
+
+
+def test_energy_test_same_bits_at_one_and_two_blas_threads():
+    # every sum is of whole grid steps below 2^53, so no BLAS summation order can round it
+    shapes = repr(_BLAS_SHAPES + [(1500, 1500, 2, 0.05)])
+    assert _run_at_blas_threads(1, _DIGEST_CASES, shapes) == _run_at_blas_threads(2, _DIGEST_CASES, shapes)
 
 
 def _energy_test_peak(permutations: int) -> int:
@@ -392,13 +430,13 @@ def _energy_test_peak(permutations: int) -> int:
 
 
 def test_energy_test_peak_memory():
-    # the whole float32 matrix of 3,000 pooled points was 36 MB; a 512-row panel is 6 MB
+    # the whole float64 matrix of 3,000 pooled points would be 72 MB; a 64-row block is 1.5 MB
     peak = _energy_test_peak(20)
     assert peak < 15e6, peak
 
 
 def test_energy_test_peak_memory_at_500_permutations():
-    # g and Z add 12 KB per permutation each: 12 MB at 500
+    # Z is 8 n (B + 1) bytes, 24 KB per permutation: 12 MB at 500, plus one 64-row block
     peak = _energy_test_peak(500)
     assert peak < 30e6, peak
 
@@ -573,7 +611,7 @@ def test_battery_quick_all_pass():
     # every check's config, figures and sub-seed, byte for byte
     fields = [(c.name, c.config, c.observed, c.reference, c.seed, c.details) for c in report.checks]
     digest = hashlib.sha256(repr(fields).encode()).hexdigest()
-    assert digest == "a7c270b5a3c2c1713f8d938cc782594c450bc29c6072821e528b3e4ac66be2dd"
+    assert digest == "013005063bacd2e31df3555ff34ce3e65e24d6b1d778855e7bef43e093909a6d"
 
 
 def test_battery_configs_draw_on_every_seed():
