@@ -215,6 +215,10 @@ def energy_permutation_test(
     order: results are the same bits at any BLAS thread count.  Each distance
     is computed once, in ``ENERGY_BLOCK``-row blocks of the upper triangle;
     the (permutations + 1) x n float64 indicators Z and one block are live.
+    The pooled points are first scaled by the power of two 2^-k that brings
+    max|x| below 1 and the statistic back by 2^k.  That is exact, so on
+    normal-range data nothing moves, and samples at any float scale are
+    tested: no squared distance overflows near 1e160 or underflows near 1e-160.
     """
     from scipy.spatial.distance import cdist
 
@@ -232,6 +236,8 @@ def energy_permutation_test(
         b = b[rng.choice(len(b), subsample, replace=False)]
     na, nb = len(a), len(b)
     pool, n = np.vstack([a, b]), na + nb
+    shift = int(np.frexp(np.abs(pool).max())[1])
+    pool = np.ldexp(pool, -shift)
     # the grid step; 1 when every point coincides and every distance is 0
     q = float(np.hypot.reduce(np.ptp(pool, axis=0))) * n * n / 2.0**53 or 1.0
     z = np.zeros((permutations + 1, n))  # row 0 is the observed split
@@ -260,7 +266,7 @@ def energy_permutation_test(
 
             # normal upper tail; ndtr(-z) is what scipy.stats.norm.sf(z) computes
             p = min(p_perm, float(special.ndtr(-(obs - mu) / sd)))
-    return EnergyTestResult(obs, p, p_perm, na, nb, permutations)
+    return EnergyTestResult(math.ldexp(obs, shift), p, p_perm, na, nb, permutations)
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,26 @@ from .manifolds import Manifold, Sphere, Euclidean, Torus, _finite_positive
 
 def _cap_share(d: int, s: float) -> float:
     """Share of S^d inside a cap of squared half-chord s = sin^2(psi / 2): I_s(d/2, d/2),
-    since sin^2(theta / 2) of a uniform point's angle theta to the pole is Beta(d/2, d/2)."""
+    since sin^2(theta / 2) of a uniform point's angle theta to the pole is Beta(d/2, d/2).
+
+    On S^2 that law is uniform (Archimedes' hat-box theorem: the height of a uniform
+    point is uniform on [-1, 1]), so I_s(1, 1) = s, the same bits as scipy's."""
+    if d == 2:
+        return s
     from scipy import special
 
     return float(special.betainc(d / 2.0, d / 2.0, s))
+
+
+def _cap_share_inv(d: int, u):
+    """The s with ``_cap_share(d, s) = u``, elementwise on an array: the inverse of
+    I_s(d/2, d/2).  On S^2 it is the identity (the hat-box theorem again), the same bits
+    as scipy's betaincinv(1, 1, u)."""
+    if d == 2:
+        return u
+    from scipy import special
+
+    return special.betaincinv(d / 2.0, d / 2.0, u)
 
 
 def log_ball_volume(d: int, log_radius: float) -> float:
@@ -96,13 +112,16 @@ def _orthonormal_frame(pole: np.ndarray, k: int) -> np.ndarray:
 
 
 def _unit_axis(manifold: Sphere, vec) -> np.ndarray:
-    """``vec`` normalised, checked against the sphere's embedding (default: last axis)."""
+    """``vec`` normalised, checked against the sphere's embedding (default: last axis).
+    It is first scaled by the power of two that brings its largest component into
+    [0.5, 1), which is exact, so the norm neither overflows nor underflows."""
     if vec is None:
         return _one_hot(manifold.embedding_dim, manifold.embedding_dim - 1)
     a = np.asarray(vec, dtype=float)
-    if a.shape != (manifold.embedding_dim,) or not np.linalg.norm(a) > 0:
-        raise ValueError(f"axis {a.tolist()} is not a nonzero vector of length "
+    if a.shape != (manifold.embedding_dim,) or not (np.isfinite(a).all() and a.any()):
+        raise ValueError(f"axis {a.tolist()} is not a finite nonzero vector of length "
                          f"{manifold.embedding_dim} for {manifold.spec}")
+    a = np.ldexp(a, -int(np.frexp(np.abs(a).max())[1]))
     return a / np.linalg.norm(a)
 
 
@@ -299,8 +318,6 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
     # below 1e-9, coordinates near a generic pole cannot place the worst start inside the cap
     if not 1e-9 <= colatitude <= math.pi:
         raise ValueError(f"cap colatitude must lie in [1e-9, pi], got {colatitude}")
-    from scipy import special
-
     d = manifold.dim
     pole_arr = _unit_axis(manifold, pole)
     pole_list = pole_arr.tolist()
@@ -319,7 +336,7 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
 
     def sampler(n, rng):
         def batch(k):
-            s_draw = special.betaincinv(d / 2.0, d / 2.0, rng.random(k) * s_max)
+            s_draw = _cap_share_inv(d, rng.random(k) * s_max)
             cos_t, sin_t = 1.0 - 2.0 * s_draw, 2.0 * np.sqrt(s_draw * (1.0 - s_draw))
             x = cos_t[:, None] * pole_arr + sin_t[:, None] * _unit_orthogonal(pole_arr, k, rng)
             return x[density_batch(x) > 0]  # a draw can round onto the rim

@@ -428,6 +428,23 @@ def test_cap_too_small_for_its_density_is_a_usage_error(capsys):
     assert (code, out) == (2, "") and "cap colatitude must lie in [1e-9, pi], got 9e-10" in err
 
 
+@pytest.mark.parametrize("spec,code,word", [
+    ("vmf:sphere:2:kappa=1:mu=1e308,1e308,0", 0, "mu=0.7071067811865475,0.7071067811865475,0.0"),
+    ("cap:sphere:2:psi=1:pole=1e-320,0,0", 0, "pole=1.0,0.0,0.0"),
+    ("cap:sphere:2:psi=1:pole=inf,0,1", 2, "axis [inf, 0.0, 1.0] is not a finite nonzero vector"),
+], ids=["mu-1e308", "pole-1e-320", "pole-inf"])
+def test_axes_at_any_float_scale_and_non_finite_axes(spec, code, word, capsys):
+    # the first sampled a uniform density (its mu overflowed to 0), the second was refused as
+    # zero, and the third failed with an index error
+    got, out, err = run_cli(["sample", "--target", spec, "--m", "1", "--w", "1", "--steps", "2", "--seed", "1"],
+                            capsys)
+    assert got == code, err
+    if code == 0:
+        assert word in json.loads(out.splitlines()[0])["geoslice_chain"]["target"]
+    else:
+        assert out == "" and err.startswith("geoslice: error:") and word in err
+
+
 @pytest.mark.parametrize("spec", ["cap:sphere:40:psi=1e-9", "cap:sphere:300:psi=0.001"])
 def test_cap_whose_share_underflows_is_a_usage_error(spec, capsys):
     # its area underflowed to 0 and every exact draw was the pole, so invariance failed a correct kernel

@@ -327,6 +327,31 @@ def test_energy_test_bits_do_not_depend_on_the_block_size(monkeypatch):
     assert len(results) == 1, results
 
 
+@pytest.mark.parametrize("scale,shift", [(1e160, 5e160), (1e-310, 1e-309)], ids=["1e160", "1e-310"])
+def test_energy_test_sees_a_shift_at_any_float_scale(scale, shift):
+    # cdist's squares overflowed (statistic nan, which passed) or underflowed (every distance 0, p = 1)
+    rng = make_stream(15, 0)
+    a = rng.standard_normal((200, 2)) * scale
+    b = rng.standard_normal((200, 2)) * scale + shift
+    res = energy_permutation_test(a, b, make_stream(15, 1))
+    assert math.isfinite(res.statistic) and res.statistic > 0 and res.p_value < 0.01
+
+
+def test_energy_test_is_equivariant_under_powers_of_two():
+    rng = make_stream(16, 0)
+    a = rng.uniform(1.0, 2.0, (150, 2))
+    b = rng.uniform(1.0, 2.0, (140, 2)) + 0.1
+    ref = energy_permutation_test(a, b, make_stream(16, 1), permutations=99)
+    for j in (-1020, -1000, -37, 1, 500, 1000):
+        res = energy_permutation_test(np.ldexp(a, j), np.ldexp(b, j), make_stream(16, 1), permutations=99)
+        assert (res.p_value, res.p_permutation) == (ref.p_value, ref.p_permutation), j
+        scaled = math.ldexp(ref.statistic, j)
+        if sys.float_info.min <= scaled <= sys.float_info.max:
+            assert res.statistic == scaled, j
+        else:  # at j = -1020 the statistic is subnormal
+            assert res.statistic == pytest.approx(scaled, rel=1e-6, abs=0.0), j
+
+
 @pytest.mark.parametrize(
     "shapes,kwargs",
     [

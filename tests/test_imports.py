@@ -5,7 +5,10 @@ Importing geoslice loads numpy only.  No src/ module imports scipy at module
 level: each function that calls scipy.special or scipy.spatial imports it
 in its own body, so a process loads only the scipy modules it calls.  A vMF
 or uniform chain loads none, and neither does a verify on the disk, whose
-bin masses come from a numpy Gauss-Legendre rule.  No src/ function imports
+bin masses come from a numpy Gauss-Legendre rule, nor any sample, bounds or
+verify on an S^2 cap, nor bounds on an S^2 vMF: on S^2 a cap's share and its
+inverse are the identity.  One table test pins which scipy subpackages each
+of these workflows loads.  No src/ function imports
 scipy.integrate: every bin mass comes from the target preset.  A test pins
 which src/ function imports which scipy module, the list the README gives.
 src/ never imports scipy.stats at all, whose import costs about a third of
@@ -176,41 +179,79 @@ def test_check_flags_a_module_level_scipy_import():
 
 
 def _scipy_modules_loaded_after(code: str) -> str:
-    """Run ``code`` in a fresh interpreter and return the scipy modules it loaded."""
+    """Run ``code`` in a fresh interpreter and return the scipy modules it loaded
+    (the last line it prints)."""
     code += "\nimport sys\nprint(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True, check=True)
-    return out.stdout.strip()
+    return out.stdout.strip().splitlines()[-1]
 
 
-def test_importing_geoslice_leaves_scipy_unloaded():
-    assert _scipy_modules_loaded_after("import geoslice, geoslice.cli") == "[]"
+_HEMISPHERE = "cap:sphere:2:psi=1.5707963267948966"
 
-
-def test_vmf_chain_loads_no_scipy():
-    code = (
+# workflow -> the scipy subpackages it loads.  The S^2 cap and vMF need none:
+# on S^2 a cap's share I_s(1, 1) and its inverse are the identity.  The S^3
+# cap is the other side of that branch.
+_WORKFLOW_SCIPY = {
+    "import": ("import geoslice, geoslice.cli", []),
+    "vmf-chain": (
         "from geoslice import kernel, targets\n"
         "from geoslice.manifolds import Point\n"
         "from geoslice.rng import make_stream\n"
         "t = targets.from_spec('vmf:sphere:2:kappa=2.0')\n"
         "x0 = Point(targets.reference_samples(t, 1, make_stream(1, 7))[0])\n"
-        "assert len(kernel.run_chain(x0, 100, kernel.GssConfig(t, w=1.0, m=1, seed=1)).states) == 100"
-    )
-    assert _scipy_modules_loaded_after(code) == "[]"
-
-
-def test_disk_verify_loads_no_scipy():
-    # the disk's bin masses come from a numpy Gauss-Legendre rule and its
-    # certificate is analytic, so the whole verify runs on numpy
-    code = (
+        "assert len(kernel.run_chain(x0, 100, kernel.GssConfig(t, w=1.0, m=1, seed=1)).states) == 100",
+        [],
+    ),
+    # the disk's bin masses come from a numpy Gauss-Legendre rule and its certificate is analytic
+    "disk-verify": (
         "import math\n"
         "from geoslice import harness, kernel, targets\n"
         "t = targets.from_spec('convex-uniform:ball:2:r=1.0')\n"
         "cfg = kernel.GssConfig(t, w=1.0, m=math.inf, seed=3)\n"
         "curve = harness.verify_uniform_ergodicity(t, cfg, harness.worst_start(t), [1], 1000)\n"
-        "assert len(curve.points) == 1"
-    )
-    assert _scipy_modules_loaded_after(code) == "[]"
+        "assert len(curve.points) == 1",
+        [],
+    ),
+    "s2-cap-verify": (
+        "import math\n"
+        "from geoslice import harness, kernel, targets\n"
+        f"t = targets.from_spec({_HEMISPHERE!r})\n"
+        "cfg = kernel.GssConfig(t, w=2.0 * math.pi, m=1, seed=3)\n"
+        "curve = harness.verify_uniform_ergodicity(t, cfg, harness.worst_start(t), [1], 1000,\n"
+        "                                          threads=1, epsilon_mode='corollary')\n"
+        "assert curve.certified and len(curve.points) == 1",
+        [],
+    ),
+    "s2-cap-bounds": (
+        f"from geoslice import cli\nassert cli.main(['bounds', '--target', {_HEMISPHERE!r}]) == 0",
+        [],
+    ),
+    "s2-vmf-bounds": (
+        "from geoslice import cli\nassert cli.main(['bounds', '--target', 'vmf:sphere:2:kappa=2.0']) == 0",
+        [],
+    ),
+    # its probes start from exact draws of the cap
+    "s2-cap-monte-carlo": (
+        "from geoslice import bounds, targets\n"
+        "from geoslice.rng import make_stream\n"
+        f"t = targets.from_spec({_HEMISPHERE!r})\n"
+        "r = bounds.full_report(t, 4, 1.0, 'monte-carlo', rng=make_stream(3, 0), mc_probes=2, mc_runs=50)\n"
+        "assert r.epsilon > 0",
+        [],
+    ),
+    "s3-cap-bounds": (
+        "from geoslice import cli\nassert cli.main(['bounds', '--target', 'cap:sphere:3:psi=1.0']) == 0",
+        ["scipy.special"],
+    ),
+}
+
+
+@pytest.mark.parametrize("code,expected", _WORKFLOW_SCIPY.values(), ids=_WORKFLOW_SCIPY.keys())
+def test_scipy_modules_a_workflow_loads(code, expected):
+    loaded = ast.literal_eval(_scipy_modules_loaded_after(code))
+    assert bool(loaded) == bool(expected), loaded
+    assert sorted({m for m in loaded if re.fullmatch(r"scipy\.[a-z]+", m)} - {"scipy.version"}) == expected
 
 
 def test_ball_gauss_binning_loads_no_scipy_integrate():
@@ -256,7 +297,7 @@ def test_scipy_users_in_src_are_the_ones_the_readme_lists():
     trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in SRC}
     assert _scipy_users(trees) == _readme_scipy_users() == {
         "targets._cap_share": ["scipy.special"],
-        "targets.cap_target": ["scipy.special"],
+        "targets._cap_share_inv": ["scipy.special"],
         "targets.ball_gaussian_target": ["scipy.special"],
         "harness.energy_distance": ["scipy.spatial.distance"],
         "harness.energy_permutation_test": ["scipy.spatial.distance", "scipy.special"],

@@ -252,6 +252,56 @@ def test_cap_sampler_draws_lie_in_the_cap(d, psi, monkeypatch):
         assert stats.kstest(special.betainc(d / 2.0, d / 2.0, s) / s_max, "uniform").pvalue > 0.001
 
 
+# 0, the share at psi = 1e-9, 1/2, 1, and shares spread over (0, 1) and over its decades
+_SHARES = np.concatenate([[0.0, math.sin(0.5e-9) ** 2, 2.5e-19, 0.5, 1.0],
+                          make_stream(77, 0).random(10_000), 10.0 ** np.linspace(-320.0, 0.0, 3201)])
+
+
+def test_s2_cap_share_and_its_inverse_are_scipys_bit_for_bit():
+    # Archimedes' hat-box theorem: I_s(1, 1) = s, which scipy rounds to s itself
+    assert [targets._cap_share(2, s) for s in _SHARES.tolist()] == special.betainc(1.0, 1.0, _SHARES).tolist()
+    assert targets._cap_share_inv(2, _SHARES).tobytes() == special.betaincinv(1.0, 1.0, _SHARES).tobytes()
+
+
+@pytest.mark.parametrize("psi", [1e-9, math.pi / 2, 2.5], ids=["1e-9", "half-pi", "2.5"])
+def test_s2_cap_draws_equal_the_scipy_path_draws(psi, monkeypatch):
+    generic = make_stream(71, 2).standard_normal(3)
+    pole = generic / np.linalg.norm(generic)
+
+    def draws():
+        return reference_samples(cap_target(Sphere(2), psi, pole), 10_000, make_stream(78, 0)).tobytes()
+
+    closed_form = draws()
+    monkeypatch.setattr(targets, "_cap_share", lambda d, s: float(special.betainc(d / 2.0, d / 2.0, s)))
+    monkeypatch.setattr(targets, "_cap_share_inv", lambda d, u: special.betaincinv(d / 2.0, d / 2.0, u))
+    assert draws() == closed_form
+
+
+@pytest.mark.parametrize("spec,axis", [
+    # the norm of (1e308, 1e308, 0) overflowed, and mu became 0: a uniform density
+    ("vmf:sphere:2:kappa=1:mu=1e308,1e308,0", [math.sqrt(0.5), math.sqrt(0.5), 0.0]),
+    # the norm of a subnormal axis underflowed to 0, and the axis was refused
+    ("cap:sphere:2:psi=1.0:pole=1e-320,0,0", [1.0, 0.0, 0.0]),
+], ids=["mu-1e308", "pole-1e-320"])
+def test_axes_are_normalised_at_any_float_scale(spec, axis):
+    t = targets.from_spec(spec)
+    got = t.params["mean" if spec.startswith("vmf") else "pole"]
+    assert np.allclose(got, axis, rtol=0.0, atol=2e-16)
+
+
+def test_normal_range_axes_keep_their_bits():
+    # the power-of-two scaling before the norm is exact
+    for k, scale in enumerate([1e-150, 1e-3, 1.0, 7.0, 1e150]):
+        a = make_stream(79, k).standard_normal(4) * scale
+        assert targets._unit_axis(Sphere(3), a).tobytes() == (a / np.linalg.norm(a)).tobytes()
+
+
+@pytest.mark.parametrize("pole", ["inf,0,1", "nan,0,1", "0,0,0", "1,0"])
+def test_non_finite_zero_or_misshapen_axes_are_refused(pole):
+    with pytest.raises(ValueError, match=r"axis \[.*\] is not a finite nonzero vector of length 3"):
+        targets.from_spec(f"cap:sphere:2:psi=1.0:pole={pole}")
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 10], ids=["S1", "S2", "S3", "S10"])
 @pytest.mark.parametrize("kappa", [1e-3, 2.0, 50.0], ids=["1e-3", "2", "50"])
 def test_vmf_sampler_draws_lie_on_the_sphere(d, kappa):
