@@ -65,25 +65,11 @@ def log_volume_comparison_factor(ricci_lower: float, diam_w: float, dim: int) ->
     return (1 - dim) / 2.0 * math.log(-z) + (dim - 1) * (x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0))
 
 
-def covering_epsilon(diam_w: float, max_gap: float, m: float, w: float) -> float:
-    """Certified stepping-out covering probability from support geometry alone.
-
-    Instantiates the covering lower bound with the support diameter in place
-    of the section length and the worst section gap in place of the local gap
-    mass:
-
-        epsilon = 1 - diam(W) / (m w) * [m finite] - gap / w * [m >= 2]
-
-    Applicable when diam(W)/m * [m finite] < w - gap * [m >= 2].
-    """
-    return slice1d.covering_bound(diam_w, 0.0, max_gap, m, w)
-
-
-def _lambda_eff(m: float, w: float, lam: float, error=ValueError) -> float:
-    """min(m w, lambda), which divides epsilon in rho; raises ``error`` unless positive and finite."""
+def _lambda_eff(m: float, w: float, lam: float) -> float:
+    """min(m w, lambda), which divides epsilon in rho; ApplicabilityError unless positive and finite."""
     lam_eff = min(m * w, lam)
     if not (lam_eff > 0 and math.isfinite(lam_eff)):
-        raise error(
+        raise ApplicabilityError(
             f"min(m w, lambda) must be positive and finite, got {lam_eff}; "
             "infinite m needs finite lambda"
         )
@@ -138,8 +124,7 @@ def hyperparameter_gain(m: float, w: float, diam_w: float, max_gap: float, lam: 
     rho decreases linearly in q, so maximising q gives the fastest certified
     convergence for fixed target geometry.
     """
-    eps = covering_epsilon(diam_w, max_gap, m, w)
-    return eps / _lambda_eff(m, w, lam, ApplicabilityError)
+    return slice1d.covering_bound(diam_w, max_gap, m, w) / _lambda_eff(m, w, lam)
 
 
 @dataclass(frozen=True)
@@ -349,13 +334,25 @@ class BoundsReport:
         return d
 
 
+def _corollary_epsilon(target: Target, m: float, w: float) -> float:
+    """The covering bound with the support diameter as the section length and the
+    worst section gap as the gap mass; the gap term vanishes at m = 1, so only
+    m >= 2 needs the target's max_gap."""
+    if target.max_gap is None and m >= 2:
+        raise ApplicabilityError("corollary epsilon needs the section-gap constant; supply the target's "
+                                 "max_gap, use m = 1, or use monte-carlo mode")
+    return slice1d.covering_bound(target.diam_w, target.max_gap or 0.0, m, w)
+
+
 def _epsilon(target: Target, m: float, w: float, mode: str, rng: Optional[np.random.Generator],
              probes: int, runs: int):
-    """The covering probability of one epsilon mode: (epsilon, SE or None, provenance, proved)."""
+    """The covering probability of one epsilon mode: (epsilon, SE or None, provenance, proved).
+
+    The corollary needs the target's max_gap only at m >= 2 (``_corollary_epsilon``)."""
     if mode in ("auto", "analytic"):
-        if isinstance(target.manifold, Sphere) and m == 1 and abs(w - _TWO_PI) <= 1e-9 * _TWO_PI:
-            # A width-2*pi interval wraps the whole great circle, so the geodesic
-            # section is always swallowed up to periodicity.
+        if isinstance(target.manifold, Sphere) and w >= _TWO_PI:
+            # Stepping-out only widens its first window (-U, -U + w), which wraps the
+            # great circle at w >= 2*pi: the section is swallowed at any m.
             return 1.0, None, "analytic: full-winding interval on the sphere", True
         if math.isinf(m) and target.max_gap == 0.0 and math.isfinite(target.lambda_value):
             # The corollary formula at gap 0 and m = inf, which is exactly 1; kept
@@ -374,13 +371,7 @@ def _epsilon(target: Target, m: float, w: float, mode: str, rng: Optional[np.ran
         if eps <= 0.0:
             raise ValueError("estimated covering probability is zero; bound vacuous")
         return eps, se, "monte-carlo infimum over probes (statistical, optimistic)", False
-    if target.max_gap is None and m >= 2:  # the gap term vanishes at m = 1
-        raise ApplicabilityError(
-            "corollary epsilon needs the section-gap constant; supply the target's "
-            "max_gap, use m = 1, or use monte-carlo mode"
-        )
-    eps = covering_epsilon(target.diam_w, target.max_gap or 0.0, m, w)
-    return eps, None, "corollary formula", True
+    return _corollary_epsilon(target, m, w), None, "corollary formula", True
 
 
 def full_report(
@@ -410,11 +401,9 @@ def full_report(
     eps, eps_se, eps_source, proved = _epsilon(target, m, w, epsilon_mode, rng, mc_probes, mc_runs)
     gap = log_gap(eps, m, w, target.lambda_value, log_kappa, log_omega, log_sup_tl, target.p_max)
     delta = target.max_gap
+    lam_eff = _lambda_eff(m, w, target.lambda_value)
     try:
-        if delta is None and m >= 2:
-            raise ApplicabilityError("section gap unknown")
-        q = hyperparameter_gain(m, w, target.diam_w, delta or 0.0, target.lambda_value)
-        q_note = "corollary formula"
+        q, q_note = _corollary_epsilon(target, m, w) / lam_eff, "corollary formula"
     except ApplicabilityError as e:
         q, q_note = None, f"inapplicable: {e}"
     level = target.level_set_analytic
@@ -422,7 +411,7 @@ def full_report(
         ("diam_W", target.diam_w, "target metadata"),
         ("delta", delta, "not supplied" if delta is None else "target metadata"),
         ("lambda", target.lambda_value, "target metadata"),
-        ("lambda_eff", _lambda_eff(m, w, target.lambda_value), "min(m*w, lambda)"),
+        ("lambda_eff", lam_eff, "min(m*w, lambda)"),
         ("zeta", info.ricci_lower, "manifold metadata"),
         ("log_kappa", log_kappa, "volume comparison"),
         ("log_omega_dm1", log_omega, "unit sphere area"),

@@ -243,7 +243,7 @@ def _cmd_bounds(cfg: argparse.Namespace) -> int:
     rng = make_stream(cfg.seed, bounds.EPSILON_STREAM) if cfg.epsilon_mode == "monte-carlo" else None
     try:
         report = bounds.full_report(target, cfg.m, cfg.w, cfg.epsilon_mode, rng=rng)
-    except (bounds.ApplicabilityError, ValueError) as e:
+    except ValueError as e:  # ApplicabilityError included
         raise UsageError(str(e)) from None
     header = _header_lines(cfg)
     for line in header + report.lines():

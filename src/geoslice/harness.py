@@ -493,7 +493,7 @@ def _covering_bound_from_zero(ivs, m, w) -> float:
     pieces = [(max(a, 0.0), b) for a, b in ivs if b > 0.0]
     b_sup = max(hi for _, hi in pieces)
     gap = b_sup - sum(hi - lo for lo, hi in pieces)
-    return slice1d.covering_bound(b_sup, 0.0, gap, m, w)
+    return slice1d.covering_bound(b_sup, gap, m, w)
 
 
 def _draw_covering(rng):

@@ -115,32 +115,31 @@ def stepping_out(oracle: Oracle, params: StepOutParams, rng: np.random.Generator
     return Interval(lo, hi, tau - 1, tee - 1)
 
 
-def covering_bound(b: float, theta: float, delta: float, m: float, w: float) -> float:
-    """Guaranteed probability that the interval from theta swallows S up to b.
+def covering_bound(b: float, delta: float, m: float, w: float) -> float:
+    """Guaranteed probability that the stepping-out interval from 0 swallows S up to b.
 
-    For a level set S with sup S cap [theta, C) = b and gap mass
-    delta = Leb([theta, b) \\ S), the stepping-out interval contains
-    [theta, C) cap S with probability at least
+    For a level set S with sup S cap [0, C) = b and gap mass delta = Leb([0, b) \\ S),
+    the interval contains [0, C) cap S with probability at least
 
-        1 - (b - theta)/(m w) * [m finite] - delta / w * [m >= 2].
+        1 - b/(m w) * [m finite] - delta / w * [m >= 2],
 
-    Raises ApplicabilityError when the arguments violate the bound's premise
-    (b - theta)/m * [m finite] < w - delta * [m >= 2].
+    so delta matters only at m >= 2.  Raises ApplicabilityError when the arguments
+    violate the bound's premise b/m * [m finite] < w - delta * [m >= 2].
     """
-    if not b > theta:
-        raise ApplicabilityError(f"need b > theta, got b={b}, theta={theta}")
+    if not b > 0.0:
+        raise ApplicabilityError(f"need b > 0, got b={b}")
     if delta < 0:
         raise ApplicabilityError(f"gap mass must be nonnegative, got {delta}")
     m_fin = not math.isinf(m)
-    lhs = (b - theta) / m if m_fin else 0.0
+    lhs = b / m if m_fin else 0.0
     rhs = w - (delta if m >= 2 else 0.0)
     if not lhs < rhs:
         raise ApplicabilityError(
-            f"covering bound inapplicable: (b-theta)/m = {lhs} must be < w - delta*[m>=2] = {rhs}"
+            f"covering bound inapplicable: b/m = {lhs} must be < w - delta*[m>=2] = {rhs}"
         )
     val = 1.0
     if m_fin:
-        val -= (b - theta) / (m * w)
+        val -= b / (m * w)
     if m >= 2:
         val -= delta / w
     return val

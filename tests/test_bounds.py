@@ -12,7 +12,6 @@ from geoslice import targets
 from geoslice.bounds import (
     EPSILON_MODES,
     ApplicabilityError,
-    covering_epsilon,
     full_report,
     hit_and_run_rate,
     hyperparameter_gain,
@@ -60,22 +59,6 @@ def test_comparison_factor_negative_curvature():
 def test_comparison_factor_dimension_one_is_unity():
     for z in (-3.0, 0.0, 2.5):
         assert log_volume_comparison_factor(z, 1.3, 1) == 0.0
-
-
-# -- covering epsilon ----------------------------------------------------------
-
-def test_covering_epsilon_sphere_case():
-    assert covering_epsilon(math.pi, 0.0, 1, TWO_PI) == pytest.approx(0.5)
-
-
-def test_covering_epsilon_unbounded_budget_no_gap():
-    assert covering_epsilon(1.7, 0.0, math.inf, 0.9) == 1.0
-
-
-def test_covering_epsilon_with_gap():
-    assert covering_epsilon(0.5, 0.1, 2, 1.0) == pytest.approx(0.65)
-    with pytest.raises(ApplicabilityError):
-        covering_epsilon(3.0, 0.0, 1, 2.0)
 
 
 # -- convergence rate ----------------------------------------------------------
@@ -432,8 +415,13 @@ def test_report_bytes_golden():
     # sup_t_level became log_kappa, log_omega_dm1 and log_sup_t_level (rows, JSON keys
     # and the provenance key), a log_gap line and key came in, and rho moved by at most
     # one ulp (S^1 at m = 4, w = 1 and the hemisphere at w = 2 pi); the vMF's and ball-Gaussian's rhos kept
-    # their bits, and every error text is unchanged.
-    assert _grid_digest() == "9f7b27f7e72f7273adee436f475375ea18c7f73bbd3ed5ae82aaf82df28d5b1e"
+    # their bits, and every error text is unchanged.  Then 14 lines of text moved when the
+    # covering bound lost its theta and the missing-gap rule was stated once, every number
+    # keeping its bits: the 8 refusals of an infinite min(m w, lambda) became
+    # ApplicabilityError (was ValueError), 4 covering refusals read "b/m" (was "(b-theta)/m"),
+    # and the 2 q notes of the gapless custom disk's Monte-Carlo reports (m = inf and m = 4)
+    # give the corollary's missing-gap message (was "section gap unknown").
+    assert _grid_digest() == "b4bf0adbffcd3be517a0e10183094576cc5578f405cfe521a2a51902e49b00fb"
 
 
 def test_certified_iff_epsilon_proved_and_level_set_analytic():
@@ -471,14 +459,32 @@ def test_certified_iff_epsilon_proved_and_level_set_analytic():
 
 def test_unknown_gap_is_needed_only_at_m_at_least_2():
     t = _without_gap("uniform:sphere:2")
-    for mode in ("auto", "corollary"):
-        rep = full_report(t, 1, 7.0, mode)
-        assert rep.epsilon == pytest.approx(1.0 - math.pi / 7.0) and rep.certified
+    for mode in ("auto", "corollary"):  # w < 2 pi, so auto takes the corollary too
+        rep = full_report(t, 1, 5.0, mode)
+        assert rep.epsilon == pytest.approx(1.0 - math.pi / 5.0) and rep.certified
         assert "delta = n/a [not supplied]" in rep.lines()
-    with pytest.raises(ApplicabilityError, match="section-gap constant; supply the target's max_gap"):
+    missing = ("corollary epsilon needs the section-gap constant; supply the target's max_gap, "
+               "use m = 1, or use monte-carlo mode")
+    with pytest.raises(ApplicabilityError, match=f"^{missing}$"):
         full_report(t, 3, 2.0, "corollary")
     rep = full_report(t, 3, 2.0, "monte-carlo", rng=make_stream(61, 0), mc_probes=2, mc_runs=50)
-    assert rep.q is None and "q = n/a [inapplicable: section gap unknown]" in rep.lines()
+    assert rep.q is None and f"q = n/a [inapplicable: {missing}]" in rep.lines()
+
+
+def test_full_winding_means_w_at_least_2_pi_at_any_m():
+    # stepping-out only widens its first window (-U, -U + w), so every w >= 2 pi wraps
+    # the great circle at any m, and no w below 2 pi does
+    hemisphere = targets.from_spec("cap:sphere:2:psi=1.5707963267948966")
+    for m, w, rho, source in [
+        (1, 6.283185307, 0.9204225284540524, "corollary formula"),
+        (1, 7.0, 0.8571428571428572, "analytic: full-winding interval on the sphere"),
+        (2, TWO_PI, 0.9204225284540524, "analytic: full-winding interval on the sphere"),
+        (1, TWO_PI, 0.8408450569081046, "analytic: full-winding interval on the sphere"),
+    ]:
+        rep = full_report(hemisphere, m, w, "auto")
+        assert (rep.rho, rep.row("epsilon")[1], rep.certified) == (rho, source, True), (m, w)
+    with pytest.raises(ApplicabilityError, match="no analytic covering probability"):
+        full_report(hemisphere, 1, 6.283185307, "analytic")
 
 
 def test_custom_step_level_set_gets_the_exact_sup():

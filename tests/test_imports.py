@@ -1,5 +1,8 @@
 """No module under src/, tests/ or scripts/ imports a name it never uses, and
-no private top-level name in src/ is left without a reader.
+no private top-level name in src/ is left without a reader.  Every module
+that tests/ and scripts/ import is in the standard library, is geoslice or a
+sibling test module, or is declared in pyproject.toml's dependencies or its
+``test`` extra, so ``pip install -e ".[test]"`` can collect the whole suite.
 
 Importing geoslice loads numpy only.  No src/ module imports scipy at module
 level: each function that calls scipy.special or scipy.spatial imports it
@@ -59,6 +62,49 @@ def test_no_unused_imports(path):
 def test_check_flags_an_unused_import():
     tree = ast.parse("import os.path\nimport sys\nfrom math import pi as p, tau\nsys.exit(tau)\n")
     assert _unused_imports(tree) == [(1, "os"), (3, "p")]
+
+
+def _undeclared_imports(tree: ast.Module, allowed: set) -> list:
+    """(line, top-level module) of each absolute import, function-local ones included,
+    whose module is neither in the standard library nor in ``allowed``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            mods = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m.split(".")[0]) for m in mods]
+    return sorted((line, m) for line, m in found if m not in sys.stdlib_module_names and m not in allowed)
+
+
+def _declared_modules() -> set:
+    """The packages pyproject.toml declares in [project] dependencies and the test extra,
+    as module names."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    reqs = project["dependencies"] + project["optional-dependencies"]["test"]
+    return {re.match(r"[\w.-]+", r).group().lower().replace("-", "_") for r in reqs}
+
+
+def test_every_third_party_import_of_tests_and_scripts_is_declared():
+    # a clean `pip install -e ".[test]"` must be able to collect every test module
+    siblings = {p.stem for p in (ROOT / "tests").glob("*.py")}
+    allowed = {"geoslice"} | siblings | _declared_modules()
+    for path in FILES:
+        if path.is_relative_to(ROOT / "src"):
+            continue
+        assert _undeclared_imports(ast.parse(path.read_text(), str(path)), allowed) == [], path
+
+
+def test_check_flags_an_undeclared_import():
+    tree = ast.parse(
+        "import os.path, mpmath\nfrom geoslice import bounds\nimport oracles\n"
+        "def f():\n    from yaml.loader import Loader\n    import numpy.linalg\n"
+        "from . import helpers\n"
+    )
+    assert _undeclared_imports(tree, {"geoslice", "oracles", "numpy"}) == [(1, "mpmath"), (5, "yaml")]
 
 
 def _unused_private(trees: dict) -> list:

@@ -80,20 +80,21 @@ def test_expansion_cap_error(monkeypatch):
 
 
 def test_covering_bound_values():
-    assert covering_bound(1.0, 0.0, 0.0, math.inf, 0.7) == 1.0
-    assert covering_bound(math.pi, 0.0, 0.0, 1, TWO_PI) == pytest.approx(0.5)
-    assert covering_bound(1.0, 0.0, 0.2, 3, 1.0) == pytest.approx(1 - 1 / 3 - 0.2)
+    assert covering_bound(1.0, 0.0, math.inf, 0.7) == 1.0
+    assert covering_bound(math.pi, 0.0, 1, TWO_PI) == pytest.approx(0.5)
+    assert covering_bound(1.0, 0.2, 3, 1.0) == pytest.approx(1 - 1 / 3 - 0.2)
+    assert covering_bound(0.5, 0.1, 2, 1.0) == pytest.approx(0.65)
     # m = 1 ignores the gap term entirely
-    assert covering_bound(1.0, 0.0, 0.9, 1, 1.5) == pytest.approx(1 - 1 / 1.5)
+    assert covering_bound(1.0, 0.9, 1, 1.5) == pytest.approx(1 - 1 / 1.5)
 
 
 def test_covering_bound_applicability():
+    with pytest.raises(ApplicabilityError, match=r"b/m = 2\.0 must be < w - delta\*\[m>=2\] = 1\.0$"):
+        covering_bound(2.0, 0.0, 1, 1.0)  # needs b < m w
     with pytest.raises(ApplicabilityError):
-        covering_bound(2.0, 0.0, 0.0, 1, 1.0)  # needs b - theta < m w
+        covering_bound(1.0, 0.8, 3, 1.0)  # gap eats the width
     with pytest.raises(ApplicabilityError):
-        covering_bound(1.0, 0.0, 0.8, 3, 1.0)  # gap eats the width
-    with pytest.raises(ApplicabilityError):
-        covering_bound(0.0, 0.0, 0.0, 1, 1.0)  # b must exceed theta
+        covering_bound(0.0, 0.0, 1, 1.0)  # b must be positive
 
 
 def test_estimate_covering_connected_is_one():
@@ -119,7 +120,7 @@ def test_estimate_covering_two_gap_set_matches_oracle_and_bound():
     rng = make_stream(7, 0)
     params = StepOutParams(1.0, 3)
     est, se = estimate_covering_probability(ivs, 0.0, math.inf, params, 200_000, rng)
-    bound = covering_bound(1.0, 0.0, 0.2, 3, 1.0)
+    bound = covering_bound(1.0, 0.2, 3, 1.0)
     assert bound == pytest.approx(0.4666666666666667)
     assert est >= bound - 3 * se
     exact = oracles.exact_covering_probability(ivs, 0.0, math.inf, 3, 1.0)
