@@ -231,15 +231,16 @@ def estimate_epsilon(
 ):
     """Statistical lower envelope of the covering probability over random probes.
 
-    Each probe scans a random geodesic section at ``targets.SCAN_GRID``
-    steps (``targets.scan_section``), draws a level, locates the supremum of the
-    superlevel section within the scan, and counts stepping-out draws
-    whose interval clears it.  Returns (min over probes of the per-probe
-    estimate, standard error at the argmin).  An infimum over an uncountable
+    Each probe scans a random geodesic section at ``targets.SCAN_GRID`` steps
+    (``targets.scan_section``), draws a level, locates the supremum of the superlevel
+    section within the scan, and counts the covering draws with ``slice1d.covering_share``
+    (on a sphere, a window at least 2 pi wide covers).  Returns (min over probes of the
+    per-probe estimate, standard error at the argmin).  An infimum over an uncountable
     family cannot be certified this way: treat the result as optimistic.
     """
     man = target.manifold
     params = slice1d.StepOutParams(w, m)
+    period = _TWO_PI if isinstance(man, Sphere) else math.inf
     best = (math.inf, 0.0)
     for _ in range(n_probes):
         xa, va, thetas, dens = targets.scan_section(target, rng, targets.SCAN_GRID)
@@ -247,19 +248,9 @@ def estimate_epsilon(
         hits = np.nonzero(dens > level)[0]
         if len(hits) == 0:
             continue
-        b = float(thetas[hits[-1]])
-
-        def oracle(s: float) -> bool:
-            return float(target.density(man.exp_array(xa, va, s))) > level
-
-        covered = 0
-        for _ in range(runs_per_probe):
-            itv = slice1d.stepping_out(oracle, params, rng)
-            if itv.hi > b:
-                covered += 1
-        p = covered / runs_per_probe
-        if p < best[0]:
-            best = (p, math.sqrt(max(p * (1.0 - p), 1e-300) / runs_per_probe))
+        oracle = lambda s: float(target.density(man.exp_array(xa, va, s))) > level
+        share = slice1d.covering_share(oracle, float(thetas[hits[-1]]), params, runs_per_probe, rng, period)
+        best = min(best, share, key=lambda ps: ps[0])
     if not math.isfinite(best[0]):
         raise RuntimeError("all probes produced empty sections; target metadata wrong?")
     return best

@@ -466,16 +466,16 @@ class BatteryReport:
             )
 
 
-def _random_interval_set(rng, contains: float = 0.0):
-    """2-4 disjoint open intervals around ``contains``, one of them covering it."""
+def _random_interval_set(rng):
+    """2-4 disjoint open intervals around 0, one of them covering it."""
     k = int(rng.integers(2, 5))
     edges = np.sort(rng.uniform(-3.0, 3.0, size=2 * k))
     ivs = [(float(edges[2 * i]), float(edges[2 * i + 1])) for i in range(k)]
-    if not slice1d.set_contains(ivs, contains):
-        # stretch the nearest interval over the required point
-        j = int(np.argmin([min(abs(a - contains), abs(b - contains)) for a, b in ivs]))
+    if not slice1d.set_contains(ivs, 0.0):
+        # stretch the nearest interval over 0
+        j = int(np.argmin([min(abs(a), abs(b)) for a, b in ivs]))
         a, b = ivs[j]
-        ivs[j] = (min(a, contains - 0.05), max(b, contains + 0.05))
+        ivs[j] = (min(a, -0.05), max(b, 0.05))
         ivs = sorted(ivs)
         merged = [ivs[0]]
         for a, b in ivs[1:]:
@@ -583,6 +583,28 @@ def _check_interchange(cfg, rng, sub, quick):
     return abs(p1 - p2) <= 3.0 * se, p1 - p2, 0.0, {"p1": p1, "p2": p2, "se": se, "n": n}
 
 
+def _limit_samples(cfg, rng, quick):
+    """Stepping-out rows at m = inf, then at each finite budget, all from one stream."""
+    ivs, w, budgets = cfg
+    n = 1_000 if quick else 2_000
+    ref = slice1d.sample_intervals(ivs, 0.0, StepOutParams(w, math.inf), n, rng)
+    return ref, {m: slice1d.sample_intervals(ivs, 0.0, StepOutParams(w, m), n, rng) for m in budgets}
+
+
+def _check_limit_monotone(cfg, rng, sub, quick):
+    ref, rows = _limit_samples(cfg, rng, quick)
+    dists = {m: energy_distance(sm, ref) for m, sm in rows.items()}
+    d = list(dists.values())
+    slack = max(abs(d[-1]), 1e-4)  # the distance at the largest budget is pure sampling noise
+    return all(a >= b - slack for a, b in zip(d, d[1:])), d[-1], d[0], dists
+
+
+def _check_limit_floor(cfg, rng, sub, quick):
+    ref, rows = _limit_samples(cfg, rng, quick)
+    res = energy_permutation_test(rows[max(rows)], ref, make_stream(sub, 1))
+    return res.p_value > 0.001, res.p_value, 0.001, {"stat": res.statistic}
+
+
 class _Family(NamedTuple):
     """A lemma check family: fixed configs, then five drawn ones, each sampled and held to a bound."""
 
@@ -591,11 +613,12 @@ class _Family(NamedTuple):
     stream: int  # configs are drawn from make_stream(seed, stream)
     sub_base: int  # config i samples from the sub-seed stream_seed(seed, sub_base + i)
     fixed: tuple  # (label, config) pairs
-    draw: Callable  # draw(rng) -> (label tail, config), or None to draw again
+    draw: Optional[Callable]  # draw(rng) -> (label tail, config) or None to draw again; None draws no configs
     check: Callable  # check(config, rng, sub_seed, quick) -> (passed, observed, reference, details)
 
 
 _TWO_GAP = [(-1.0, 0.3), (0.5, 1.0)]
+_LIMIT = ([(-0.7, 0.2), (0.4, 1.1)], 0.5, (10, 100, 1000))  # (set, w, finite budgets)
 _FAMILIES = (
     _Family("stepout-covering", "estimate >= bound - 3*SE", 100, 200, (
         ("S=(-1,0.3)u(0.5,1) m=3 w=1", (_TWO_GAP, 3, 1.0, 200_000)),
@@ -612,62 +635,25 @@ _FAMILIES = (
     _Family("stepout-interchange", "|P(theta covers alpha) - P(alpha covers theta)| <= 3*SE", 700, 800, (
         ("fixed alpha=0.7 m=3 w=1", (_TWO_GAP, 0.7, 3, 1.0, 1_000_000)),
     ), _draw_interchange, _check_interchange),
+    # the interval law with a large finite budget approaches the unlimited law
+    _Family("stepout-limit-monotone", "energy distance decreases along the budget sequence", 0, 900, (
+        (f"S={_LIMIT[0]} w={_LIMIT[1]} m in (10,100,1000) vs inf", _LIMIT),
+    ), None, _check_limit_monotone),
+    _Family("stepout-limit-floor", "m=1000 indistinguishable from unlimited (p > 0.001)", 0, 900, (
+        (f"S={_LIMIT[0]} w={_LIMIT[1]} m=1000 vs inf", _LIMIT),
+    ), None, _check_limit_floor),
 )
 
 
 def _family_configs(family: _Family, seed: int) -> list:
-    """The family's fixed (label, config) pairs, then five drawn from its config stream."""
+    """The family's fixed (label, config) pairs, then five drawn from its config stream if it has a draw."""
     rng = make_stream(seed, family.stream)
     configs = list(family.fixed)
-    while len(configs) < len(family.fixed) + 5:
+    while family.draw and len(configs) < len(family.fixed) + 5:
         drawn = family.draw(rng)
         if drawn is not None:
             configs.append((f"random#{len(configs) - len(family.fixed)}{drawn[0]}", drawn[1]))
     return configs
-
-
-def _limit_checks(seed: int, quick: bool) -> list:
-    """Interval law with a large finite budget approaches the unlimited law."""
-    ivs = [(-0.7, 0.2), (0.4, 1.1)]
-    w = 0.5
-    n = 1_000 if quick else 2_000
-    sub = stream_seed(seed, 900)
-    rng = make_stream(sub, 0)
-    ref = slice1d.sample_intervals(ivs, 0.0, StepOutParams(w, math.inf), n, rng)
-    dists = {}
-    for m in (10, 100, 1000):
-        sm = slice1d.sample_intervals(ivs, 0.0, StepOutParams(w, m), n, rng)
-        dists[m] = (energy_distance(sm, ref), sm)
-    res = energy_permutation_test(dists[1000][1], ref, make_stream(sub, 1))
-    # the m=1000 distance is pure sampling noise; use it as the slack scale
-    slack = max(abs(dists[1000][0]), 1e-4)
-    mono = (
-        dists[10][0] >= dists[100][0] - slack
-        and dists[100][0] >= dists[1000][0] - slack
-    )
-    checks = [
-        BatteryCheck(
-            name="stepout-limit-monotone",
-            config=f"S={ivs} w={w} m in (10,100,1000) vs inf",
-            passed=bool(mono),
-            observed=dists[1000][0],
-            reference=dists[10][0],
-            criterion="energy distance decreases along the budget sequence",
-            seed=sub,
-            details={m: d for m, (d, _) in dists.items()},
-        ),
-        BatteryCheck(
-            name="stepout-limit-floor",
-            config=f"S={ivs} w={w} m=1000 vs inf",
-            passed=res.p_value > 0.001,
-            observed=res.p_value,
-            reference=0.001,
-            criterion="m=1000 indistinguishable from unlimited (p > 0.001)",
-            seed=sub,
-            details={"stat": res.statistic},
-        ),
-    ]
-    return checks
 
 
 def lemma_suite(seed: int, quick: bool = False) -> BatteryReport:
@@ -682,4 +668,4 @@ def lemma_suite(seed: int, quick: bool = False) -> BatteryReport:
             sub = stream_seed(seed, fam.sub_base + i)
             passed, observed, reference, details = fam.check(cfg, make_stream(sub, 0), sub, quick)
             checks.append(BatteryCheck(fam.name, label, passed, observed, reference, fam.criterion, sub, details))
-    return BatteryReport(seed=seed, checks=checks + _limit_checks(seed, quick))
+    return BatteryReport(seed=seed, checks=checks)

@@ -11,6 +11,9 @@ at parameter 0 (callers shift their sets accordingly):
   wrapping the interval onto a circle and shrinking a circular arc around
   the image of the current point after each rejected draw.
 
+:func:`covering_share` is the one Monte-Carlo counter of the covering event;
+:func:`estimate_covering_probability` and ``bounds.estimate_epsilon`` call it.
+
 Both consume a ``numpy.random.Generator``; endpoint draws of the underlying
 uniforms are resampled so that probability-zero boundary cases cannot occur.
 """
@@ -172,6 +175,24 @@ def set_contains(set_spec: IntervalSet, x: float) -> bool:
     return False
 
 
+def covering_share(
+    oracle: Oracle, top: float, params: StepOutParams, n: int, rng: np.random.Generator, period: float
+) -> Tuple[float, float]:
+    """Share of n stepping-outs from 0 that cover a section, with its binomial SE.
+
+    A draw covers when its interval reaches ``top``, the section's sup, or when its
+    window wraps a closed geodesic of length ``period``; the width is read from the
+    expansion counts, not from hi - lo, so rounding cannot drop a wrapping draw.
+    """
+    covered = 0
+    for _ in range(n):
+        itv = stepping_out(oracle, params, rng)
+        if itv.hi >= top or (itv.expansions_left + itv.expansions_right + 1) * params.w >= period:
+            covered += 1
+    p = covered / n
+    return p, math.sqrt(max(p * (1.0 - p), 1e-300) / n)
+
+
 def estimate_covering_probability(
     set_spec: IntervalSet,
     theta: float,
@@ -196,13 +217,8 @@ def estimate_covering_probability(
         raise ValueError("sup of S cap [theta, C) must be finite")
     if math.isinf(params.m) and not math.isfinite(max(b for _, b in ivs)):
         raise ValueError("m = inf needs a bounded set")
-
     # an interval starts at or below theta, so it covers S cap [theta, C) iff it reaches top
-    rows = sample_intervals(ivs, theta, params, n, rng)
-    hits = int(np.count_nonzero(rows[:, 1] >= top))
-    p = hits / n
-    se = math.sqrt(max(p * (1.0 - p), 1e-300) / n)
-    return p, se
+    return covering_share(lambda s: set_contains(ivs, theta + s), top - theta, params, n, rng, math.inf)
 
 
 def sample_intervals(
@@ -210,14 +226,7 @@ def sample_intervals(
 ) -> np.ndarray:
     """n stepping-out draws started at theta, as rows (lo, hi) in absolute coords."""
     pairs = _normalize_set(set_spec)
-
-    def oracle(s):
-        x = theta + s
-        for a, b in pairs:
-            if a < x < b:
-                return True
-        return False
-
+    oracle = lambda s: set_contains(pairs, theta + s)
     out = np.empty((n, 2))
     for i in range(n):
         itv = stepping_out(oracle, params, rng)

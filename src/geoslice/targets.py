@@ -220,10 +220,10 @@ def _gauss_legendre(a: np.ndarray, b: np.ndarray, integrand) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _monte_carlo_level_fn(
-    manifold: Manifold, density_batch, n_samples: int, seed: int
+    manifold: Manifold, density_batch, n_samples: int
 ) -> Callable[[float], float]:
-    """s -> log volume({p > e^s}) from one uniform sample shared by all s, which keeps it
-    monotone in s; it compares log densities with s."""
+    """s -> log volume({p > e^s}) from one uniform sample, drawn from stream (0, 0) and
+    shared by all s, which keeps it monotone in s; it compares log densities with s."""
     log_total = manifold.info.log_total_measure
     if not math.isfinite(log_total):
         raise ValueError(
@@ -233,7 +233,7 @@ def _monte_carlo_level_fn(
     from .rng import make_stream
 
     with np.errstate(divide="ignore"):  # density 0 has log -inf
-        logs = np.log(density_batch(manifold.uniform_points(n_samples, make_stream(seed, 0))))
+        logs = np.log(density_batch(manifold.uniform_points(n_samples, make_stream(0, 0))))
     return lambda s: log_total + _log(float(np.mean(logs > s)))
 
 
@@ -620,7 +620,6 @@ def custom_target(
     sampler=None,
     level_set: Optional[Callable[[float], float]] = None,
     level_samples: int = 200_000,
-    level_seed: int = 0,
 ) -> Target:
     """Wrap a user density; metadata not supplied is estimated or left open.
 
@@ -632,7 +631,7 @@ def custom_target(
         density_batch = lambda x: np.array([density(row) for row in x])
     analytic = level_set is not None
     log_level_set = ((lambda s: _log(level_set(math.exp(s)))) if analytic
-                     else _monte_carlo_level_fn(manifold, density_batch, level_samples, level_seed))
+                     else _monte_carlo_level_fn(manifold, density_batch, level_samples))
     return Target(
         manifold=manifold,
         spec_string=f"custom:{name}",

@@ -420,8 +420,12 @@ def test_report_bytes_golden():
     # keeping its bits: the 8 refusals of an infinite min(m w, lambda) became
     # ApplicabilityError (was ValueError), 4 covering refusals read "b/m" (was "(b-theta)/m"),
     # and the 2 q notes of the gapless custom disk's Monte-Carlo reports (m = inf and m = 4)
-    # give the corollary's missing-gap message (was "section gap unknown").
-    assert _grid_digest() == "b4bf0adbffcd3be517a0e10183094576cc5578f405cfe521a2a51902e49b00fb"
+    # give the corollary's missing-gap message (was "section gap unknown").  Then a
+    # Monte-Carlo epsilon counted a window that wraps the great circle: exactly the 5
+    # monte-carlo reports at m = 1, w = 2 pi on S^1, S^2, S^3, the hemisphere and the vMF
+    # moved, 5 lines each (epsilon 0.42/0.4/0.44/0.6/0.48 -> 1.0, epsilon_se -> the
+    # 1e-300 floor, log_gap, rho -> the analytic rho, and the JSON line).
+    assert _grid_digest() == "0ad637f8e4d46dc1b725e23a9265ef652c38bbc47c717d817f53deeb8cd87835"
 
 
 def test_certified_iff_epsilon_proved_and_level_set_analytic():
@@ -485,6 +489,23 @@ def test_full_winding_means_w_at_least_2_pi_at_any_m():
         assert (rep.rho, rep.row("epsilon")[1], rep.certified) == (rho, source, True), (m, w)
     with pytest.raises(ApplicabilityError, match="no analytic covering probability"):
         full_report(hemisphere, 1, 6.283185307, "analytic")
+
+
+def test_monte_carlo_epsilon_counts_a_window_that_wraps_the_great_circle():
+    # at w >= 2 pi every first window wraps the great circle, so every draw covers and
+    # the Monte-Carlo epsilon is the analytic 1, with the analytic rho; below 2 pi a draw
+    # must reach the section's top, and the hemisphere's m = 4, w = 1 report (windows at
+    # most 4 wide) keeps the bytes it had when only the top counted
+    for spec in ("uniform:sphere:1", "uniform:sphere:2", "cap:sphere:2:psi=1.5707963267948966",
+                 "vmf:sphere:2:kappa=2.0"):
+        t = targets.from_spec(spec)
+        rep = full_report(t, 1, TWO_PI, "monte-carlo", rng=make_stream(62, 0), mc_probes=4, mc_runs=200)
+        assert (rep.epsilon, rep.rho) == (1.0, full_report(t, 1, TWO_PI, "auto").rho), spec
+    hemisphere = targets.from_spec("cap:sphere:2:psi=1.5707963267948966")
+    rep = full_report(hemisphere, 4, 1.0, "monte-carlo", rng=make_stream(62, 0), mc_probes=4, mc_runs=200)
+    assert (rep.epsilon, rep.epsilon_se) == (0.32, 0.03298484500494128)
+    digest = hashlib.sha256("\n".join(rep.lines()).encode()).hexdigest()
+    assert digest == "00cb98a5f54bd23445ca0accb021288cf5962310b05c28665dfc17c28b817b15"
 
 
 def test_custom_step_level_set_gets_the_exact_sup():
