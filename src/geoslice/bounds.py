@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import slice1d, targets
-from .manifolds import Sphere, log_unit_sphere_area
+from .manifolds import log_unit_sphere_area
 from .slice1d import ApplicabilityError
 from .targets import Target
 
@@ -153,12 +153,15 @@ class OptimalHyperparameters:
         return repr(self.w)
 
 
-def optimal_hyperparameters(diam_w: float, max_gap: float, lam: float) -> OptimalHyperparameters:
+def optimal_hyperparameters(diam_w: float, max_gap: float, lam: float,
+                            period: float = math.inf) -> OptimalHyperparameters:
     """Best certified hyperparameters (m*, w*, q*) for the given geometry.
 
     The landscape has two analytic candidates: the interior peak of q(1, .)
     at w = 2 diam(W) and, for finite lambda, the large-w plateau with value
     1/lambda (exactly attained at m = inf for any w when the gap vanishes).
+    Full winding (m = 1, w = ``period``, the manifold's ``geodesic_period``)
+    has epsilon = 1 and wins when its q = 1/min(period, lambda) is larger.
     """
     if not diam_w > 0:
         raise ValueError("support diameter must be positive")
@@ -174,6 +177,9 @@ def optimal_hyperparameters(diam_w: float, max_gap: float, lam: float) -> Optima
     else:
         regime = "d"
     plateau_q = 1.0 / lam  # 0 when lambda is infinite, so the peak wins
+    winding_q = 1.0 / min(period, lam)  # 0 when both are infinite
+    if winding_q > max(peak_q, plateau_q):
+        return OptimalHyperparameters(1, period, winding_q, regime, True, "full winding: epsilon = 1")
     if peak_q > plateau_q:
         note = "ties: every m, w with m*w = 2*diam(W)" if max_gap == 0.0 else ""
         return OptimalHyperparameters(1, 2.0 * diam_w, peak_q, regime, True, note)
@@ -240,7 +246,7 @@ def estimate_epsilon(
     """
     man = target.manifold
     params = slice1d.StepOutParams(w, m)
-    period = _TWO_PI if isinstance(man, Sphere) else math.inf
+    period = man.geodesic_period
     best = (math.inf, 0.0)
     for _ in range(n_probes):
         xa, va, thetas, dens = targets.scan_section(target, rng, targets.SCAN_GRID)
@@ -282,8 +288,6 @@ class BoundsReport:
     w: float
     inputs: tuple  # (name, value, source) rows in print order
     epsilon_se: Optional[float]
-    q: Optional[float]
-    q_note: str
     log_gap: float  # log(1 - rho)
     certified: bool  # epsilon is proved and the level-set function is analytic
 
@@ -293,6 +297,7 @@ class BoundsReport:
 
     epsilon = property(lambda self: self.row("epsilon")[0])
     log_sup_t_level = property(lambda self: self.row("log_sup_t_level")[0])
+    q = property(lambda self: self.epsilon / self.row("lambda_eff")[0])  # the only covering probability held
     rho = property(lambda self: -math.expm1(self.log_gap))
 
     def lines(self) -> list:
@@ -306,7 +311,7 @@ class BoundsReport:
             f"w = {_fmt(self.w)}",
             *(f"{name} = {_fmt(value)} [{source}]" for name, value, source in self.inputs),
             *se,
-            f"q = {_fmt(self.q)} [{self.q_note}]",
+            f"q = {_fmt(self.q)} [epsilon / lambda_eff]",
             f"log_gap = {_fmt(self.log_gap)} [log(1 - rho)]",
             f"rho = {_fmt(self.rho)} [{cert}]",
         ]
@@ -325,25 +330,17 @@ class BoundsReport:
         return d
 
 
-def _corollary_epsilon(target: Target, m: float, w: float) -> float:
-    """The covering bound with the support diameter as the section length and the
-    worst section gap as the gap mass; the gap term vanishes at m = 1, so only
-    m >= 2 needs the target's max_gap."""
-    if target.max_gap is None and m >= 2:
-        raise ApplicabilityError("corollary epsilon needs the section-gap constant; supply the target's "
-                                 "max_gap, use m = 1, or use monte-carlo mode")
-    return slice1d.covering_bound(target.diam_w, target.max_gap or 0.0, m, w)
-
-
 def _epsilon(target: Target, m: float, w: float, mode: str, rng: Optional[np.random.Generator],
              probes: int, runs: int):
     """The covering probability of one epsilon mode: (epsilon, SE or None, provenance, proved).
 
-    The corollary needs the target's max_gap only at m >= 2 (``_corollary_epsilon``)."""
+    The corollary is the covering bound with the support diameter as the section
+    length and the worst section gap as the gap mass; the gap term vanishes at m = 1,
+    so only m >= 2 needs the target's max_gap."""
     if mode in ("auto", "analytic"):
-        if isinstance(target.manifold, Sphere) and w >= _TWO_PI:
-            # Stepping-out only widens its first window (-U, -U + w), which wraps the
-            # great circle at w >= 2*pi: the section is swallowed at any m.
+        if w >= target.manifold.geodesic_period:
+            # Stepping-out only widens its first window (-U, -U + w), which wraps a
+            # closed geodesic at w >= its length: the section is swallowed at any m.
             return 1.0, None, "analytic: full-winding interval on the sphere", True
         if math.isinf(m) and target.max_gap == 0.0 and math.isfinite(target.lambda_value):
             # The corollary formula at gap 0 and m = inf, which is exactly 1; kept
@@ -362,7 +359,10 @@ def _epsilon(target: Target, m: float, w: float, mode: str, rng: Optional[np.ran
         if eps <= 0.0:
             raise ValueError("estimated covering probability is zero; bound vacuous")
         return eps, se, "monte-carlo infimum over probes (statistical, optimistic)", False
-    return _corollary_epsilon(target, m, w), None, "corollary formula", True
+    if target.max_gap is None and m >= 2:
+        raise ApplicabilityError("corollary epsilon needs the section-gap constant; supply the target's "
+                                 "max_gap, use m = 1, or use monte-carlo mode")
+    return slice1d.covering_bound(target.diam_w, target.max_gap or 0.0, m, w), None, "corollary formula", True
 
 
 def full_report(
@@ -392,17 +392,12 @@ def full_report(
     eps, eps_se, eps_source, proved = _epsilon(target, m, w, epsilon_mode, rng, mc_probes, mc_runs)
     gap = log_gap(eps, m, w, target.lambda_value, log_kappa, log_omega, log_sup_tl, target.p_max)
     delta = target.max_gap
-    lam_eff = _lambda_eff(m, w, target.lambda_value)
-    try:
-        q, q_note = _corollary_epsilon(target, m, w) / lam_eff, "corollary formula"
-    except ApplicabilityError as e:
-        q, q_note = None, f"inapplicable: {e}"
     level = target.level_set_analytic
     inputs = (
         ("diam_W", target.diam_w, "target metadata"),
         ("delta", delta, "not supplied" if delta is None else "target metadata"),
         ("lambda", target.lambda_value, "target metadata"),
-        ("lambda_eff", lam_eff, "min(m*w, lambda)"),
+        ("lambda_eff", _lambda_eff(m, w, target.lambda_value), "min(m*w, lambda)"),
         ("zeta", info.ricci_lower, "manifold metadata"),
         ("log_kappa", log_kappa, "volume comparison"),
         ("log_omega_dm1", log_omega, "unit sphere area"),
@@ -410,5 +405,5 @@ def full_report(
         ("log_sup_t_level", log_sup_tl, "level-set optimiser" if level else "monte-carlo level set"),
         ("epsilon", eps, eps_source),
     )
-    return BoundsReport(target.spec_string, dim, m, w, inputs, eps_se, q, q_note, gap,
+    return BoundsReport(target.spec_string, dim, m, w, inputs, eps_se, gap,
                         certified=proved and level)

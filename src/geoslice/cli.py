@@ -107,8 +107,8 @@ _OPTIONS = {
                        help="chains per ensemble"),
     "bins": dict(type=_at_least(1), help="bin count override"),
     "gnuplot": dict(_FLAG, help="also emit a gnuplot script next to the --out CSV"),
-    "samples": dict(type=_at_least(1), default=20_000,
-                    help="exact draws per side (the energy test reads a random 1,500 of them)"),
+    "samples": dict(type=_at_least(1), default=harness.ENERGY_SUBSAMPLE,
+                    help=f"exact draws per side (the energy test reads at most {harness.ENERGY_SUBSAMPLE})"),
     "quick": dict(_FLAG, help="reduced sample sizes"),
 }
 
@@ -371,12 +371,13 @@ def _cmd_hyperopt(cfg: argparse.Namespace) -> int:
         rows = [(spec, targets.from_spec(spec)) for spec in _HYPEROPT_PRESETS]
     for line in _header_lines(cfg):
         print(line)
-    print(f"{'target':40s} {'regime':6s} {'m*':8s} {'w*':14s} {'q*':14s} note")
+    print(f"{'target':40s} {'regime':6s} {'m*':8s} {'w*':18s} {'q*':14s} note")
     for spec, t in rows:
-        opt = bounds.optimal_hyperparameters(t.diam_w, t.max_gap or 0.0, t.lambda_value)
+        opt = bounds.optimal_hyperparameters(t.diam_w, t.max_gap or 0.0, t.lambda_value,
+                                             t.manifold.geodesic_period)
         m_lab = "inf" if math.isinf(opt.m) else str(int(opt.m))
         print(
-            f"{spec:40s} {opt.regime:6s} {m_lab:8s} {opt.w_label:14s} "
+            f"{spec:40s} {opt.regime:6s} {m_lab:8s} {opt.w_label:18s} "
             f"{opt.q:<14.6g} {opt.note}"
         )
     return 0

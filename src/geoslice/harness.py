@@ -34,6 +34,7 @@ TWO_PI = 2.0 * math.pi
 N_BOOTSTRAP = 200  # multinomial resamples behind a TV estimate's standard error
 MIN_TV_POINTS = 1000  # fewest sample points a TV estimate accepts
 ENERGY_BLOCK = 64  # rows of the energy test's distance triangle built at a time
+ENERGY_SUBSAMPLE = 1500  # points per side the energy test reads by default
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ def energy_permutation_test(
     b: np.ndarray,
     rng: np.random.Generator,
     permutations: int = 500,
-    subsample: int = 1500,
+    subsample: int = ENERGY_SUBSAMPLE,
 ) -> EnergyTestResult:
     """Permutation test of distributional equality via the energy statistic.
 
@@ -286,13 +287,14 @@ class TvCurvePoint:
 @dataclass
 class TvCurve:
     points: list
-    rho: float
     bias: float
-    certified: bool
-    passed: bool
     report: bounds.BoundsReport
     replicates: int
     seed: int
+
+    rho = property(lambda self: self.report.rho)
+    certified = property(lambda self: self.report.certified)
+    passed = property(lambda self: self.report.certified and all(p.passed for p in self.points))
 
     def csv_rows(self):
         for p in self.points:
@@ -346,16 +348,7 @@ def verify_uniform_ergodicity(
         pts.append(TvCurvePoint(n=int(n), tv=est.tv, se=est.se, envelope=env,
                                 passed=est.tv <= env + 3.0 * est.se + est.bias,
                                 vacuous=env + bias >= 1.0))
-    return TvCurve(
-        points=pts,
-        rho=report.rho,
-        bias=bias,
-        certified=report.certified,
-        passed=report.certified and all(p.passed for p in pts),
-        report=report,
-        replicates=replicates,
-        seed=config.seed,
-    )
+    return TvCurve(points=pts, bias=bias, report=report, replicates=replicates, seed=config.seed)
 
 
 def worst_start(target: Target) -> Point:
@@ -406,10 +399,9 @@ def invariance_test(
     PASS means p > 0.001.  With ``broken=True`` the transition skips the
     shrinkage acceptance check; a correct test must fail loudly on it.
 
-    The energy test reads only a random 1,500 points of each side (its
-    default ``subsample``), so all but 1,500 of the ``samples`` transitions
-    and of the ``samples`` fresh draws are computed and never read: 18,500 of
-    each at the CLI default of 20,000.
+    The energy test reads only a random ``ENERGY_SUBSAMPLE`` points of each
+    side, so beyond that many the ``samples`` transitions and fresh draws are
+    computed and never read; the CLI default is ``ENERGY_SUBSAMPLE``.
     """
     if samples < 1:
         raise ValueError(f"invariance test needs samples >= 1, got {samples}")

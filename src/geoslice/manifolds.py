@@ -78,6 +78,7 @@ class Manifold:
     dim: int
     embedding_dim: int
     info: ManifoldInfo
+    geodesic_period: float = math.inf  # length of every geodesic, where all close: a window this wide wraps
 
     # -- construction / validation -------------------------------------------------
     def point(self, coords) -> Point:
@@ -168,6 +169,8 @@ class Sphere(Manifold):
     long chains cannot drift off the sphere (tolerance 1e-12).
     """
 
+    geodesic_period = 2.0 * math.pi
+
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
@@ -210,7 +213,8 @@ class Sphere(Manifold):
 
 
 class Torus(Manifold):
-    """Flat torus (R/PZ)^d with common period P per axis."""
+    """Flat torus (R/PZ)^d with common period P per axis; as geodesics of irrational slope
+    never close, ``geodesic_period`` stays inf, which never claims a full winding."""
 
     def __init__(self, dim: int, period: float):
         if dim < 1:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from geoslice import targets
+from geoslice import cli, targets
 from geoslice.bounds import (
     EPSILON_MODES,
     ApplicabilityError,
@@ -214,6 +214,26 @@ def test_optimal_matches_grid_search():
         assert opt.q - q_best <= 3e-3 * opt.q
 
 
+def test_hyperopt_q_is_the_q_its_certificate_proves():
+    # each hyperopt row's q* is the q of the report at its (m*, w*), w = 1 where any w
+    # attains it, and no (m, w) of a coarse grid certifies a smaller rho: on a sphere
+    # full winding at w = 2 pi beats the corollary peak, except on a narrow cap
+    specs = cli._HYPEROPT_PRESETS + ["cap:sphere:2:psi=0.5", "cap:sphere:2:psi=1.2"]
+    w_grid = np.append(np.geomspace(0.25, 8 * math.pi, 24), TWO_PI)
+    for spec in specs:
+        t = targets.from_spec(spec)
+        opt = optimal_hyperparameters(t.diam_w, t.max_gap or 0.0, t.lambda_value, t.manifold.geodesic_period)
+        best = full_report(t, opt.m, 1.0 if opt.w is None else opt.w)
+        assert opt.q == best.q, spec
+        ms = [1, 2, 4] + ([math.inf] if math.isfinite(t.lambda_value) else [])
+        for m, w in itertools.product(ms, w_grid):
+            try:
+                rho = full_report(t, m, float(w)).rho
+            except ApplicabilityError:
+                continue
+            assert rho >= best.rho - 1e-12, (spec, m, w)
+
+
 # -- isoembolic bound -------------------------------------------------------------
 
 def test_isoembolic_round_sphere():
@@ -376,24 +396,28 @@ def _without_gap(spec: str, **kw):
     )
 
 
-def _report_text(target, m, w, mode, seed) -> str:
-    try:
-        rep = full_report(target, m, w, mode, rng=make_stream(seed, 0), mc_probes=2, mc_runs=50)
-    except ValueError as e:
-        return f"{type(e).__name__}: {e}\n"
-    return "\n".join(rep.lines()) + "\n" + json.dumps(rep.to_dict(), sort_keys=True) + "\n"
-
-
-def _grid_digest() -> str:
-    """SHA-256 of lines() and to_dict(), error text included, over preset x mode x (m, w)."""
+def _golden_reports():
+    """(report or its ValueError) over preset x (m, w) x mode, the grid of the report golden."""
     cases = [targets.from_spec(spec) for spec, *_ in _CERTIFICATE_TABLE]
     cases.append(_without_gap("convex-uniform:ball:2:r=1.0", lambda_value=2.0))
     grid = itertools.product(cases, ((1, TWO_PI), (math.inf, 1.0), (4, 1.0)), EPSILON_MODES)
-    h = hashlib.sha256()
     for k, (t, (m, w), mode) in enumerate(grid):
         if mode == "monte-carlo" and math.isinf(m) and math.isinf(t.lambda_value):
             continue  # not in the recorded digest; rejected before any draw (test_cli)
-        h.update(_report_text(t, m, w, mode, k).encode())
+        try:
+            yield full_report(t, m, w, mode, rng=make_stream(k, 0), mc_probes=2, mc_runs=50)
+        except ValueError as e:
+            yield e
+
+
+def _grid_digest() -> str:
+    """SHA-256 of lines() and to_dict(), error text included, over the golden grid."""
+    h = hashlib.sha256()
+    for rep in _golden_reports():
+        if isinstance(rep, ValueError):
+            h.update(f"{type(rep).__name__}: {rep}\n".encode())
+        else:
+            h.update(("\n".join(rep.lines()) + "\n" + json.dumps(rep.to_dict(), sort_keys=True) + "\n").encode())
     return h.hexdigest()
 
 
@@ -424,8 +448,21 @@ def test_report_bytes_golden():
     # Monte-Carlo epsilon counted a window that wraps the great circle: exactly the 5
     # monte-carlo reports at m = 1, w = 2 pi on S^1, S^2, S^3, the hemisphere and the vMF
     # moved, 5 lines each (epsilon 0.42/0.4/0.44/0.6/0.48 -> 1.0, epsilon_se -> the
-    # 1e-300 floor, log_gap, rho -> the analytic rho, and the JSON line).
-    assert _grid_digest() == "0ad637f8e4d46dc1b725e23a9265ef652c38bbc47c717d817f53deeb8cd87835"
+    # 1e-300 floor, log_gap, rho -> the analytic rho, and the JSON line).  Then q became
+    # the report's own epsilon / lambda_eff: exactly the q lines moved, 67 of them, and
+    # the JSON "q" of the 28 whose value moved.  39 changed only their tag ([corollary
+    # formula] -> [epsilon / lambda_eff]); 28 changed value: the full-winding analytic
+    # reports at w = 2 pi (0.0796 -> 0.159), every Monte-Carlo report, and the gapless
+    # custom disk's two former "n/a [inapplicable: ...]".
+    assert _grid_digest() == "a42f5642b51a369cdf005d96c4c0577229bcfc1a33d72e05a1e79a79e9380644"
+
+
+def test_every_report_q_is_its_epsilon_over_lambda_eff():
+    reports = [rep for rep in _golden_reports() if not isinstance(rep, ValueError)]
+    assert len(reports) > 50
+    for rep in reports:
+        assert rep.q == rep.epsilon / rep.row("lambda_eff")[0] == rep.to_dict()["q"], rep.lines()
+        assert f"q = {rep.q!r} [epsilon / lambda_eff]" in rep.lines()
 
 
 def test_certified_iff_epsilon_proved_and_level_set_analytic():
@@ -472,7 +509,7 @@ def test_unknown_gap_is_needed_only_at_m_at_least_2():
     with pytest.raises(ApplicabilityError, match=f"^{missing}$"):
         full_report(t, 3, 2.0, "corollary")
     rep = full_report(t, 3, 2.0, "monte-carlo", rng=make_stream(61, 0), mc_probes=2, mc_runs=50)
-    assert rep.q is None and f"q = n/a [inapplicable: {missing}]" in rep.lines()
+    assert rep.q == rep.epsilon / rep.row("lambda_eff")[0]
 
 
 def test_full_winding_means_w_at_least_2_pi_at_any_m():
@@ -495,7 +532,8 @@ def test_monte_carlo_epsilon_counts_a_window_that_wraps_the_great_circle():
     # at w >= 2 pi every first window wraps the great circle, so every draw covers and
     # the Monte-Carlo epsilon is the analytic 1, with the analytic rho; below 2 pi a draw
     # must reach the section's top, and the hemisphere's m = 4, w = 1 report (windows at
-    # most 4 wide) keeps the bytes it had when only the top counted
+    # most 4 wide) keeps the bytes it had when only the top counted, except its q line,
+    # which reads its own epsilon / lambda_eff (0.0537 [corollary formula] -> 0.08)
     for spec in ("uniform:sphere:1", "uniform:sphere:2", "cap:sphere:2:psi=1.5707963267948966",
                  "vmf:sphere:2:kappa=2.0"):
         t = targets.from_spec(spec)
@@ -505,7 +543,7 @@ def test_monte_carlo_epsilon_counts_a_window_that_wraps_the_great_circle():
     rep = full_report(hemisphere, 4, 1.0, "monte-carlo", rng=make_stream(62, 0), mc_probes=4, mc_runs=200)
     assert (rep.epsilon, rep.epsilon_se) == (0.32, 0.03298484500494128)
     digest = hashlib.sha256("\n".join(rep.lines()).encode()).hexdigest()
-    assert digest == "00cb98a5f54bd23445ca0accb021288cf5962310b05c28665dfc17c28b817b15"
+    assert digest == "2d2ffc044cf1c747cf307db096b7d12c6e81f1abd5e5a4c6126d74e2c78dde28"
 
 
 def test_custom_step_level_set_gets_the_exact_sup():

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import mpmath
 import pytest
 
 import oracles
-from geoslice import cli
+from geoslice import cli, harness
 
 
 def run_cli(args, capsys):
@@ -275,6 +276,14 @@ def test_invariance_command(capsys):
     assert "invariance: PASS" in out
 
 
+def test_invariance_default_samples_are_what_the_energy_test_reads():
+    # the energy test reads at most its subsample per side, so a larger default would
+    # step transitions and draw points that are never read
+    cfg = cli.parse_config(["invariance", "--target", "uniform:sphere:2"])
+    subsample = inspect.signature(harness.energy_permutation_test).parameters["subsample"].default
+    assert cfg.samples == subsample == harness.ENERGY_SUBSAMPLE
+
+
 def test_lemmas_quick_command(capsys):
     code, out, _ = run_cli(["lemmas", "--seed", "20260810", "--quick"], capsys)
     assert code == 0
@@ -287,6 +296,9 @@ def test_hyperopt_command(capsys):
     assert code == 0
     assert "regime" in out
     assert "convex-uniform:ball:2:r=1.0" in out
+    # every sphere preset proves the most at full winding
+    rows = [line.split()[:5] for line in out.splitlines() if ":sphere:" in line]
+    assert rows and all(r[2:] == ["1", repr(2 * math.pi), "0.159155"] for r in rows)
 
 
 def test_bad_target_spec_is_usage_error(capsys):

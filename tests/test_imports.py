@@ -3,6 +3,9 @@ no private top-level name in src/ is left without a reader.  Every module
 that tests/ and scripts/ import is in the standard library, is geoslice or a
 sibling test module, or is declared in pyproject.toml's dependencies or its
 ``test`` extra, so ``pip install -e ".[test]"`` can collect the whole suite.
+Every module parses with the grammar of the oldest Python that pyproject.toml
+declares (``requires-python``); that checks syntax only, not the standard
+library's API, and no interpreter at that floor runs here.
 
 Importing geoslice loads numpy only.  No src/ module imports scipy at module
 level: each function that calls scipy.special or scipy.spatial imports it
@@ -96,6 +99,25 @@ def test_every_third_party_import_of_tests_and_scripts_is_declared():
         if path.is_relative_to(ROOT / "src"):
             continue
         assert _undeclared_imports(ast.parse(path.read_text(), str(path)), allowed) == [], path
+
+
+def _python_floor() -> tuple:
+    """pyproject.toml's ``requires-python`` floor as (major, minor)."""
+    tomllib = pytest.importorskip("tomllib")
+    spec = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    return tuple(int(v) for v in re.fullmatch(r">=\s*(\d+)\.(\d+)", spec).groups())
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    floor = _python_floor()
+    for path in sorted(p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=floor)
+
+
+def test_check_flags_syntax_newer_than_the_floor():
+    ast.parse("try:\n    pass\nexcept ValueError:\n    pass\n", feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 def test_check_flags_an_undeclared_import():
