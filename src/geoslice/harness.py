@@ -377,12 +377,11 @@ class InvarianceReport:
     broken_kernel: bool
 
 
-def _broken_step_array(xa, config, rng):
-    """Sabotaged transition: shrinkage acceptance check skipped (mutation oracle)."""
-    _, va, oracle = kernel._slice(xa, config, rng)
-    itv = slice1d.stepping_out(oracle, config.step_out_params, rng)
-    theta = slice1d.unwrap_angle(TWO_PI * rng.random(), itv.lo, itv.hi)
-    return config.target.manifold.exp_array(xa, va, theta)
+def _accept_first(oracle, lo, hi, rng) -> slice1d.ShrinkageResult:
+    """Sabotaged shrinkage (mutation oracle): its first draw, queried but accepted unchecked."""
+    theta = slice1d.unwrap_angle(TWO_PI * rng.random(), lo, hi)
+    oracle(theta)  # the transition reads its new state from the last query
+    return slice1d.ShrinkageResult(theta, 1)
 
 
 def invariance_test(
@@ -396,8 +395,9 @@ def invariance_test(
 
     Starts from exact target draws, applies one transition to each, and runs
     the energy permutation test against an independent batch of exact draws.
-    PASS means p > 0.001.  With ``broken=True`` the transition skips the
-    shrinkage acceptance check; a correct test must fail loudly on it.
+    PASS means p > 0.001.  With ``broken=True`` each transition is
+    ``kernel._step_array`` with its shrinkage swapped for ``_accept_first``,
+    which skips the acceptance check; a correct test must fail loudly on it.
 
     The energy test reads only a random ``ENERGY_SUBSAMPLE`` points of each
     side, so beyond that many the ``samples`` transitions and fresh draws are
@@ -408,10 +408,10 @@ def invariance_test(
     base = config.seed if seed is None else seed
     start = targets.reference_samples(target, samples, make_stream(base, 1))
     rng = make_stream(base, 2)
-    stepper = _broken_step_array if broken else (lambda xa, c, r: kernel._step_array(xa, c, r)[0])
+    shrink = _accept_first if broken else None
     evolved = np.empty_like(start)
     for i in range(samples):
-        evolved[i] = stepper(start[i], config, rng)
+        evolved[i] = kernel._step_array(start[i], config, rng, shrink=shrink)[0]
     fresh = targets.reference_samples(target, samples, make_stream(base, 3))
     res = energy_permutation_test(evolved, fresh, make_stream(base, 4))
     return InvarianceReport(

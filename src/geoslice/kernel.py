@@ -3,7 +3,8 @@
 One transition from x draws a level T uniformly below the density at x, a
 uniform unit tangent direction v, runs the stepping-out procedure along the
 geodesic through (x, v) on the superlevel oracle, then the reeled shrinkage
-on the resulting interval, and moves to the accepted geodesic point.
+on the resulting interval, and moves to the accepted geodesic point.  The
+harness's mutation oracle is this transition with a sabotaged shrinkage.
 
 Chains are reproducible: all randomness flows from a 64-bit seed, and
 replicate chains use independent derived streams (seed XOR replicate index
@@ -18,7 +19,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, NamedTuple, Optional
+from typing import IO, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -89,12 +90,15 @@ class ChainRecord:
     diagnostics: list = field(default_factory=list)  # list[StepDiagnostics]
 
 
-def _slice(xa: np.ndarray, config: GssConfig, rng: np.random.Generator, px: Optional[float] = None):
-    """Level below the density at xa, uniform unit direction, and the superlevel oracle.
+def _step_array(xa: np.ndarray, config: GssConfig, rng: np.random.Generator,
+                px: Optional[float] = None, shrink: Optional[Callable] = None):
+    """One transition on raw coordinates with density px at xa (None: evaluate it).
 
-    Returns (level, direction, oracle) where oracle(theta) tells whether the
-    geodesic point at time theta along the direction lies above the level;
-    ``oracle.last[0]`` is the (theta, point, density) of its latest query.
+    ``shrink(oracle, lo, hi, rng)`` replaces ``slice1d.reeled_shrinkage`` (None: that
+    function, looked up at each call).  Every shrinkage accepts right after its last
+    oracle query, so that query's point and density are the new state's.
+
+    Returns (new coords, diagnostics); ``diag.density`` is the next step's px.
     """
     target, man = config.target, config.target.manifold
     if px is None:
@@ -103,40 +107,27 @@ def _slice(xa: np.ndarray, config: GssConfig, rng: np.random.Generator, px: Opti
         raise ValueError("current state has zero density")
     level = open_uniform(rng, 0.0, 1.0) * px
     va = man.sample_tangent_array(xa, rng)
-
-    last = [None]  # a list, not an attribute set inside oracle: no reference cycle
+    last = None  # (theta, point, density) of the latest query
 
     def oracle(theta: float) -> bool:
+        nonlocal last
         ya = man.exp_array(xa, va, theta)
         py = float(target.density(ya))
-        last[0] = (theta, ya, py)
+        last = (theta, ya, py)
         return py > level
 
-    oracle.last = last
-    return level, va, oracle
-
-
-def _step_array(
-    xa: np.ndarray, config: GssConfig, rng: np.random.Generator, px: Optional[float] = None
-):
-    """One transition on raw coordinates with density px at xa (None: evaluate it).
-
-    Returns (new coords, diagnostics); ``diag.density`` is the next step's px.
-    """
-    level, va, oracle = _slice(xa, config, rng, px)
+    if shrink is None:
+        shrink = slice1d.reeled_shrinkage
     try:
         itv = slice1d.stepping_out(oracle, config.step_out_params, rng)
-        res = slice1d.reeled_shrinkage(oracle, itv.lo, itv.hi, rng)
+        res = shrink(oracle, itv.lo, itv.hi, rng)
     except (slice1d.ExpansionCapError, slice1d.ShrinkageCapError) as e:
         raise type(e)(
             f"{e} [state={np.array2string(xa, precision=6)}, "
             f"direction={np.array2string(va, precision=6)}, level={level}]"
         ) from e
-    # shrinkage accepts right after querying the oracle, so this is the accepted point
-    theta, ya, py = oracle.last[0]
-    if theta != res.theta:
-        ya = config.target.manifold.exp_array(xa, va, res.theta)
-        py = float(config.target.density(ya))
+    assert last is not None and last[0] == res.theta, "shrinkage did not accept its last query"
+    _, ya, py = last
     diag = StepDiagnostics(
         level, itv.width, res.iterations, itv.expansions_left + itv.expansions_right, py
     )

@@ -381,6 +381,43 @@ def log_sphere_area(d: int):
     return mpmath.log(2) + a * mpmath.log(mpmath.pi) - mpmath.loggamma(a)
 
 
+# -- exact one-step Doeblin constants D = inf_{x, y} p(x, y) / pi(y) --------------------
+
+def log_doeblin_uniform_sphere(d: int):
+    """mpmath log D of uniform S^d at m = 1, w = 2 pi: log(area(S^d) / (pi area(S^(d-1)))).
+
+    The step lands uniformly on a uniform great circle through x, so the distance r is
+    uniform on [0, pi] and p / pi = area(S^d) / (pi area(S^(d-1)) sin^(d-1) r).
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        return log_sphere_area(d + 1) - mpmath.log(mpmath.pi) - log_sphere_area(d)
+
+
+def log_doeblin_ball(d: int):
+    """mpmath log D of the uniform d-ball at m = inf (hit-and-run): log(2 / (d 2^d)).
+
+    p(x, y) = 2 / (area(S^(d-1)) |x - y|^(d-1) l(x, y)) with l the chord through x and y,
+    least at opposite boundary points.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        return mpmath.log(2) - mpmath.log(d) - d * mpmath.log(2)
+
+
+def log_doeblin_hemisphere():
+    """mpmath log D of the hemisphere cap on S^2 at m = 1, w = 2 pi: log(2 / pi).
+
+    The step is uniform on a half great circle, so p / pi = 2 / (pi sin r).
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        return mpmath.log(2) - mpmath.log(mpmath.pi)
+
+
 def vmf_log_sup_t_level(d: int, kappa: float, n_scan: int = 2000):
     """mpmath log sup_t t * area({p > t}) of exp(kappa x.mu) on S^d.
 

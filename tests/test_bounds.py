@@ -617,3 +617,22 @@ def test_vmf_sup_in_high_dimension(d):
     t = targets.from_spec(f"vmf:sphere:{d}:kappa=500.0")
     exact = oracles.vmf_log_sup_t_level(d, 500.0)
     assert targets.log_sup_t_level(t) == pytest.approx(float(exact), rel=1e-15)
+
+
+# -- the certificate against the exact one-step Doeblin constant D -------------------
+# A minorisation P(x, .) >= (1 - rho) pi can never exceed D = inf p(x, y) / pi(y).  Where D
+# has a closed form, the certificate's 1 - rho sits a fixed factor below it.
+
+@pytest.mark.parametrize("spec,m,w,log_d,factor", [
+    *[(f"uniform:sphere:{d}", 1, TWO_PI, oracles.log_doeblin_uniform_sphere(d), 2)
+      for d in (1, 2, 3, 5, 100, 300, 344, 10_000)],
+    *[(f"convex-uniform:ball:{d}:r=1.0", math.inf, 1.0, oracles.log_doeblin_ball(d), 2)
+      for d in (1, 2, 10, 800)],
+    ("cap:sphere:2:psi=1.5707963267948966", 1, TWO_PI, oracles.log_doeblin_hemisphere(), 4),
+])
+def test_gap_sits_a_fixed_factor_below_the_doeblin_constant(spec, m, w, log_d, factor):
+    t = targets.from_spec(spec)
+    gap = full_report(t, m, w).log_gap
+    assert gap <= float(log_d)
+    tol = 1e-12 if t.manifold.dim <= 300 else 1e-10
+    assert float(log_d) - gap == pytest.approx(math.log(factor), rel=0, abs=tol)

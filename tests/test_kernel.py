@@ -348,7 +348,7 @@ def _golden_outputs():
     cfg = GssConfig(target=cap, w=TWO_PI, m=1, seed=34)
     rng = make_stream(34, 2)
     broken = np.array([
-        harness._broken_step_array(x, cfg, rng)
+        _step_array(x, cfg, rng, shrink=harness._accept_first)[0]
         for x in targets.reference_samples(cap, 500, make_stream(34, 1))
     ])
     return {
@@ -360,6 +360,26 @@ def _golden_outputs():
 
 def test_outputs_match_golden_digests():
     assert _golden_outputs() == GOLDEN
+
+
+# SHA-256 of the mutation oracle's states where stepping-out queries the oracle
+# (m = 4 on the hemisphere, m = inf on the disk), recorded when the mutant was a
+# hand-copied transition rather than _step_array with a sabotaged shrinkage.
+GOLDEN_MUTANT_STEPPING_OUT = "d61c66cef98281696a1dc3e054e9b0a49e5f50476c5725de2d07dbc3901d9e65"
+
+
+def test_mutant_with_stepping_out_matches_golden_digest():
+    def mutant(spec, w, m, seed):
+        t = targets.from_spec(spec)
+        cfg, rng = GssConfig(target=t, w=w, m=m, seed=seed), make_stream(seed, 2)
+        return np.array([
+            _step_array(x, cfg, rng, shrink=harness._accept_first)[0]
+            for x in targets.reference_samples(t, 500, make_stream(seed, 1))
+        ])
+
+    cap = mutant(HEMISPHERE, 1.3, 4, 36)
+    disk = mutant("convex-uniform:ball:2:r=1.0", 1.0, math.inf, 37)
+    assert hashlib.sha256(cap.tobytes() + disk.tobytes()).hexdigest() == GOLDEN_MUTANT_STEPPING_OUT
 
 
 _PRESET_SPECS = (
@@ -410,25 +430,21 @@ def test_carried_density_matches_recomputed(spec, m):
     assert rng_carry.bit_generator.state == rng_fresh.bit_generator.state
 
 
-def test_accepted_point_recomputed_when_the_oracle_moved_on(monkeypatch):
-    # the transition reuses the oracle's latest query only when it is the accepted time
+def test_a_shrinkage_that_queries_past_its_accepted_point_is_refused():
+    # the transition's new state is the shrinkage's last oracle query, so a shrinkage
+    # that queries the oracle again after choosing its point breaks the transition
     from geoslice import slice1d
 
     t = targets.from_spec("vmf:sphere:2:kappa=2.0")
     cfg = GssConfig(target=t, w=TWO_PI, m=1, seed=36)
-    x = harness.worst_start(t).coords
-    expect = [_step_array(x, cfg, make_stream(36, k)) for k in range(20)]
-    shrink = slice1d.reeled_shrinkage
 
     def shrink_then_query(oracle, lo, hi, rng):
-        res = shrink(oracle, lo, hi, rng)
+        res = slice1d.reeled_shrinkage(oracle, lo, hi, rng)
         oracle(0.5 * lo)
         return res
 
-    monkeypatch.setattr(slice1d, "reeled_shrinkage", shrink_then_query)
-    for k, (y, d) in enumerate(expect):
-        y2, d2 = _step_array(x, cfg, make_stream(36, k))
-        assert np.array_equal(y, y2) and d2.density == d.density == float(t.density(y))
+    with pytest.raises(AssertionError, match="last query"):
+        _step_array(harness.worst_start(t).coords, cfg, make_stream(36, 0), shrink=shrink_then_query)
 
 
 # -- calls at each layer boundary -----------------------------------------------------
@@ -480,6 +496,39 @@ LAYER_CALLS = {
 @pytest.mark.parametrize("case", sorted(LAYER_CALLS))
 def test_layer_call_counts(case, monkeypatch):
     assert _layer_calls(case, monkeypatch) == LAYER_CALLS[case]
+
+
+@pytest.mark.parametrize("case,expected", [
+    ("invariance", (60, 60, 60)),
+    ("invariance broken", (60, 0, 60)),
+    ("ensemble", (3 * 40, 3 * 40, 3 * 40)),
+    ("chain", (50, 50, 50)),
+])
+def test_procedure_call_counts(case, expected, monkeypatch):
+    # (stepping_out, reeled_shrinkage, _step_array) calls, counted by wrapping the module
+    # attributes as the benchmark's tracer does: the mutant is the kernel's own transition
+    # with no reeled shrinkage, and each chain step or replicate step is one transition
+    from geoslice import slice1d
+
+    calls = dict.fromkeys(("stepping_out", "reeled_shrinkage", "_step_array"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod, name in ((slice1d, "stepping_out"), (slice1d, "reeled_shrinkage"), (kernel, "_step_array")):
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    t = targets.from_spec(HEMISPHERE)
+    cfg = GssConfig(target=t, w=1.3, m=4, seed=41)
+    if case.startswith("invariance"):
+        harness.invariance_test(t, cfg, 60, broken=case.endswith("broken"))
+    elif case == "ensemble":
+        endpoint_ensemble(harness.worst_start(t), 3, 40, cfg)
+    else:
+        run_chain(harness.worst_start(t), 50, cfg)
+    assert tuple(calls.values()) == expected
 
 
 # -- exact moments of the transition ------------------------------------------------
