@@ -30,6 +30,17 @@ from .targets import Target
 _TWO_PI = 2.0 * math.pi
 
 
+def _check_geometry(zeta: float, diam: float, dim: int) -> None:
+    """The premise of the comparison bounds: dim >= 1 and, for positive zeta, the diameter
+    cap sqrt(zeta) * diam <= pi of Ricci >= (d-1) * zeta (to a relative 1e-12)."""
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    if zeta > 0 and math.sqrt(zeta) * diam > math.pi * (1.0 + 1e-12):
+        raise ApplicabilityError(
+            f"sqrt(zeta) * diam = {math.sqrt(zeta) * diam} exceeds pi; no manifold realises these inputs"
+        )
+
+
 def log_volume_comparison_factor(ricci_lower: float, diam_w: float, dim: int) -> float:
     """Log of the Bishop-Gromov comparison constant of a support of the given diameter.
 
@@ -46,17 +57,11 @@ def log_volume_comparison_factor(ricci_lower: float, diam_w: float, dim: int) ->
     """
     if not diam_w > 0:
         raise ValueError("support diameter must be positive")
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
     if dim == 1:
         return 0.0
     z = float(ricci_lower)
+    _check_geometry(z, diam_w, dim)
     if z > 0:
-        if math.sqrt(z) * diam_w > math.pi * (1.0 + 1e-12):
-            raise ApplicabilityError(
-                f"sqrt(zeta) * diam = {math.sqrt(z) * diam_w} exceeds pi; "
-                "no manifold realises these inputs"
-            )
         ang = min(math.sqrt(z) * diam_w, math.pi / 2.0)
         return (1 - dim) / 2.0 * math.log(z) + (dim - 1) * math.log(math.sin(ang))
     if z == 0:
@@ -210,12 +215,9 @@ def isoembolic_lower_bound(inj: float, diam: float, zeta: float, dim: int) -> fl
     """
     if not (0 < inj <= diam * (1.0 + 1e-12)):
         raise ApplicabilityError("need 0 < injectivity radius <= diameter")
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
     z = float(zeta)
+    _check_geometry(z, diam, dim)
     if z > 0:
-        if math.sqrt(z) * diam > math.pi * (1.0 + 1e-12):
-            raise ApplicabilityError("sqrt(zeta) * diam exceeds pi")
         return math.sqrt(2.0 / math.pi) / math.sqrt(dim) * (inj * math.sqrt(z) / math.pi) ** dim
     if z == 0:
         return math.sqrt(_TWO_PI) / math.sqrt(dim) * (inj / (math.pi * diam)) ** dim
@@ -385,8 +387,9 @@ def full_report(
     """
     if epsilon_mode not in EPSILON_MODES:
         raise ValueError(f"epsilon_mode must be one of {EPSILON_MODES}")
-    info, dim = target.manifold.info, target.manifold.dim
-    log_kappa = log_volume_comparison_factor(info.ricci_lower, target.diam_w, dim)
+    slice1d.StepOutParams(w, m)  # the budgets the sampler accepts, and only those
+    zeta, dim = target.manifold.ricci_lower, target.manifold.dim
+    log_kappa = log_volume_comparison_factor(zeta, target.diam_w, dim)
     log_omega = log_unit_sphere_area(dim)
     log_sup_tl = targets.log_sup_t_level(target)
     eps, eps_se, eps_source, proved = _epsilon(target, m, w, epsilon_mode, rng, mc_probes, mc_runs)
@@ -398,7 +401,7 @@ def full_report(
         ("delta", delta, "not supplied" if delta is None else "target metadata"),
         ("lambda", target.lambda_value, "target metadata"),
         ("lambda_eff", _lambda_eff(m, w, target.lambda_value), "min(m*w, lambda)"),
-        ("zeta", info.ricci_lower, "manifold metadata"),
+        ("zeta", zeta, "manifold metadata"),
         ("log_kappa", log_kappa, "volume comparison"),
         ("log_omega_dm1", log_omega, "unit sphere area"),
         ("p_max", target.p_max, "target metadata"),

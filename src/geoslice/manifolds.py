@@ -1,11 +1,10 @@
 """Built-in state spaces: Euclidean space, the round sphere, and flat tori.
 
 Each manifold provides geodesics through the exponential map, uniform unit
-tangent directions, and the metadata consumed by the convergence-bound
-calculator that the dimension does not fix (diameter, Ricci lower bound,
-injectivity radius, log total measure), built once as ``info``.  The injectivity
-radius is a lower bound of every cut time, so it is what a scan along a
-geodesic reads.
+tangent directions, and the geometry read by the convergence-bound calculator
+as plain attributes: ``diameter``, ``ricci_lower``, ``injectivity_radius``,
+``log_total_measure`` and ``geodesic_period``.  The injectivity radius is a lower
+bound of every cut time, so it is what a scan along a geodesic reads.
 
 All operations work on coordinate arrays in the embedding: length d+1 unit
 vectors for the sphere S^d, plain length-d vectors for Euclidean space and
@@ -14,7 +13,7 @@ directions are arrays of the same length.  :class:`Point` is the validated
 state that the chain API hands out.
 
 A user manifold can be plugged in by subclassing :class:`Manifold`; it must
-supply the same operations plus a correct :class:`ManifoldInfo` as ``info`` (there is no
+supply the same operations and set those five attributes correctly (there is no
 machinery here to derive curvature or diameters automatically).
 """
 
@@ -29,11 +28,17 @@ _NORM_TOL = 1e-12
 _INPUT_TOL = 1e-6
 
 
+def _dimension(d: int) -> int:
+    """``d`` unless it is below 1, which raises a ValueError."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    return d
+
+
 def log_unit_sphere_area(d: int) -> float:
     """Log surface area of the unit (d-1)-sphere in R^d: log(2 pi^(d/2) / Gamma(d/2)), the log of
     the gamma form while Gamma(d/2) is finite (d <= 343), which keeps small d's bits, else lgamma's."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _dimension(d)
     try:
         return math.log(2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0))
     except OverflowError:
@@ -58,26 +63,17 @@ class Point:
         return f"Point({np.array2string(self.coords, precision=6)})"
 
 
-@dataclass(frozen=True)
-class ManifoldInfo:
-    """Geometry constants used by the bound calculator.
-
-    ricci_lower is a number zeta with (d-1)*zeta <= Ric everywhere.  Infinite
-    diameter / injectivity radius / (log) total measure are allowed.
-    """
-
-    diameter: float
-    ricci_lower: float
-    injectivity_radius: float
-    log_total_measure: float
-
-
 class Manifold:
     """Common interface of the built-in geometries."""
 
     dim: int
     embedding_dim: int
-    info: ManifoldInfo
+    # ricci_lower is a number zeta with (d-1)*zeta <= Ric everywhere; the diameter, the
+    # injectivity radius and the log total measure may be infinite
+    diameter: float
+    ricci_lower: float
+    injectivity_radius: float
+    log_total_measure: float
     geodesic_period: float = math.inf  # length of every geodesic, where all close: a window this wide wraps
 
     # -- construction / validation -------------------------------------------------
@@ -133,17 +129,11 @@ class Manifold:
 class Euclidean(Manifold):
     """Flat R^d with straight-line geodesics."""
 
+    diameter = injectivity_radius = log_total_measure = math.inf
+    ricci_lower = 0.0
+
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dim = dim
-        self.embedding_dim = dim
-        self.info = ManifoldInfo(
-            diameter=math.inf,
-            ricci_lower=0.0,
-            injectivity_radius=math.inf,
-            log_total_measure=math.inf,
-        )
+        self.dim = self.embedding_dim = _dimension(dim)
 
     @property
     def spec(self) -> str:
@@ -169,19 +159,14 @@ class Sphere(Manifold):
     long chains cannot drift off the sphere (tolerance 1e-12).
     """
 
+    diameter = injectivity_radius = math.pi
     geodesic_period = 2.0 * math.pi
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dim = dim
+        self.dim = _dimension(dim)
         self.embedding_dim = dim + 1
-        self.info = ManifoldInfo(
-            diameter=math.pi,
-            ricci_lower=1.0 if dim >= 2 else 0.0,
-            injectivity_radius=math.pi,
-            log_total_measure=log_unit_sphere_area(dim + 1),
-        )
+        self.ricci_lower = 1.0 if dim >= 2 else 0.0
+        self.log_total_measure = log_unit_sphere_area(dim + 1)
 
     @property
     def spec(self) -> str:
@@ -216,19 +201,15 @@ class Torus(Manifold):
     """Flat torus (R/PZ)^d with common period P per axis; as geodesics of irrational slope
     never close, ``geodesic_period`` stays inf, which never claims a full winding."""
 
+    ricci_lower = 0.0
+
     def __init__(self, dim: int, period: float):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dim = dim
-        self.embedding_dim = dim
+        self.dim = self.embedding_dim = _dimension(dim)
         self.period = _finite_positive("torus period", period)
+        self.diameter = self.period * math.sqrt(dim) / 2.0
         # P/2 is the exact cut time along an axis and a lower bound in other directions
-        self.info = ManifoldInfo(
-            diameter=self.period * math.sqrt(dim) / 2.0,
-            ricci_lower=0.0,
-            injectivity_radius=self.period / 2.0,
-            log_total_measure=dim * math.log(self.period),
-        )
+        self.injectivity_radius = self.period / 2.0
+        self.log_total_measure = dim * math.log(self.period)
 
     @property
     def spec(self) -> str:

@@ -224,7 +224,7 @@ def _monte_carlo_level_fn(
 ) -> Callable[[float], float]:
     """s -> log volume({p > e^s}) from one uniform sample, drawn from stream (0, 0) and
     shared by all s, which keeps it monotone in s; it compares log densities with s."""
-    log_total = manifold.info.log_total_measure
+    log_total = manifold.log_total_measure
     if not math.isfinite(log_total):
         raise ValueError(
             "Monte-Carlo level-set evaluation needs a finite-volume manifold; "
@@ -284,7 +284,7 @@ class Target:
 
 def uniform_target(manifold: Manifold) -> Target:
     """Constant density 1 on a finite-volume manifold."""
-    log_total = manifold.info.log_total_measure
+    log_total = manifold.log_total_measure
     if not math.isfinite(log_total):
         raise ValueError(f"uniform target needs finite volume; {manifold.spec} has infinite measure")
     dim = manifold.embedding_dim
@@ -301,7 +301,7 @@ def uniform_target(manifold: Manifold) -> Target:
         density=density,
         density_batch=density_batch,
         p_max=1.0,
-        diam_w=manifold.info.diameter,
+        diam_w=manifold.diameter,
         max_gap=0.0,
         lambda_value=math.inf,  # geodesics on compact manifolds wrap through W forever
         log_level_set=lambda s: log_total if s < 0.0 else -math.inf,
@@ -326,7 +326,7 @@ def cap_target(manifold: Sphere, colatitude: float, pole=None) -> Target:
     s = (chord / 2.0) ** 2  # the squared half-chord
     # where the sampler cuts the Beta(d/2, d/2) law of sin^2(theta / 2); at 0 every draw is the pole
     s_max = _normal(f"cap share I_s(d/2, d/2) at psi={colatitude!r} on S^{d}", _cap_share(d, s))
-    log_area = manifold.info.log_total_measure + math.log(s_max)
+    log_area = manifold.log_total_measure + math.log(s_max)
 
     def density(x):
         return 1.0 if math.dist(x.tolist(), pole_list) < chord else 0.0
@@ -390,7 +390,7 @@ def vmf_target(manifold: Sphere, concentration: float, mean=None) -> Target:
     d = manifold.dim
     mu = _unit_axis(manifold, mean)
     kap = float(concentration)
-    log_total = manifold.info.log_total_measure
+    log_total = manifold.log_total_measure
 
     def density(x):
         return math.exp(kap * float(x.dot(mu)))
@@ -789,7 +789,7 @@ def scan_section(target: Target, rng: np.random.Generator, grid: int):
     man = target.manifold
     x = _support_draw(target, rng)
     v = man.sample_tangent_array(x, rng)
-    horizon = min(man.info.injectivity_radius, target.diam_w * (1.0 + 1e-9))
+    horizon = min(man.injectivity_radius, target.diam_w * (1.0 + 1e-9))
     thetas = np.linspace(0.0, horizon, grid, endpoint=False)
     return x, v, thetas, target.density_batch(man.exp_batch(x, v, thetas))
 
@@ -828,7 +828,7 @@ def _support_draw(target: Target, rng: np.random.Generator) -> np.ndarray:
     if target.sampler is not None:
         return target.sampler(1, rng)[0]
     man = target.manifold
-    if math.isfinite(man.info.log_total_measure):
+    if math.isfinite(man.log_total_measure):
         for _ in range(100_000):
             x = man.uniform_points(1, rng)[0]
             if target.density(x) > 0:

@@ -251,7 +251,7 @@ def test_isoembolic_flat_case_value():
 
 def test_isoembolic_is_a_lower_bound_on_spheres():
     for d in (1, 2):
-        info = Sphere(d).info
+        info = Sphere(d)
         log_kappa = log_volume_comparison_factor(info.ricci_lower, info.diameter, d)
         actual = math.exp(info.log_total_measure - math.log(info.diameter) - log_kappa - log_unit_sphere_area(d))
         bound = isoembolic_lower_bound(
@@ -310,6 +310,16 @@ def test_full_report_analytic_mode_refuses_generic_config():
     t = targets.from_spec("uniform:sphere:2")
     with pytest.raises(ApplicabilityError):
         full_report(t, 2, 1.0, "analytic")
+
+
+@pytest.mark.parametrize("spec, m, w, message", [
+    ("cap:sphere:2:psi=1.5707963267948966", 1.5, 4.0, "m must be a positive integer or inf"),
+    ("cap:sphere:2:psi=1.5707963267948966", 0.5, 8.0, "m must be a positive integer or inf"),
+    ("convex-uniform:ball:2:r=1.0", math.inf, -1.0, "w must be positive and finite"),
+])
+def test_full_report_refuses_budgets_the_sampler_refuses(spec, m, w, message):
+    with pytest.raises(ValueError, match=message):
+        full_report(targets.from_spec(spec), m, w)
 
 
 def test_full_report_monte_carlo_not_certified():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from geoslice import manifolds, targets
+from geoslice import bounds, manifolds, targets
 from geoslice.manifolds import Euclidean, Sphere, Torus, from_spec, log_unit_sphere_area
 from geoslice.rng import make_stream
 
@@ -100,7 +100,8 @@ class _Ring(manifolds.Manifold):
     """The unit circle in R^2, written out without the built-in classes."""
 
     dim, embedding_dim, spec = 1, 2, "ring"
-    info = manifolds.ManifoldInfo(math.pi, 0.0, math.pi, math.log(2 * math.pi))
+    diameter = injectivity_radius = math.pi
+    ricci_lower, log_total_measure, geodesic_period = 0.0, math.log(2 * math.pi), 2 * math.pi
 
     def exp_array(self, x, v, theta):
         return math.cos(theta) * x + math.sin(theta) * v
@@ -127,6 +128,21 @@ def test_scan_section_follows_user_manifold_geodesics():
         assert np.all(dens == 1.0)  # every scanned point lies on the ring
 
 
+def test_user_manifold_gets_the_built_in_certificate():
+    # the uniform target on the ring carries the constants of uniform:sphere:1, so every
+    # report line but the target's agrees: rho = 1/2, as a full-winding window covers
+    ring = _Ring()
+    t = targets.custom_target(
+        ring, lambda x: 1.0, 1.0, math.pi, max_gap=0.0,
+        level_set=lambda t: 2 * math.pi if t < 1.0 else 0.0,
+    )
+    report = bounds.full_report(t, 1, 2 * math.pi)
+    built_in = bounds.full_report(targets.from_spec("uniform:sphere:1"), 1, 2 * math.pi).lines()
+    assert report.lines()[0] == "target = custom:custom" and report.lines()[1:] == built_in[1:]
+    assert report.rho == 0.5 and report.certified
+    assert report.log_gap == pytest.approx(-math.log(2.0), rel=1e-15)
+
+
 @pytest.mark.parametrize("spec", ["sphere:2", "sphere:3", "euclidean:3", "torus:2:6.283185307179586"])
 def test_unit_speed_up_to_cut_time(spec):
     man = from_spec(spec)
@@ -134,7 +150,7 @@ def test_unit_speed_up_to_cut_time(spec):
     for _ in range(50):
         x = man.point(_random_point(man, rng)).coords
         v = man.sample_tangent_array(x, rng)
-        cut = man.info.injectivity_radius  # a lower bound of every cut time
+        cut = man.injectivity_radius  # a lower bound of every cut time
         theta = float(rng.uniform(0.0, min(cut, 10.0) * 0.999))
         y = man.exp_array(x, v, theta)
         assert abs(oracles.geodesic_distance(man.spec, x, y) - theta) < 1e-9
@@ -154,15 +170,13 @@ def test_sphere_periodicity():
 def test_cut_times():
     # the injectivity radius: the cut time in every direction on R^d and S^d; on the
     # torus P/2 is exact along an axis and a lower bound otherwise
-    assert math.isinf(Euclidean(2).info.injectivity_radius)
-    assert Sphere(3).info.injectivity_radius == math.pi
+    assert math.isinf(Euclidean(2).injectivity_radius)
+    assert Sphere(3).injectivity_radius == math.pi
     to = Torus(2, 2 * math.pi)
-    assert to.info.injectivity_radius == math.pi
+    assert to.injectivity_radius == math.pi
     xt = to.point([0.3, 0.4]).coords
     v = _tangent(to, xt, [1.0, 0.0])
     assert np.allclose(to.exp_array(xt, v, 2 * math.pi), xt)  # an axis geodesic closes at P
-    # the manifold's constants are built once, not on every read
-    assert to.info is to.info
 
 
 def test_tangent_sampling_orthogonality_and_norm():
@@ -224,16 +238,16 @@ def test_unit_sphere_area_past_gamma_overflow():
 
 
 def test_manifold_info_constants():
-    s2 = Sphere(2).info
+    s2 = Sphere(2)
     assert s2.ricci_lower == 1.0 and s2.diameter == pytest.approx(math.pi)
     assert s2.log_total_measure == pytest.approx(math.log(4 * math.pi), rel=1e-15)
-    assert Sphere(1).info.ricci_lower == 0.0
-    t = Torus(2, 4.0).info
+    assert Sphere(1).ricci_lower == 0.0
+    t = Torus(2, 4.0)
     assert t.ricci_lower == 0.0
     assert t.diameter == pytest.approx(2.0 * math.sqrt(2.0))
     assert t.log_total_measure == pytest.approx(math.log(16.0), rel=1e-15)
-    assert Torus(400, 1e300).info.log_total_measure == pytest.approx(400 * math.log(1e300), rel=1e-15)
-    assert math.isinf(Euclidean(2).info.diameter)
+    assert Torus(400, 1e300).log_total_measure == pytest.approx(400 * math.log(1e300), rel=1e-15)
+    assert math.isinf(Euclidean(2).diameter)
 
 
 def test_spec_parsing_and_errors():

@@ -582,7 +582,7 @@ def test_sup_t_level_bounded_by_support_mass():
     for t in [uniform_target(Sphere(2)), vmf_target(Sphere(2), 2.0), ball_target(2, 1.0)]:
         support = t.log_level_set(-math.inf)  # log volume of W = {p > 0}
         assert log_sup_t_level(t) - math.log(t.p_max) <= support + 1e-12
-        total = t.manifold.info.log_total_measure
+        total = t.manifold.log_total_measure
         if math.isfinite(total):
             assert support <= total + 1e-12
 
